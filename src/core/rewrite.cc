@@ -1,6 +1,8 @@
 #include "core/rewrite.h"
 
-#include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
 
 namespace expdb {
 
@@ -162,60 +164,15 @@ class Rewriter {
             child->aggregate());
       }
       case ExprKind::kProduct: {
-        // Split the ∧-spine into left-only / right-only / cross conjuncts
-        // and form a join: σp(l × r) -> σ-pushed l ⋈_cross r.
+        // σp(l × r) -> σ-pushed l ⋈_cross r. With nothing pushable it
+        // still forms a join, so equality conjuncts take the hash path.
         EXPDB_ASSIGN_OR_RETURN(Schema lschema,
                                child->left()->InferSchema(db_));
-        const size_t n_left = lschema.arity();
-        Predicate left_pred = Predicate::Literal(true);
-        Predicate right_pred = Predicate::Literal(true);
-        Predicate cross_pred = Predicate::Literal(true);
-        bool have_left = false, have_right = false, have_cross = false;
-        for (const Predicate& conjunct : p.TopLevelConjuncts()) {
-          auto cols = conjunct.ReferencedColumns();
-          const bool touches_left =
-              std::any_of(cols.begin(), cols.end(),
-                          [&](size_t c) { return c < n_left; });
-          const bool touches_right =
-              std::any_of(cols.begin(), cols.end(),
-                          [&](size_t c) { return c >= n_left; });
-          if (touches_left && !touches_right) {
-            left_pred = have_left ? left_pred.And(conjunct) : conjunct;
-            have_left = true;
-          } else if (touches_right && !touches_left) {
-            // Shift right-side conjuncts into the right child's frame.
-            Predicate shifted = conjunct;
-            std::map<size_t, size_t> mapping;
-            for (size_t c : cols) mapping.emplace(c, c - n_left);
-            auto remapped = conjunct.RemapColumns(mapping);
-            if (remapped.ok()) {
-              shifted = remapped.MoveValue();
-              right_pred = have_right ? right_pred.And(shifted) : shifted;
-              have_right = true;
-            } else {
-              cross_pred = have_cross ? cross_pred.And(conjunct) : conjunct;
-              have_cross = true;
-            }
-          } else {
-            cross_pred = have_cross ? cross_pred.And(conjunct) : conjunct;
-            have_cross = true;
-          }
-        }
-        if (!have_left && !have_right) {
-          // Nothing pushable; still form a join so equality conjuncts can
-          // take the hash path.
-          Count("product-to-join");
-          return Expression::MakeJoin(child->left(), child->right(), p);
-        }
-        Count("select-through-product");
-        ExpressionPtr l = have_left ? Expression::MakeSelect(child->left(),
-                                                             left_pred)
-                                    : child->left();
-        ExpressionPtr r = have_right
-                              ? Expression::MakeSelect(child->right(),
-                                                       right_pred)
-                              : child->right();
-        return Expression::MakeJoin(std::move(l), std::move(r), cross_pred);
+        bool pushed = false;
+        ExpressionPtr join = JoinWithPushedConjuncts(
+            child->left(), child->right(), p, lschema.arity(), &pushed);
+        Count(pushed ? "select-through-product" : "product-to-join");
+        return join;
       }
       default:
         return ExpressionPtr(e);
@@ -239,6 +196,46 @@ class Rewriter {
 };
 
 }  // namespace
+
+ExpressionPtr JoinWithPushedConjuncts(ExpressionPtr left, ExpressionPtr right,
+                                      const Predicate& p, size_t n_left,
+                                      bool* pushed) {
+  std::optional<Predicate> left_pred, right_pred, cross_pred;
+  auto add = [](std::optional<Predicate>* acc, const Predicate& conjunct) {
+    *acc = acc->has_value() ? (*acc)->And(conjunct) : conjunct;
+  };
+  for (const Predicate& conjunct : p.TopLevelConjuncts()) {
+    const std::set<size_t> cols = conjunct.ReferencedColumns();
+    const bool touches_left = !cols.empty() && *cols.begin() < n_left;
+    const bool touches_right = !cols.empty() && *cols.rbegin() >= n_left;
+    if (touches_left && !touches_right) {
+      add(&left_pred, conjunct);
+      continue;
+    }
+    if (touches_right && !touches_left) {
+      // Shift right-side conjuncts into the right child's frame.
+      std::map<size_t, size_t> mapping;
+      for (size_t c : cols) mapping.emplace(c, c - n_left);
+      Result<Predicate> shifted = conjunct.RemapColumns(mapping);
+      if (shifted.ok()) {
+        add(&right_pred, shifted.value());
+        continue;
+      }
+    }
+    add(&cross_pred, conjunct);
+  }
+  const bool any = left_pred.has_value() || right_pred.has_value();
+  if (pushed != nullptr) *pushed = any;
+  if (!any) return Expression::MakeJoin(std::move(left), std::move(right), p);
+  if (left_pred.has_value()) {
+    left = Expression::MakeSelect(std::move(left), *left_pred);
+  }
+  if (right_pred.has_value()) {
+    right = Expression::MakeSelect(std::move(right), *right_pred);
+  }
+  return Expression::MakeJoin(std::move(left), std::move(right),
+                              cross_pred.value_or(Predicate::Literal(true)));
+}
 
 Result<ExpressionPtr> RewriteForIndependence(const ExpressionPtr& expr,
                                              const Database& db,

@@ -52,6 +52,18 @@ Result<ExpressionPtr> RewriteForIndependence(const ExpressionPtr& expr,
                                              const Database& db,
                                              RewriteReport* report = nullptr);
 
+/// \brief σp(l × r) as a join with p's single-side conjuncts pushed below
+/// it: p's ∧-spine splits into left-only conjuncts (columns < `n_left`),
+/// right-only conjuncts (shifted into r's column frame) and the rest,
+/// giving σ_left(l) ⋈_rest σ_right(r). A side without conjuncts stays
+/// unfiltered; with nothing pushable the join keeps p itself. Exact: a
+/// selection keeps its input's per-tuple texps and texp(e) (Eq. 1), and
+/// the join takes the same minima over the same surviving pairs.
+/// `*pushed` (optional) reports whether any conjunct moved below the join.
+ExpressionPtr JoinWithPushedConjuncts(ExpressionPtr left, ExpressionPtr right,
+                                      const Predicate& p, size_t n_left,
+                                      bool* pushed = nullptr);
+
 }  // namespace expdb
 
 #endif  // EXPDB_CORE_REWRITE_H_

@@ -310,14 +310,20 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
       case MetricSnapshot::Kind::kHistogram:
         if (entry.histogram != nullptr) {
           const Histogram& h = *entry.histogram;
-          snap.count = h.count();
+          // One read of the buckets is the scrape's source of truth:
+          // `count` is their total, so the +Inf bucket equals `_count`
+          // even while other threads Record (count_ is bumped separately
+          // from the bucket and may be mid-update).
+          snap.bucket_counts = h.BucketCounts();
+          for (uint64_t c : snap.bucket_counts) snap.count += c;
           snap.sum = h.sum();
-          snap.value = h.mean();
+          snap.value = snap.count == 0 ? 0.0
+                                       : static_cast<double>(snap.sum) /
+                                             static_cast<double>(snap.count);
           snap.p50 = h.Percentile(50.0);
           snap.p95 = h.Percentile(95.0);
           snap.p99 = h.Percentile(99.0);
           snap.bucket_bounds = h.bounds();
-          snap.bucket_counts = h.BucketCounts();
         }
         break;
     }

@@ -245,27 +245,32 @@ ResultCache::ResultCache() {
 }
 
 void ResultCache::set_max_bytes(size_t bytes) {
-  std::lock_guard<std::mutex> guard(mu_);
-  max_bytes_ = bytes;
-  if (max_bytes_ == 0) {
-    entries_.clear();
-    lru_.clear();
-    bytes_ = 0;
-    bytes_gauge_.Set(0);
+  if (bytes == 0) {
+    // Disabling drops every entry, which is not an eviction. Insert
+    // re-checks the budget under mu_, so nothing lands after Clear().
+    max_bytes_.store(0, std::memory_order_relaxed);
+    Clear();
     return;
   }
-  if (bytes_ > max_bytes_) EvictFor(0, nullptr);
+  std::vector<Entry> dropped;  // destroyed after mu_ is released
+  std::lock_guard<std::mutex> guard(mu_);
+  max_bytes_.store(bytes, std::memory_order_relaxed);
+  if (bytes_ > bytes) EvictFor(0, nullptr, &dropped);
 }
 
-void ResultCache::EraseEntry(EntryMap::iterator it) {
+void ResultCache::DropEntry(EntryMap::iterator it,
+                            std::vector<Entry>* dropped) {
   bytes_ -= it->second.bytes;
   bytes_gauge_.Set(static_cast<int64_t>(bytes_));
   lru_.erase(it->second.lru_it);
+  dropped->push_back(std::move(it->second));
   entries_.erase(it);
 }
 
-void ResultCache::EvictFor(size_t need, const std::string* keep) {
-  while (bytes_ + need > max_bytes_ && !lru_.empty()) {
+void ResultCache::EvictFor(size_t need, const std::string* keep,
+                           std::vector<Entry>* dropped) {
+  const size_t max_bytes = max_bytes_.load(std::memory_order_relaxed);
+  while (bytes_ + need > max_bytes && !lru_.empty()) {
     std::string victim = lru_.back();
     if (keep != nullptr && victim == *keep) {
       // The protected entry is the LRU tail; nothing older to evict.
@@ -281,8 +286,8 @@ void ResultCache::EvictFor(size_t need, const std::string* keep) {
     LogCacheEvent("cache_evict",
                   {{"entry_bytes", std::to_string(it->second.bytes)},
                    {"cache_bytes", std::to_string(bytes_)},
-                   {"budget", std::to_string(max_bytes_)}});
-    EraseEntry(it);
+                   {"budget", std::to_string(max_bytes)}});
+    DropEntry(it, dropped);
   }
 }
 
@@ -299,28 +304,28 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
                                                       const Database& db,
                                                       Timestamp now) {
   obs::ScopedSpan span("sql.result_cache.lookup", lookup_latency_);
+  std::vector<Entry> dropped;  // destroyed after mu_ is released
   std::lock_guard<std::mutex> guard(mu_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  // Counts a miss, dropping the entry when there is one.
+  auto miss = [&]() -> std::optional<MaterializedResult> {
+    if (it != entries_.end()) DropEntry(it, &dropped);
     CountMiss();
     return std::nullopt;
-  }
+  };
+  if (it == entries_.end()) return miss();
   Entry& e = it->second;
   // Lapsed materialization: Theorem 2's identity window is over, and the
   // propagator's cached analyses lapse with it.
   if (!(now < e.result.texp)) {
-    EraseEntry(it);
-    CountMiss();
-    return std::nullopt;
+    return miss();
   }
   std::vector<BaseDelta> deltas;
   bool drifted = false;
   for (auto& [name, cursor] : e.bases) {
     auto rel = db.GetRelation(name);
     if (!rel.ok()) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
+      return miss();
     }
     const Relation* base = rel.value();
     // Instance churn = a different body of data under the name; an epoch
@@ -328,40 +333,30 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
     // up as DeltasSince -> nullopt below. Either way: never serve stale.
     if (base->delta_instance_id() == 0 ||
         base->delta_instance_id() != cursor.instance_id) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
+      return miss();
     }
     if (base->delta_epoch() == cursor.epoch) continue;
     drifted = true;
     if (e.propagator == nullptr) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
+      return miss();
     }
     auto batches = base->DeltasSince(cursor.epoch);
     if (!batches.has_value()) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
+      return miss();
     }
     deltas.push_back({name, std::move(*batches)});
   }
   if (drifted) {
     auto applied = e.propagator->Apply(deltas, now);
     if (!applied.ok()) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
+      return miss();
     }
     DeltaPropagator::ApplyOps(applied.value().root_ops, &e.result.relation);
     e.result.texp = applied.value().texp;
     e.result.materialized_at = now;
     e.result.validity = IntervalSet(now, e.result.texp);
     if (!(now < e.result.texp)) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
+      return miss();
     }
     for (auto& [name, cursor] : e.bases) {
       auto rel = db.GetRelation(name);
@@ -376,13 +371,10 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
     LogCacheEvent("cache_patch",
                   {{"ops", std::to_string(applied.value().ops_out)},
                    {"texp", e.result.texp.ToString()}});
-    if (bytes_ > max_bytes_) EvictFor(0, &key);
+    if (bytes_ > max_bytes()) EvictFor(0, &key, &dropped);
     // The patch may have evicted this very entry when it no longer fits.
     it = entries_.find(key);
-    if (it == entries_.end()) {
-      CountMiss();
-      return std::nullopt;
-    }
+    if (it == entries_.end()) return miss();
   }
   Touch(&it->second);
   ++hits_;
@@ -393,13 +385,14 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
 void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
                          const NodeCapture* capture, MaterializedResult result,
                          const Database& db, Timestamp now) {
-  if (plan == nullptr) return;
+  if (plan == nullptr || !enabled()) return;
   // A lapsed (or immediately lapsing) materialization can never satisfy a
   // future `now < texp` check.
   if (!(now < result.texp)) return;
-  std::lock_guard<std::mutex> guard(mu_);
-  if (max_bytes_ == 0) return;
-  std::vector<std::pair<std::string, Relation::DeltaCursor>> bases;
+  // The whole entry is built before mu_ is taken: the cursors stay put
+  // under the caller's reader locks, and the byte estimate and propagator
+  // seeding read only this execution's state.
+  Entry e;
   for (const std::string& name : plan->planned_expr()->BaseRelationNames()) {
     auto rel = db.GetRelation(name);
     if (!rel.ok()) return;
@@ -407,32 +400,33 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
     // serve stale data after the first INSERT/DELETE; enabling is
     // idempotent and metadata-only (allowed through const access).
     rel.value()->EnableDeltaTracking();
-    bases.emplace_back(name, rel.value()->delta_cursor());
+    e.bases.emplace_back(name, rel.value()->delta_cursor());
   }
-  const size_t bytes = EstimateResultBytes(result.relation);
-  if (bytes > max_bytes_) return;
-  auto existing = entries_.find(key);
-  if (existing != entries_.end()) EraseEntry(existing);
-  EvictFor(bytes, nullptr);
-  std::unique_ptr<DeltaPropagator> propagator;
+  e.bytes = EstimateResultBytes(result.relation);
+  if (e.bytes > max_bytes()) return;
   if (capture != nullptr) {
-    propagator =
+    e.propagator =
         DeltaPropagator::Create(plan, *capture, plan->options().eval);
   }
-  lru_.push_front(key);
-  Entry e;
   e.plan = std::move(plan);
   e.result = std::move(result);
-  e.bases = std::move(bases);
-  e.propagator = std::move(propagator);
-  e.bytes = bytes;
+
+  std::vector<Entry> dropped;  // destroyed after mu_ is released
+  std::lock_guard<std::mutex> guard(mu_);
+  // The budget may have shrunk (or been disabled) since the check above.
+  if (e.bytes > max_bytes()) return;
+  auto existing = entries_.find(key);
+  if (existing != entries_.end()) DropEntry(existing, &dropped);
+  EvictFor(e.bytes, nullptr, &dropped);
+  lru_.push_front(key);
   e.lru_it = lru_.begin();
-  entries_.emplace(key, std::move(e));
-  bytes_ += bytes;
+  bytes_ += e.bytes;
   bytes_gauge_.Set(static_cast<int64_t>(bytes_));
+  entries_.emplace(key, std::move(e));
 }
 
 void ResultCache::InvalidateBase(const std::string& name) {
+  std::vector<Entry> dropped;  // destroyed after mu_ is released
   std::lock_guard<std::mutex> guard(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     bool reads = false;
@@ -444,7 +438,7 @@ void ResultCache::InvalidateBase(const std::string& name) {
     }
     if (reads) {
       auto victim = it++;
-      EraseEntry(victim);
+      DropEntry(victim, &dropped);
     } else {
       ++it;
     }
@@ -452,8 +446,9 @@ void ResultCache::InvalidateBase(const std::string& name) {
 }
 
 void ResultCache::Clear() {
+  EntryMap cleared;  // destroyed after mu_ is released
   std::lock_guard<std::mutex> guard(mu_);
-  entries_.clear();
+  cleared.swap(entries_);
   lru_.clear();
   bytes_ = 0;
   bytes_gauge_.Set(0);
@@ -468,7 +463,7 @@ ResultCache::Stats ResultCache::stats() const {
   s.evictions = evictions_;
   s.entries = entries_.size();
   s.bytes = bytes_;
-  s.max_bytes = max_bytes_;
+  s.max_bytes = max_bytes();
   return s;
 }
 

@@ -18,6 +18,7 @@
 #ifndef EXPDB_PLAN_CACHE_H_
 #define EXPDB_PLAN_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -157,13 +158,18 @@ std::string ResultCacheKey(const std::string& fingerprint,
 ///   miss   — anything else (absent, expired, history broken, Clear()'d
 ///            base, instance-id churn, patch failure): entry dropped.
 ///
-/// Thread-safe: the engine shares one instance across every session; all
-/// operations serialize on an internal mutex. Callers must still hold the
-/// base relations' reader locks across Lookup/Insert (the cache reads
-/// delta cursors and rings from `db`) — the internal mutex only protects
-/// the cache's own structures. Lookup returns the materialization by
-/// value, so a served result can never be torn by a concurrent patch or
-/// eviction.
+/// Thread-safe: the engine shares one instance across every session.
+/// Lookup, and the splice step of Insert (replace a same-key entry, pick
+/// LRU victims, link the new entry), serialize on an internal mutex.
+/// Insert builds its entry — base cursors, byte estimate, seeded
+/// propagator — before taking the mutex, and every operation destroys
+/// the entries it drops or evicts only after releasing it. enabled() and
+/// max_bytes() read an atomic budget without locking. Callers must still
+/// hold the base relations' reader locks across Lookup/Insert (the cache
+/// reads delta cursors and rings from `db`) — the internal mutex only
+/// protects the cache's own structures. Lookup returns the
+/// materialization by value, so a served result can never be torn by a
+/// concurrent patch or eviction.
 class ResultCache {
  public:
   static constexpr size_t kDefaultMaxBytes = 64ull << 20;  // 64 MiB
@@ -181,8 +187,7 @@ class ResultCache {
   };
 
   size_t max_bytes() const {
-    std::lock_guard<std::mutex> guard(mu_);
-    return max_bytes_;
+    return max_bytes_.load(std::memory_order_relaxed);
   }
   bool enabled() const { return max_bytes() > 0; }
   /// \brief Sets the byte budget, evicting LRU entries over the new
@@ -230,18 +235,22 @@ class ResultCache {
   };
   using EntryMap = std::unordered_map<std::string, Entry>;
 
-  // All private helpers require mu_ to be held by the caller.
-  void EraseEntry(EntryMap::iterator it);
+  // All private helpers require mu_ to be held by the caller. Unlinked
+  // entries move to `*dropped`, which the caller destroys after releasing
+  // mu_.
+  void DropEntry(EntryMap::iterator it, std::vector<Entry>* dropped);
   /// Evicts LRU entries until `need` more bytes fit under the budget,
   /// never evicting `keep`.
-  void EvictFor(size_t need, const std::string* keep);
+  void EvictFor(size_t need, const std::string* keep,
+                std::vector<Entry>* dropped);
   void Touch(Entry* entry);
   void CountMiss();
 
+  /// Written under mu_; read without it by enabled()/max_bytes().
+  std::atomic<size_t> max_bytes_{kDefaultMaxBytes};
   /// Guards every member below. Leaf lock within the cache (obs metric
   /// updates under it are themselves lock-free or leaf-locked).
   mutable std::mutex mu_;
-  size_t max_bytes_ = kDefaultMaxBytes;
   size_t bytes_ = 0;
   EntryMap entries_;
   std::list<std::string> lru_;  // front = most recently used

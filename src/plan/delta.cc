@@ -49,12 +49,24 @@ void UpsertBucket(std::vector<Relation::Entry>* bucket, const Tuple& t,
   bucket->push_back({t, texp});
 }
 
-/// The captured output of `child`, or an empty relation when the child
-/// never executed (const-false, or under a pruned ancestor).
-Relation ChildRelation(const PlanNode& child, const NodeCapture& capture) {
+/// The captured output entries of `child`; none when the child was pruned
+/// or never executed (const-false, or under a pruned ancestor), whose
+/// output is empty.
+const std::vector<Relation::Entry>& ChildEntries(const PlanNode& child,
+                                                 const NodeCapture& capture) {
+  static const std::vector<Relation::Entry> kNone;
   auto it = capture.nodes.find(child.id);
-  if (it != capture.nodes.end()) return it->second.result.relation;
-  return Relation(child.schema);
+  if (it == capture.nodes.end() || !it->second.relation.has_value()) {
+    return kNone;
+  }
+  return it->second.relation->entries();
+}
+
+/// An owned copy of `child`'s captured output, for the set operators
+/// whose state is the child materialization itself.
+Relation ChildCopy(const PlanNode& child, const NodeCapture& capture) {
+  return Relation::FromEntriesUnchecked(child.schema,
+                                        ChildEntries(child, capture));
 }
 
 bool SubtreeSupportsDelta(const PlanNode& n, const EvalOptions& options) {
@@ -197,9 +209,8 @@ bool DeltaPropagator::Seed(const PlanNode& n, const NodeCapture& capture,
       break;  // stateless
     case PlanOp::kProject: {
       auto state = std::make_unique<NodeState>();
-      const Relation child = ChildRelation(*n.left, capture);
       const auto& proj = n.expr->projection();
-      for (const auto& e : child.entries()) {
+      for (const auto& e : ChildEntries(*n.left, capture)) {
         state->support[e.tuple.Project(proj)].insert(e.texp);
       }
       state_[n.id] = std::move(state);
@@ -208,15 +219,15 @@ bool DeltaPropagator::Seed(const PlanNode& n, const NodeCapture& capture,
     case PlanOp::kUnionMerge:
     case PlanOp::kHashIntersect: {
       auto state = std::make_unique<NodeState>();
-      state->left_mat = ChildRelation(*n.left, capture);
-      state->right_mat = ChildRelation(*n.right, capture);
+      state->left_mat = ChildCopy(*n.left, capture);
+      state->right_mat = ChildCopy(*n.right, capture);
       state_[n.id] = std::move(state);
       break;
     }
     case PlanOp::kHashDifference: {
       auto state = std::make_unique<NodeState>();
-      state->left_mat = ChildRelation(*n.left, capture);
-      state->right_mat = ChildRelation(*n.right, capture);
+      state->left_mat = ChildCopy(*n.left, capture);
+      state->right_mat = ChildCopy(*n.right, capture);
       for (const auto& e : state->left_mat.entries()) {
         const auto rt = state->right_mat.GetTexp(e.tuple);
         if (rt.has_value() && e.texp > *rt) {
@@ -238,12 +249,10 @@ bool DeltaPropagator::Seed(const PlanNode& n, const NodeCapture& capture,
         state->right_cols = index.right_cols();
         state->covered = index.predicate_covered();
       }
-      const Relation left = ChildRelation(*n.left, capture);
-      const Relation right = ChildRelation(*n.right, capture);
-      for (const auto& e : left.entries()) {
+      for (const auto& e : ChildEntries(*n.left, capture)) {
         state->left_buckets[e.tuple.Project(state->left_cols)].push_back(e);
       }
-      for (const auto& e : right.entries()) {
+      for (const auto& e : ChildEntries(*n.right, capture)) {
         state->right_buckets[e.tuple.Project(state->right_cols)].push_back(
             e);
       }
@@ -252,9 +261,8 @@ bool DeltaPropagator::Seed(const PlanNode& n, const NodeCapture& capture,
     }
     case PlanOp::kHashAggregate: {
       auto state = std::make_unique<NodeState>();
-      const Relation child = ChildRelation(*n.left, capture);
       const auto& gb = n.expr->group_by();
-      for (const auto& e : child.entries()) {
+      for (const auto& e : ChildEntries(*n.left, capture)) {
         state->groups[e.tuple.Project(gb)].members[e.tuple] = e.texp;
       }
       for (auto& [key, group] : state->groups) {

@@ -1,6 +1,7 @@
 #include "plan/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -99,6 +100,28 @@ struct EvalMetricSet {
     return *set;
   }
 };
+
+/// Operators whose incremental state DeltaPropagator::Seed builds from
+/// their children's captured outputs (plan/delta.cc). Scans and filters
+/// are stateless; cross products and anti-joins are never incremental.
+bool SeedsFromChildren(PlanOp op) {
+  switch (op) {
+    case PlanOp::kProject:
+    case PlanOp::kUnionMerge:
+    case PlanOp::kHashIntersect:
+    case PlanOp::kHashDifference:
+    case PlanOp::kHashJoin:
+    case PlanOp::kHashSemiJoin:
+    case PlanOp::kHashAggregate:
+      return true;
+    case PlanOp::kScan:
+    case PlanOp::kFilter:
+    case PlanOp::kCrossProduct:
+    case PlanOp::kHashAntiJoin:
+      return false;
+  }
+  return false;
+}
 
 /// Drives the operator scan loops: serial inline when the executor runs
 /// with one worker, morsel-parallel on the shared pool otherwise, with
@@ -217,6 +240,10 @@ class PlanExecutor {
       bounds_.assign(plan_.node_count() + 1, Timestamp::Infinity());
       ComputeBound(plan_.root());
     }
+    if (capture_ != nullptr) {
+      seed_inputs_.assign(plan_.node_count() + 1, false);
+      MarkSeedInputs(plan_.root());
+    }
   }
 
   /// Per-node wrapper: expired-subtree pruning, constant-false elision,
@@ -239,11 +266,8 @@ class PlanExecutor {
       if (metrics && !n.const_false) {
         EvalMetricSet::Get().pruned_subtrees->Increment();
       }
-      MaterializedResult empty = EmptyResult(n);
-      if (capture_ != nullptr) {
-        capture_->nodes[n.id] = {empty, /*pruned=*/true, /*reused=*/false};
-      }
-      return empty;
+      Capture(n, nullptr, /*pruned=*/true, /*reused=*/false);
+      return EmptyResult(n);
     }
 
     // Common-subtree reuse: an identical subtree already materialized in
@@ -256,10 +280,7 @@ class PlanExecutor {
           stats->rows += it->second.relation.size();
         }
         if (metrics) EvalMetricSet::Get().cse_reuses->Increment();
-        if (capture_ != nullptr) {
-          capture_->nodes[n.id] = {it->second, /*pruned=*/false,
-                                   /*reused=*/true};
-        }
+        Capture(n, &it->second, /*pruned=*/false, /*reused=*/true);
         return it->second;
       }
     }
@@ -282,10 +303,7 @@ class PlanExecutor {
       if (r.ok()) stats->rows += r.value().relation.size();
     }
     if (r.ok() && n.cse_id >= 0) cse_cache_[n.cse_id] = r.value();
-    if (r.ok() && capture_ != nullptr) {
-      capture_->nodes[n.id] = {r.value(), /*pruned=*/false,
-                               /*reused=*/false};
-    }
+    if (r.ok()) Capture(n, &r.value(), /*pruned=*/false, /*reused=*/false);
     return r;
   }
 
@@ -435,21 +453,28 @@ class PlanExecutor {
     return Status::Internal("unknown plan operator");
   }
 
-  Result<MaterializedResult> ExecScan(const PlanNode& n) {
+  /// Scans `n`'s base relation at τ and copies out the live entries that
+  /// satisfy `pred` (every live entry when null); `*live_rows` (optional)
+  /// receives the number of live entries examined.
+  Result<MaterializedResult> ExecScan(const PlanNode& n,
+                                      const Predicate* pred = nullptr,
+                                      uint64_t* live_rows = nullptr) {
     EXPDB_ASSIGN_OR_RETURN(const Relation* rel,
                            db_.GetRelation(n.expr->relation_name()));
     // Segment-at-a-time scan: classify each storage segment once against τ
     // via its [min_texp, max_texp] bounds. Fully-expired segments are
-    // skipped without touching their entries, fully-live segments are bulk
-    // copied with no per-tuple texp check, and only segments straddling τ
-    // pay the classic filter. Flat relations are one segment, so the same
-    // loop covers both storage modes (and a flat all-live relation gets
-    // the bulk-copy fast path too). Morsels never span segments — each
-    // segment parallelizes internally when large enough — so the
-    // live/straddling decision is made once per segment, not per tuple.
-    uint64_t segs_live = 0, segs_checked = 0, segs_pruned = 0;
+    // skipped without touching their entries, fully-live segments need no
+    // per-tuple texp check (and are bulk copied when there is no
+    // predicate), and only segments straddling τ check texp — together
+    // with the predicate, which always runs on the borrowed segment
+    // entries so only matches are copied. Flat relations are one segment,
+    // so the same loop covers both storage modes. Morsels never span
+    // segments — each segment parallelizes internally when large enough —
+    // so the live/straddling decision is made once per segment, not per
+    // tuple.
+    uint64_t segs_live = 0, segs_checked = 0, segs_pruned = 0, live = 0;
     std::vector<Relation::Entry> kept;
-    kept.reserve(rel->size());
+    if (pred == nullptr) kept.reserve(rel->size());
     const size_t nsegs = rel->SegmentCount();
     for (size_t si = 0; si < nsegs; ++si) {
       const Relation::SegmentView seg = rel->GetSegment(si);
@@ -460,28 +485,40 @@ class PlanExecutor {
       }
       const bool all_live = seg.min_texp > tau_;
       all_live ? ++segs_live : ++segs_checked;
+      // Emits the matches among [begin, end); returns the live count.
+      auto emit = [&](size_t begin, size_t end,
+                      std::vector<Relation::Entry>* outv) -> size_t {
+        if (all_live && pred == nullptr) {
+          outv->insert(outv->end(), seg.data + begin, seg.data + end);
+          return end - begin;
+        }
+        size_t n_live = 0;
+        for (size_t i = begin; i < end; ++i) {
+          const Relation::Entry& en = seg.data[i];
+          if (!all_live && en.texp <= tau_) continue;
+          ++n_live;
+          if (pred == nullptr || pred->Evaluate(en.tuple)) {
+            outv->push_back(en);
+          }
+        }
+        return n_live;
+      };
       if (runner_.parallel() && seg.size >= 2 * runner_.min_morsel()) {
+        std::atomic<size_t> seg_live{0};
         std::vector<Relation::Entry> part = runner_.Collect(
             seg.size, [&](size_t begin, size_t end,
                           std::vector<Relation::Entry>* outv) {
-              if (all_live) {
-                outv->insert(outv->end(), seg.data + begin, seg.data + end);
-                return;
-              }
-              for (size_t i = begin; i < end; ++i) {
-                if (seg.data[i].texp > tau_) outv->push_back(seg.data[i]);
-              }
+              seg_live.fetch_add(emit(begin, end, outv),
+                                 std::memory_order_relaxed);
             });
+        live += seg_live.load(std::memory_order_relaxed);
         kept.insert(kept.end(), std::make_move_iterator(part.begin()),
                     std::make_move_iterator(part.end()));
-      } else if (all_live) {
-        kept.insert(kept.end(), seg.data, seg.data + seg.size);
       } else {
-        for (size_t i = 0; i < seg.size; ++i) {
-          if (seg.data[i].texp > tau_) kept.push_back(seg.data[i]);
-        }
+        live += emit(0, seg.size, &kept);
       }
     }
+    if (live_rows != nullptr) *live_rows = live;
     if (profile_ != nullptr) {
       PlanProfile::NodeStats& s = profile_->at(n.id);
       s.segs_live += segs_live;
@@ -500,8 +537,9 @@ class PlanExecutor {
   }
 
   Result<MaterializedResult> ExecFilter(const PlanNode& n) {
-    EXPDB_ASSIGN_OR_RETURN(MaterializedResult child, Exec(*n.left));
     const Predicate& p = n.expr->predicate();
+    if (n.left->op == PlanOp::kScan) return ExecFilteredScan(*n.left, p);
+    EXPDB_ASSIGN_OR_RETURN(MaterializedResult child, Exec(*n.left));
     const std::vector<Relation::Entry>& in = child.relation.entries();
     // Eq. (1): result tuples retain their expiration times. A selection
     // of a set is a set, so the kept entries are loaded index-direct.
@@ -518,6 +556,31 @@ class PlanExecutor {
     out.relation = Relation::FromEntriesUnchecked(child.relation.schema(),
                                                   std::move(kept));
     return Inherit(std::move(out), child);
+  }
+
+  /// σ_p directly over a base scan: the scan is never materialized — p
+  /// runs on the borrowed segment entries and only matches are copied
+  /// (Eq. 1: they keep their texps; a scan is monotonic, so texp(e) = ∞).
+  /// The scan node still gets what Exec() gives every node: a call, its
+  /// live rows and segment counts in the profile, its operator metrics
+  /// and a flags-only capture entry. Its time is counted in the filter's.
+  Result<MaterializedResult> ExecFilteredScan(const PlanNode& scan,
+                                              const Predicate& p) {
+    uint64_t live = 0;
+    EXPDB_ASSIGN_OR_RETURN(MaterializedResult out, ExecScan(scan, &p, &live));
+    if (profile_ != nullptr) {
+      PlanProfile::NodeStats& s = profile_->at(scan.id);
+      ++s.calls;
+      s.rows += live;
+    }
+    if (options_.enable_metrics) {
+      const EvalMetricSet& m = EvalMetricSet::Get();
+      m.operators->Increment();
+      m.per_op[static_cast<size_t>(ExprKind::kBase)]->Increment();
+      m.tuples_out->Increment(live);
+    }
+    Capture(scan, nullptr, /*pruned=*/false, /*reused=*/false);
+    return out;
   }
 
   Result<MaterializedResult> ExecProject(const PlanNode& n) {
@@ -961,6 +1024,25 @@ class PlanExecutor {
     return out;
   }
 
+  /// Records `n` in the capture: always its flags, and its output only
+  /// when a stateful parent seeds from it (see NodeCapture).
+  void Capture(const PlanNode& n, const MaterializedResult* result,
+               bool pruned, bool reused) {
+    if (capture_ == nullptr) return;
+    NodeCapture::Entry& e = capture_->nodes[n.id];
+    e.pruned = pruned;
+    e.reused = reused;
+    if (result != nullptr && seed_inputs_[n.id]) e.relation = result->relation;
+  }
+
+  void MarkSeedInputs(const PlanNode& n) {
+    for (const PlanNode* child : {n.left.get(), n.right.get()}) {
+      if (child == nullptr) continue;
+      if (SeedsFromChildren(n.op)) seed_inputs_[child->id] = true;
+      MarkSeedInputs(*child);
+    }
+  }
+
   /// The empty materialization an elided subtree stands for (exact — see
   /// the prune argument in Exec()).
   MaterializedResult EmptyResult(const PlanNode& n) const {
@@ -1000,6 +1082,9 @@ class PlanExecutor {
   MorselRunner runner_;
   PlanProfile* profile_;
   NodeCapture* capture_;
+  /// Per node: does a stateful parent seed from its output? (Empty when
+  /// not capturing.)
+  std::vector<bool> seed_inputs_;
   /// Per-node live texp upper bounds (empty when pruning is off).
   std::vector<Timestamp> bounds_;
   /// Results of already-materialized common subtrees, by cse_id.
@@ -1070,13 +1155,11 @@ Result<DifferenceEvalResult> ExecutePlanDifferenceRoot(
     }
     return r;
   };
-  // The root does not go through Exec() on this entry point, so its
-  // materialization is captured here (children are captured by Exec).
+  // The root does not go through Exec() on this entry point, so it is
+  // recorded here (children are captured by Exec). No parent seeds from a
+  // root, so its entry carries flags only.
   auto finish = [&](Result<DifferenceEvalResult> r) {
-    if (r.ok() && capture != nullptr) {
-      capture->nodes[root.id] = {r.value().result, /*pruned=*/false,
-                                 /*reused=*/false};
-    }
+    if (r.ok() && capture != nullptr) capture->nodes[root.id] = {};
     return r;
   };
   if (!options.enable_metrics) return finish(run());

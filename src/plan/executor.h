@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 
 #include "common/result.h"
 #include "core/eval.h"
@@ -29,15 +30,20 @@ size_t ResolveWorkers(size_t parallelism);
 /// the seed state for incremental (delta-driven) maintenance of the plan
 /// (plan/delta.h). Keyed by PlanNode::id.
 ///
-/// Children of a pruned/const-false node and of a common-subtree shadow
-/// occurrence never execute, so they have no entries; DeltaPropagator
-/// reconstructs them (empty results under a pruned ancestor, the primary
-/// occurrence's state for shadows). Capturing copies every node's output,
-/// so request it only when the result will actually be maintained
-/// incrementally.
+/// Every executed node gets an entry (DeltaPropagator::Seed checks the
+/// capture is complete), but only the children of stateful operators —
+/// project, union, intersect, difference, join, semi-join, aggregate —
+/// keep their output relation, because only those seed propagator state;
+/// every other entry, a scan fused into its filter included, carries the
+/// flags alone. Children of a pruned/const-false node and of a
+/// common-subtree shadow occurrence never execute, so they have no
+/// entries; DeltaPropagator reconstructs them (empty results under a
+/// pruned ancestor, the primary occurrence's state for shadows).
 struct NodeCapture {
   struct Entry {
-    MaterializedResult result;
+    /// The node's output; absent when no stateful parent reads it or the
+    /// node was pruned (its output is then empty).
+    std::optional<Relation> relation;
     bool pruned = false;  ///< expired-subtree prune or const-false elision
     bool reused = false;  ///< served from the common-subtree cache
   };
@@ -50,8 +56,9 @@ struct NodeCapture {
 /// mode, validity) — usually the ones the plan was annotated with, but a
 /// cached plan may be executed under different settings. When `profile`
 /// is non-null it is resized to the plan and filled with per-node stats.
-/// When `capture` is non-null every executed node's materialization is
-/// copied into it (see NodeCapture).
+/// When `capture` is non-null every executed node is recorded in it, with
+/// a copy of the outputs incremental maintenance seeds from (see
+/// NodeCapture).
 Result<MaterializedResult> ExecutePlan(const PhysicalPlan& plan,
                                        const Database& db, Timestamp tau,
                                        const EvalOptions& options = {},

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/rewrite.h"
+
 namespace expdb {
 namespace sql {
 
@@ -104,10 +106,15 @@ Result<BoundSelect> BindSimpleSelect(const SelectStatement& select,
   }
 
   if (select.from.size() == 2 && where.has_value()) {
-    // Two-table join: give the evaluator a join node so equality
-    // predicates take the hash path.
-    plan = algebra::Join(algebra::Base(select.from[0].name),
-                         algebra::Base(select.from[1].name), *where);
+    // Two-table join: single-table conjuncts filter their table's scan
+    // below the join, so the probe meets only rows that can qualify, and
+    // the cross conjuncts stay on a join node whose equalities take the
+    // hash path.
+    EXPDB_ASSIGN_OR_RETURN(const Relation* left,
+                           db.GetRelation(select.from[0].name));
+    plan = JoinWithPushedConjuncts(algebra::Base(select.from[0].name),
+                                   algebra::Base(select.from[1].name), *where,
+                                   left->schema().arity());
     where.reset();
   } else {
     plan = algebra::Base(select.from[0].name);

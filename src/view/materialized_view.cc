@@ -136,15 +136,16 @@ void MaterializedView::MaybeReplan(const Database& db) {
     // ≥2× drift (0 → anything counts): the estimates behind build-side
     // and parallelism choices are off enough to be worth re-deriving.
     if (hi >= 2 * lo) {
+      // Logged before the clear below frees `name` and `planned_size`.
+      LogViewEvent(name_, "replan",
+                   {{"base", name},
+                    {"planned_size", std::to_string(planned_size)},
+                    {"current_size", std::to_string(size)}});
       plan_.reset();
       plan_base_sizes_.clear();
       propagator_.reset();
       base_cursors_.clear();
       metrics_.replans.Increment();
-      LogViewEvent(name_, "replan",
-                   {{"base", name},
-                    {"planned_size", std::to_string(planned_size)},
-                    {"current_size", std::to_string(size)}});
       return;
     }
   }

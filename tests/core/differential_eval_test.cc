@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/eval.h"
+#include "core/rewrite.h"
 #include "testing/workload.h"
 #include "tests/support/reference_eval.h"
 
@@ -56,6 +57,120 @@ TEST_P(DifferentialEvalTest, ProductionMatchesReference) {
           << "\n  reference:  " << reference->ToString();
       EXPECT_EQ(production->relation.size(), reference->size())
           << e->ToString();
+    }
+  }
+}
+
+// Fixed inputs for the borrowed-segment filter scan and the split join,
+// over segmented relations whose texps spread across buckets so that at
+// the probed times segments are pruned, straddle τ or are fully live:
+// filters (including OR and const-false), GROUP BY over a filtered scan,
+// and a two-table join with left-only, right-only, cross and OR
+// conjuncts, both as one join predicate and split the way the SQL binder
+// splits it. Rows and per-tuple texps must match the reference; texp(e)
+// must match the same query with its filter kept off the scan (an
+// identity projection in between) or its join left unsplit. Serial and
+// morsel-parallel execution both run.
+TEST(DifferentialEvalFixedTest, SegmentFilterScansAndSplitJoins) {
+  Database db;
+  Relation* r = db.CreateRelation("R", Schema({{"a", ValueType::kInt64},
+                                               {"b", ValueType::kInt64}}))
+                    .value();
+  for (int64_t i = 0; i < 240; ++i) {
+    const Timestamp texp =
+        i % 6 == 0 ? Timestamp::Infinity() : Timestamp(1 + i % 44);
+    ASSERT_TRUE(r->Insert(Tuple{i % 13, i}, texp).ok());
+  }
+  Relation* s = db.CreateRelation("S", Schema({{"a", ValueType::kInt64},
+                                               {"c", ValueType::kInt64}}))
+                    .value();
+  for (int64_t i = 0; i < 70; ++i) {
+    const Timestamp texp =
+        i % 5 == 0 ? Timestamp::Infinity() : Timestamp(2 + i % 31);
+    ASSERT_TRUE(s->Insert(Tuple{i % 13, 3 * i}, texp).ok());
+  }
+  ASSERT_TRUE(r->segmented());
+  ASSERT_GT(r->SegmentCount(), 3u);
+
+  using namespace algebra;  // NOLINT
+  auto cmp = [](size_t col, ComparisonOp op, int64_t v) {
+    return Predicate::Compare(Operand::Column(col), op,
+                              Operand::Constant(Value(v)));
+  };
+  // Identity projection: keeps the filter's child from being a scan.
+  auto unfused = [](const ExpressionPtr& e) {
+    return Select(Project(e->left(), {0, 1}), e->predicate());
+  };
+  const Predicate range =
+      cmp(1, ComparisonOp::kGe, 40).And(cmp(1, ComparisonOp::kLt, 200));
+  const Predicate either =
+      cmp(0, ComparisonOp::kEq, 3).Or(cmp(1, ComparisonOp::kGt, 220));
+  const Predicate never = Predicate::Compare(
+      Operand::Constant(Value(int64_t{1})), ComparisonOp::kEq,
+      Operand::Constant(Value(int64_t{2})));
+  // Over R(a, b) × S(a, c): a = a, b >= 30 (left), c < 150 (right),
+  // (b > 100 or c > 60) (cross OR), (a = 1 or a = 2 or a = 5) (left OR).
+  const Predicate join_pred =
+      Predicate::ColumnsEqual(0, 2)
+          .And(cmp(1, ComparisonOp::kGe, 30))
+          .And(cmp(3, ComparisonOp::kLt, 150))
+          .And(cmp(1, ComparisonOp::kGt, 100).Or(cmp(3, ComparisonOp::kGt, 60)))
+          .And(cmp(0, ComparisonOp::kEq, 1)
+                   .Or(cmp(0, ComparisonOp::kEq, 2))
+                   .Or(cmp(0, ComparisonOp::kEq, 5)));
+  bool pushed = false;
+  ExpressionPtr split =
+      JoinWithPushedConjuncts(Base("R"), Base("S"), join_pred, 2, &pushed);
+  ASSERT_TRUE(pushed);
+  ASSERT_EQ(split->left()->kind(), ExprKind::kSelect);
+  ASSERT_EQ(split->right()->kind(), ExprKind::kSelect);
+
+  struct Case {
+    ExpressionPtr e;
+    ExpressionPtr twin;  // same answer through the old operator shapes
+  };
+  const ExpressionPtr filtered = Select(Base("R"), range);
+  const ExpressionPtr filtered_or = Select(Base("R"), either);
+  const ExpressionPtr filtered_never = Select(Base("R"), never);
+  const std::vector<Case> cases = {
+      {filtered, unfused(filtered)},
+      {filtered_or, unfused(filtered_or)},
+      {filtered_never, unfused(filtered_never)},
+      {Aggregate(filtered, {0}, AggregateFunction::Count()),
+       Aggregate(unfused(filtered), {0}, AggregateFunction::Count())},
+      {Aggregate(filtered_or, {0}, AggregateFunction::Sum(1)),
+       Aggregate(unfused(filtered_or), {0}, AggregateFunction::Sum(1))},
+      {split, Join(Base("R"), Base("S"), join_pred)},
+  };
+
+  EvalOptions serial;
+  serial.aggregate_mode = AggregateExpirationMode::kConservative;
+  EvalOptions parallel = serial;
+  parallel.parallelism = 4;
+  parallel.parallel_min_morsel = 4;
+  for (const Case& c : cases) {
+    for (int64_t t : {0, 7, 12, 20, 33, 44, 50}) {
+      const Timestamp tau(t);
+      auto reference = testing::ReferenceEval(c.e, db, tau);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      for (const EvalOptions& options : {serial, parallel}) {
+        auto production = Evaluate(c.e, db, tau, options);
+        auto twin = Evaluate(c.twin, db, tau, options);
+        ASSERT_TRUE(production.ok()) << production.status().ToString();
+        ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+        EXPECT_TRUE(Relation::EqualAt(production->relation, *reference, tau))
+            << "t=" << t << " " << c.e->ToString()
+            << "\n  production: " << production->relation.ToString()
+            << "\n  reference:  " << reference->ToString();
+        EXPECT_EQ(production->relation.CountUnexpiredAt(tau),
+                  reference->CountUnexpiredAt(tau))
+            << c.e->ToString();
+        EXPECT_TRUE(Relation::EqualAt(production->relation, twin->relation,
+                                      tau))
+            << "t=" << t << " " << c.e->ToString();
+        EXPECT_EQ(production->texp, twin->texp)
+            << "t=" << t << " " << c.e->ToString();
+      }
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/validate.h"
 
 namespace expdb {
 namespace obs {
@@ -335,6 +336,42 @@ TEST(RegistryConcurrencyTest, EightThreadHammer) {
     EXPECT_EQ(r.GetCounter("hammer_t" + std::to_string(t))->value(),
               hits_per_thread);
   }
+}
+
+// Scrapes race Record: every exposition taken while 4 threads record into
+// one histogram must still be conformant — in particular its +Inf bucket
+// must equal its _count, which a scrape reading count() and the buckets
+// separately violated. Run under TSan in CI.
+TEST(RegistryConcurrencyTest, ScrapesStayConformantWhileFourThreadsRecord) {
+  MetricsRegistry r;
+  Histogram* h = r.GetHistogram("scrape_latency_ns", "Recorded while scraped");
+  Counter* c = r.GetCounter("scrape_events_total", "Recorded while scraped");
+  constexpr int kThreads = 4;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int64_t i = t; !stop.load(std::memory_order_relaxed); i += 7) {
+        h->Record(i % 5000000);
+        c->Increment();
+      }
+    });
+  }
+  int failures = 0;
+  for (int scrape = 0; scrape < 400 && failures == 0; ++scrape) {
+    std::string error;
+    if (!ValidatePrometheusText(r.PrometheusText(), &error)) {
+      ADD_FAILURE() << "scrape " << scrape << ": " << error;
+      ++failures;
+    }
+    if (!ValidateJson(r.JsonText(), &error)) {
+      ADD_FAILURE() << "scrape " << scrape << ": " << error;
+      ++failures;
+    }
+  }
+  stop.store(true);
+  for (std::thread& th : threads) th.join();
+  EXPECT_GT(h->count(), 0u);
 }
 
 // Parent chains under concurrency: children in different threads, one

@@ -328,6 +328,41 @@ TEST_F(SqlExplainTest, ExplainSeesTheSamePredicateAsTheSelect) {
   EXPECT_TRUE(Contains(rendered, "Filter [$1 = 2")) << rendered;
 }
 
+TEST_F(SqlExplainTest, TwoTableJoinPushesSingleTableConjunctsDown) {
+  Explain("CREATE TABLE u (x INT, z INT)");
+  Explain("INSERT INTO u VALUES (1, 7), (2, 8)");
+  // Left-only and right-only conjuncts filter their scans; the cross
+  // equality alone stays on the join (and so covers its predicate).
+  EXPECT_EQ(Explain("EXPLAIN SELECT t.y, u.z FROM t, u "
+                    "WHERE t.x = u.x AND t.y >= 20 AND u.z < 8"),
+            "PhysicalPlan nodes=6\n"
+            "#1 Project [cols=$2,$4, est=1] [incremental]\n"
+            "  #2 HashJoin [$1 = $3, build=right, est=1] [incremental]\n"
+            "    #3 Filter [$2 >= 20, est=1] [incremental]\n"
+            "      #4 Scan [t, est=3] [incremental]\n"
+            "    #5 Filter [$2 < 8, est=1] [incremental]\n"
+            "      #6 Scan [u, est=2] [incremental]\n");
+  // A conjunct over both tables, OR included, stays a join conjunct.
+  const std::string rendered = Explain(
+      "EXPLAIN SELECT t.y FROM t, u WHERE t.x = u.x AND (t.y > 25 OR u.z = 7)");
+  EXPECT_TRUE(Contains(rendered, "HashJoin [($1 = $3 and ($2 > 25 or $4 = 7))"))
+      << rendered;
+  EXPECT_FALSE(Contains(rendered, "Filter")) << rendered;
+}
+
+TEST_F(SqlExplainTest, ExplainAnalyzeFusedScanKeepsItsRowsAndSegments) {
+  // The filter evaluates on the scan's borrowed segment entries; the scan
+  // node still reports the live rows it examined and its segments.
+  const std::string rendered =
+      Explain("EXPLAIN ANALYZE SELECT * FROM t WHERE x >= 2");
+  EXPECT_TRUE(Contains(rendered, "Filter [$1 >= 2, est=1] [incremental] "
+                                 "(rows=2, "))
+      << rendered;
+  EXPECT_TRUE(Contains(rendered, "Scan [t, est=3] [incremental] (rows=3, "))
+      << rendered;
+  EXPECT_TRUE(Contains(rendered, "[segments: ")) << rendered;
+}
+
 TEST_F(SqlExplainTest, ExplainOverViewsPlansAgainstTheViewCatalog) {
   auto mk = session_.Execute(
       "CREATE VIEW v AS SELECT x FROM t WHERE x >= 2");

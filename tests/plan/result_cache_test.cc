@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/expression.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
@@ -181,6 +186,81 @@ TEST_F(ResultCacheTest, ZeroBudgetDisablesTheCache) {
   Fill(&cache, "k", 1, T(0));
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_FALSE(cache.Lookup("k", db_, T(1)).has_value());
+}
+
+// Insert builds its entry outside the cache mutex and only splices it in
+// under it. 4 writers fill distinct and colliding keys under a budget
+// that forces eviction while 2 readers look them up; afterwards the byte
+// accounting must equal the live entries and no key may be linked twice.
+// Run under TSan in CI.
+TEST_F(ResultCacheTest, ConcurrentInsertsAndLookupsKeepAccountingExact) {
+  ResultCache cache;
+  Fill(&cache, "probe", 1, T(0));
+  const size_t one_entry = cache.stats().bytes;
+  cache.Clear();
+  cache.set_max_bytes(4 * one_entry);  // room for ~4 of the 12 keys
+  const PhysicalPlanPtr skeleton = ParamPlan();
+  auto key_of = [](int t, int i) {
+    // Even iterations collide across writers; odd ones are per writer.
+    return i % 2 == 0 ? "shared" + std::to_string(i % 8)
+                      : "own" + std::to_string(t) + "-" + std::to_string(i % 3);
+  };
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int kIters = 150;
+  std::atomic<bool> writers_done{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        PhysicalPlanPtr bound =
+            InstantiatePlan(skeleton, {V(1 + (t + i) % 3)}).value();
+        NodeCapture capture;
+        MaterializedResult result =
+            ExecutePlan(*bound, db_, T(0), bound->options().eval, nullptr,
+                        &capture)
+                .value();
+        cache.Insert(key_of(t, i), std::move(bound), &capture,
+                     std::move(result), db_, T(0));
+      }
+    });
+  }
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; !writers_done.load(); ++i) {
+        cache.Lookup(key_of(t, i), db_, T(1));
+      }
+    });
+  }
+  for (int t = 0; t < kWriters; ++t) threads[t].join();
+  writers_done.store(true);
+  for (int t = kWriters; t < kWriters + kReaders; ++t) threads[t].join();
+
+  ResultCache::Stats stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, stats.max_bytes);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 8; i += 2) keys.push_back("shared" + std::to_string(i));
+  for (int t = 0; t < kWriters; ++t) {
+    for (int j = 0; j < 3; ++j) {
+      keys.push_back("own" + std::to_string(t) + "-" + std::to_string(j));
+    }
+  }
+  size_t live = 0, live_bytes = 0;
+  for (const std::string& key : keys) {
+    auto hit = cache.Lookup(key, db_, T(1));
+    if (!hit.has_value()) continue;
+    ++live;
+    live_bytes += EstimateResultBytes(hit->relation);
+  }
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, live);
+  EXPECT_EQ(stats.bytes, live_bytes);
+  // Evicting down to nothing walks the LRU list: a key linked twice, or
+  // an LRU node without its entry, would leave bytes or entries behind.
+  cache.set_max_bytes(1);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 TEST_F(ResultCacheTest, StatementCacheLruAndInvalidation) {

@@ -254,6 +254,13 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
       "SELECT a FROM r INTERSECT SELECT a FROM s",
       "SELECT a FROM r EXCEPT SELECT a FROM s",
       "SELECT r.b, s.a FROM r, s WHERE r.a = s.a",
+      // Split joins: left-only, right-only, cross and OR conjuncts.
+      "SELECT r.b, s.a FROM r, s WHERE r.a = s.a AND r.a >= 2 AND s.a < 5",
+      "SELECT r.b, s.a FROM r, s WHERE r.a = s.a AND (r.b = 'y' OR s.a = 3)",
+      "SELECT r.b, s.a FROM r, s WHERE (r.a = 1 OR r.a = 3) AND s.a >= 3",
+      // GROUP BY over a filtered scan; a filter that keeps nothing.
+      "SELECT a, COUNT(*) FROM r WHERE a >= 2 GROUP BY a",
+      "SELECT * FROM r WHERE 1 = 2",
   };
   auto sweep = [&](const std::string& where) {
     for (const std::string& q : queries) {
@@ -291,6 +298,72 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
   sweep("tiny budget");
   both("ADVANCE TIME 3");
   sweep("tiny budget t=10");
+}
+
+void MakeJoinTables(Session& s) {
+  MustExec(s, "CREATE TABLE r (a INT, b STRING)");
+  MustExec(s, "CREATE TABLE s (a INT)");
+  MustExec(s,
+           "INSERT INTO r VALUES (1, 'x'), (2, 'y'), (3, 'z'), (4, 'w'), "
+           "(5, 'v'), (6, 'u')");
+  MustExec(s, "INSERT INTO s VALUES (1), (2), (3), (4), (5), (6)");
+}
+
+// The binder pushes single-table conjuncts below the join, so a cached
+// join's propagator is seeded from the filtered sides. An INSERT or
+// DELETE on either side must patch the entry to exactly what a fresh
+// execution returns.
+TEST(ResultCacheSessionTest, SplitJoinPatchesOnEitherSide) {
+  Session cached;
+  Session fresh;
+  MustExec(fresh, "SET result_cache_bytes = 0");
+  const std::string q =
+      "SELECT r.b, s.a FROM r, s WHERE r.a = s.a AND r.a >= 2 AND s.a < 6";
+  auto both = [&](const std::string& stmt) {
+    MustExec(cached, stmt);
+    MustExec(fresh, stmt);
+  };
+  MakeJoinTables(cached);
+  MakeJoinTables(fresh);
+  MustExec(cached, q);  // fill
+  for (const char* update :
+       {"INSERT INTO r VALUES (3, 'q')", "DELETE FROM s WHERE a = 4",
+        "INSERT INTO s VALUES (7), (0)", "DELETE FROM r WHERE a = 2",
+        "INSERT INTO r VALUES (1, 'p') TTL 3"}) {
+    both(update);
+    const uint64_t patches0 = Metric("expdb_result_cache_patches_total");
+    auto c = MustExec(cached, q);
+    auto f = MustExec(fresh, q);
+    EXPECT_EQ(c.message, "ok (cached)") << update;
+    EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 1u)
+        << update;
+    ASSERT_TRUE(c.relation.has_value() && f.relation.has_value());
+    EXPECT_TRUE(Relation::EqualAt(*c.relation, *f.relation, c.served_at))
+        << update << "\n  cached: " << c.relation->ToString()
+        << "\n  fresh:  " << f.relation->ToString();
+  }
+}
+
+// A view over a split join keeps its incremental path: after the first
+// explicit update seeds the propagator, later updates on either side are
+// delta-applied, never recomputed.
+TEST(ResultCacheSessionTest, ViewOverSplitJoinDeltaApplies) {
+  Session s;
+  MakeJoinTables(s);
+  MustExec(s,
+           "CREATE VIEW v AS SELECT r.b, s.a FROM r, s "
+           "WHERE r.a = s.a AND r.a >= 2 AND s.a < 6");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 4u);
+  MustExec(s, "INSERT INTO r VALUES (7, 't')");  // seeds on the next read
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 4u);
+  const uint64_t applies0 = Metric("expdb_view_delta_applies_total");
+  const uint64_t recomputes0 = Metric("expdb_view_recomputations_total");
+  MustExec(s, "DELETE FROM s WHERE a = 3");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 3u);
+  MustExec(s, "INSERT INTO r VALUES (5, 'q')");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 4u);
+  EXPECT_EQ(Metric("expdb_view_delta_applies_total") - applies0, 2u);
+  EXPECT_EQ(Metric("expdb_view_recomputations_total"), recomputes0);
 }
 
 }  // namespace
