@@ -10,6 +10,11 @@
 //   * SelectPatchedHit — one insert + one delete between lookups, so
 //     every SELECT is served by delta-patching the cached entry rather
 //     than recomputing.
+//
+// The result cache admits a statement on its second execution, so each
+// warm scenario runs its statement twice before timing: the first run is
+// rejected (first sighting), the second fills the entry, and every timed
+// iteration hits from the first.
 //   * SelectColdPlans vs SelectSharedSkeleton — tier 1 in isolation
 //     (result cache off): re-planning every statement vs rotating
 //     literals through one cached skeleton.
@@ -59,7 +64,8 @@ BENCHMARK(BM_SelectUncached)->Arg(1024)->Arg(8192)->Arg(65536);
 void BM_SelectWarmCache(benchmark::State& state) {
   sql::Session s;
   FillTable(s, state.range(0), state);
-  Must(s.Execute(kPointQuery), state);  // fill both tiers
+  Must(s.Execute(kPointQuery), state);  // plan; first sighting
+  Must(s.Execute(kPointQuery), state);  // fill the result cache
   for (auto _ : state) {
     auto r = s.Execute(kPointQuery);
     Must(r, state);
@@ -73,6 +79,7 @@ void BM_ExecutePreparedWarm(benchmark::State& state) {
   sql::Session s;
   FillTable(s, state.range(0), state);
   Must(s.Execute("PREPARE q AS SELECT * FROM t WHERE v = $1"), state);
+  Must(s.Execute("EXECUTE q (3)"), state);  // first sighting
   Must(s.Execute("EXECUTE q (3)"), state);  // fill
   for (auto _ : state) {
     auto r = s.Execute("EXECUTE q (3)");
@@ -86,7 +93,8 @@ BENCHMARK(BM_ExecutePreparedWarm)->Arg(8192);
 void BM_SelectPatchedHit(benchmark::State& state) {
   sql::Session s;
   FillTable(s, state.range(0), state);
-  Must(s.Execute(kPointQuery), state);
+  Must(s.Execute(kPointQuery), state);  // first sighting
+  Must(s.Execute(kPointQuery), state);  // fill
   for (auto _ : state) {
     Must(s.Execute("INSERT INTO t VALUES (999999999, 3)"), state);
     auto in = s.Execute(kPointQuery);  // patched in

@@ -450,6 +450,10 @@ void RegisterStandardMetrics(MetricsRegistry& r) {
                "Result-cache hits served after delta patching the entry");
   r.GetCounter("expdb_result_cache_evictions_total",
                "Result-cache entries evicted by the LRU byte budget");
+  r.GetCounter("expdb_result_cache_admissions_total",
+               "Result-cache fills admitted on their key's second sighting");
+  r.GetCounter("expdb_result_cache_rejections_total",
+               "Result-cache fills skipped on their key's first sighting");
   r.GetGauge("expdb_result_cache_bytes",
              "Estimated bytes held by result caches");
   r.GetHistogram("expdb_result_cache_lookup_latency_ns",

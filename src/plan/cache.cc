@@ -215,10 +215,7 @@ size_t EstimateResultBytes(const Relation& relation) {
   // ~50% hash-index headroom on the entry storage.
   size_t bytes = 512 + sizeof(Relation);
   for (const Relation::Entry& e : relation.entries()) {
-    size_t entry = sizeof(Relation::Entry) + e.tuple.arity() * sizeof(Value);
-    for (const Value& v : e.tuple.values()) {
-      if (v.is_string()) entry += v.ToString().size();
-    }
+    const size_t entry = sizeof(Relation::Entry) + TuplePayloadBytes(e.tuple);
     bytes += entry + entry / 2;
   }
   return bytes;
@@ -238,6 +235,12 @@ ResultCache::ResultCache() {
   evictions_total_ = reg.GetCounter("expdb_result_cache_evictions_total",
                                     "Result-cache entries evicted by the "
                                     "LRU byte budget");
+  admissions_total_ = reg.GetCounter(
+      "expdb_result_cache_admissions_total",
+      "Result-cache fills admitted on their key's second sighting");
+  rejections_total_ = reg.GetCounter(
+      "expdb_result_cache_rejections_total",
+      "Result-cache fills skipped on their key's first sighting");
   bytes_gauge_.SetParent(reg.GetGauge(
       "expdb_result_cache_bytes", "Estimated bytes held by result caches"));
   lookup_latency_ = reg.GetHistogram("expdb_result_cache_lookup_latency_ns",
@@ -258,8 +261,29 @@ void ResultCache::set_max_bytes(size_t bytes) {
   if (bytes_ > bytes) EvictFor(0, nullptr, &dropped);
 }
 
+size_t ResultCache::SightingSlot(const std::string& key) {
+  return KeyHash(key) % kSightingSlots;
+}
+
+void ResultCache::RecordSighting(uint64_t hash) {
+  std::atomic<uint64_t>& slot = SlotFor(hash);
+  const uint64_t tag = SightingTag(hash);
+  const uint64_t seen = slot.load(std::memory_order_relaxed);
+  slot.store((seen & ~kSeenTwice) == tag ? tag | kSeenTwice : tag,
+             std::memory_order_relaxed);
+}
+
+void ResultCache::Admit(uint64_t hash) {
+  SlotFor(hash).store(SightingTag(hash) | kSeenTwice,
+                      std::memory_order_relaxed);
+}
+
 void ResultCache::DropEntry(EntryMap::iterator it,
                             std::vector<Entry>* dropped) {
+  // The key had earned its place: whatever dropped it (lapse, churn,
+  // broken history, failed patch, eviction, DDL), its next fill is
+  // admitted without a fresh second sighting.
+  Admit(KeyHash(it->first));
   bytes_ -= it->second.bytes;
   bytes_gauge_.Set(static_cast<int64_t>(bytes_));
   lru_.erase(it->second.lru_it);
@@ -313,7 +337,10 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
     CountMiss();
     return std::nullopt;
   };
-  if (it == entries_.end()) return miss();
+  if (it == entries_.end()) {
+    RecordSighting(KeyHash(key));
+    return miss();
+  }
   Entry& e = it->second;
   // Lapsed materialization: Theorem 2's identity window is over, and the
   // propagator's cached analyses lapse with it.
@@ -362,7 +389,8 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
       auto rel = db.GetRelation(name);
       if (rel.ok()) cursor = rel.value()->delta_cursor();
     }
-    const size_t new_bytes = EstimateResultBytes(e.result.relation);
+    const size_t new_bytes =
+        EstimateResultBytes(e.result.relation) + e.propagator->EstimateBytes();
     bytes_ += new_bytes - e.bytes;
     e.bytes = new_bytes;
     bytes_gauge_.Set(static_cast<int64_t>(bytes_));
@@ -389,6 +417,15 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
   // A lapsed (or immediately lapsing) materialization can never satisfy a
   // future `now < texp` check.
   if (!(now < result.texp)) return;
+  const uint64_t hash = KeyHash(key);
+  if (SlotFor(hash).load(std::memory_order_relaxed) !=
+      (SightingTag(hash) | kSeenTwice)) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejections_total_->Increment();
+    return;
+  }
+  admitted_.fetch_add(1, std::memory_order_relaxed);
+  admissions_total_->Increment();
   // The whole entry is built before mu_ is taken: the cursors stay put
   // under the caller's reader locks, and the byte estimate and propagator
   // seeding read only this execution's state.
@@ -407,6 +444,8 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
   if (capture != nullptr) {
     e.propagator =
         DeltaPropagator::Create(plan, *capture, plan->options().eval);
+    if (e.propagator != nullptr) e.bytes += e.propagator->EstimateBytes();
+    if (e.bytes > max_bytes()) return;
   }
   e.plan = std::move(plan);
   e.result = std::move(result);
@@ -461,6 +500,8 @@ ResultCache::Stats ResultCache::stats() const {
   s.misses = misses_;
   s.patches = patches_;
   s.evictions = evictions_;
+  s.admitted = admitted_.load(std::memory_order_relaxed);
+  s.rejected = rejected_.load(std::memory_order_relaxed);
   s.entries = entries_.size();
   s.bytes = bytes_;
   s.max_bytes = max_bytes();

@@ -12,12 +12,15 @@
 // recomputation at every τ' in [materialized_at, texp(e)) (Theorems 1–2),
 // so a hit needs only (a) every base relation's delta cursor unchanged and
 // (b) now < texp. On small cursor drift the entry is *patched* through
-// plan::DeltaPropagator instead of discarded; eviction is LRU over a byte
-// budget (`SET result_cache_bytes`).
+// plan::DeltaPropagator instead of discarded. An entry pays off only if
+// its key comes back, so a result is stored on its key's second sighting
+// (admission); eviction is LRU over a byte budget that charges both the
+// result and the propagator (`SET result_cache_bytes`).
 
 #ifndef EXPDB_PLAN_CACHE_H_
 #define EXPDB_PLAN_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -158,18 +161,27 @@ std::string ResultCacheKey(const std::string& fingerprint,
 ///   miss   — anything else (absent, expired, history broken, Clear()'d
 ///            base, instance-id churn, patch failure): entry dropped.
 ///
+/// Admission: Insert stores a result only when its key has been sighted
+/// twice. A fixed table of kSightingSlots relaxed atomics remembers recent
+/// misses on absent keys (hash tag plus a "seen twice" bit); a miss that
+/// drops an existing entry, an eviction or a DDL invalidation admits the
+/// key at once, so a key that was worth caching is not made to prove it
+/// again. A rejected Insert returns before building cursors, estimating
+/// bytes or seeding a propagator. Slot collisions only delay admission:
+/// admission decides what is stored, never what is served.
+///
 /// Thread-safe: the engine shares one instance across every session.
 /// Lookup, and the splice step of Insert (replace a same-key entry, pick
 /// LRU victims, link the new entry), serialize on an internal mutex.
-/// Insert builds its entry — base cursors, byte estimate, seeded
-/// propagator — before taking the mutex, and every operation destroys
-/// the entries it drops or evicts only after releasing it. enabled() and
-/// max_bytes() read an atomic budget without locking. Callers must still
-/// hold the base relations' reader locks across Lookup/Insert (the cache
-/// reads delta cursors and rings from `db`) — the internal mutex only
-/// protects the cache's own structures. Lookup returns the
-/// materialization by value, so a served result can never be torn by a
-/// concurrent patch or eviction.
+/// Insert checks admission and builds its entry — base cursors, byte
+/// estimate, seeded propagator — before taking the mutex, and every
+/// operation destroys the entries it drops or evicts only after releasing
+/// it. enabled() and max_bytes() read an atomic budget without locking.
+/// Callers must still hold the base relations' reader locks across
+/// Lookup/Insert (the cache reads delta cursors and rings from `db`) —
+/// the internal mutex only protects the cache's own structures. Lookup
+/// returns the materialization by value, so a served result can never be
+/// torn by a concurrent patch or eviction.
 class ResultCache {
  public:
   static constexpr size_t kDefaultMaxBytes = 64ull << 20;  // 64 MiB
@@ -181,6 +193,8 @@ class ResultCache {
     uint64_t misses = 0;
     uint64_t patches = 0;  ///< subset of hits served after delta patching
     uint64_t evictions = 0;
+    uint64_t admitted = 0;  ///< Inserts past admission (second sighting)
+    uint64_t rejected = 0;  ///< Inserts refused on a first sighting
     size_t entries = 0;
     size_t bytes = 0;
     size_t max_bytes = 0;
@@ -201,12 +215,12 @@ class ResultCache {
   std::optional<MaterializedResult> Lookup(const std::string& key,
                                            const Database& db, Timestamp now);
 
-  /// \brief Caches one execution's result. Enables delta tracking on
-  /// every base (so future mutations advance the cursors this entry
-  /// snapshots), seeds a propagator from `capture` when available, and
-  /// evicts LRU entries to fit the budget. No-op when disabled, when the
-  /// result is already lapsed, or when the entry alone exceeds the
-  /// budget.
+  /// \brief Caches one execution's result if its key is admitted. Enables
+  /// delta tracking on every base (so future mutations advance the
+  /// cursors this entry snapshots), seeds a propagator from `capture`
+  /// when available, and evicts LRU entries to fit the budget. No-op when
+  /// disabled, when the result is already lapsed, when the key has been
+  /// sighted only once, or when the entry alone exceeds the budget.
   void Insert(const std::string& key, PhysicalPlanPtr plan,
               const NodeCapture* capture, MaterializedResult result,
               const Database& db, Timestamp now);
@@ -224,6 +238,12 @@ class ResultCache {
   /// not evicted here (Lookup/Insert own mutation).
   size_t CountStaleAt(Timestamp now) const;
 
+  static constexpr size_t kSightingSlots = 4096;
+  /// \brief The sighting slot `key` records into. Two keys with the same
+  /// slot overwrite each other's sightings (tests use this to build a
+  /// collision).
+  static size_t SightingSlot(const std::string& key);
+
  private:
   struct Entry {
     PhysicalPlanPtr plan;
@@ -235,9 +255,28 @@ class ResultCache {
   };
   using EntryMap = std::unordered_map<std::string, Entry>;
 
-  // All private helpers require mu_ to be held by the caller. Unlinked
-  // entries move to `*dropped`, which the caller destroys after releasing
-  // mu_.
+  // Admission. Each slot holds 0 or a key's hash with bit 1 set (so a
+  // recorded tag is never 0) and bit 0 meaning "seen twice". Slots are
+  // written by RecordSighting and Admit, both called under mu_, and read
+  // by Insert without it.
+  static constexpr uint64_t kSeenTwice = 1;
+  static uint64_t KeyHash(const std::string& key) {
+    return std::hash<std::string>{}(key);
+  }
+  static uint64_t SightingTag(uint64_t hash) {
+    return (hash & ~kSeenTwice) | 2;
+  }
+  std::atomic<uint64_t>& SlotFor(uint64_t hash) {
+    return sightings_[hash % kSightingSlots];
+  }
+  /// A miss on an absent key: first sighting, or promotion to the second.
+  void RecordSighting(uint64_t hash);
+  /// Marks the key seen twice, so its next Insert is admitted.
+  void Admit(uint64_t hash);
+
+  // All other private helpers require mu_ to be held by the caller.
+  // Unlinked entries move to `*dropped`, which the caller destroys after
+  // releasing mu_.
   void DropEntry(EntryMap::iterator it, std::vector<Entry>* dropped);
   /// Evicts LRU entries until `need` more bytes fit under the budget,
   /// never evicting `keep`.
@@ -248,6 +287,8 @@ class ResultCache {
 
   /// Written under mu_; read without it by enabled()/max_bytes().
   std::atomic<size_t> max_bytes_{kDefaultMaxBytes};
+  /// See "Admission" above.
+  std::array<std::atomic<uint64_t>, kSightingSlots> sightings_{};
   /// Guards every member below. Leaf lock within the cache (obs metric
   /// updates under it are themselves lock-free or leaf-locked).
   mutable std::mutex mu_;
@@ -259,18 +300,23 @@ class ResultCache {
   uint64_t misses_ = 0;
   uint64_t patches_ = 0;
   uint64_t evictions_ = 0;
+  // (admission decisions are counted by Insert, outside mu_)
+  std::atomic<uint64_t> admitted_{0};
+  std::atomic<uint64_t> rejected_{0};
   // ... parented into the process-wide expdb_result_cache_* metrics.
   obs::Counter* hits_total_;
   obs::Counter* misses_total_;
   obs::Counter* patches_total_;
   obs::Counter* evictions_total_;
+  obs::Counter* admissions_total_;
+  obs::Counter* rejections_total_;
   obs::Gauge bytes_gauge_;
   obs::Histogram* lookup_latency_;
 };
 
 /// \brief Byte-footprint estimate of a cached result: entry storage plus
-/// string payloads. Advisory (the propagator's auxiliary state is not
-/// charged); it is what the LRU budget accounts in.
+/// string payloads. Advisory; together with
+/// DeltaPropagator::EstimateBytes() it is what the LRU budget accounts in.
 size_t EstimateResultBytes(const Relation& relation);
 
 }  // namespace plan

@@ -83,6 +83,14 @@ bool SubtreeSupportsDelta(const PlanNode& n, const EvalOptions& options) {
 
 }  // namespace
 
+size_t TuplePayloadBytes(const Tuple& t) {
+  size_t bytes = t.arity() * sizeof(Value);
+  for (const Value& v : t.values()) {
+    if (v.is_string()) bytes += v.AsString().size();
+  }
+  return bytes;
+}
+
 bool NodeSupportsDelta(const PlanNode& node, const EvalOptions& options) {
   // Schrödinger validity intervals are not maintained incrementally.
   if (options.compute_validity) return false;
@@ -177,6 +185,8 @@ std::unique_ptr<DeltaPropagator> DeltaPropagator::Create(
                &seeded_cse)) {
     return nullptr;
   }
+  p->seeded_bytes_ = p->MeasureBytes();
+  p->seeded_keys_ = p->StateKeys();
   return p;
 }
 
@@ -287,6 +297,58 @@ bool DeltaPropagator::Seed(const PlanNode& n, const NodeCapture& capture,
 
   if (n.cse_id >= 0) seeded_cse->insert(n.cse_id);
   return true;
+}
+
+size_t DeltaPropagator::EstimateBytes() const {
+  if (seeded_keys_ == 0) return seeded_bytes_;
+  return seeded_bytes_ * StateKeys() / seeded_keys_;
+}
+
+size_t DeltaPropagator::StateKeys() const {
+  size_t keys = 0;
+  for (const auto& [id, s] : state_) {
+    keys += s->support.size() + s->left_mat.size() + s->right_mat.size() +
+            s->criticals.size() + s->left_buckets.size() +
+            s->right_buckets.size() + s->groups.size();
+  }
+  return keys;
+}
+
+size_t DeltaPropagator::MeasureBytes() const {
+  // An ordered-map node: tree links plus allocator overhead.
+  constexpr size_t kNode = 48;
+  // A map node holding a tuple borrowed from a child plus one texp.
+  constexpr size_t kMember = kNode + sizeof(Tuple) + sizeof(Timestamp);
+  // A tuple that owns its payload (a projected key): handle, shared
+  // control block and value vector, plus the values themselves.
+  auto owned = [](const Tuple& t) {
+    return sizeof(Tuple) + 16 + sizeof(std::vector<Value>) +
+           TuplePayloadBytes(t);
+  };
+  // A child materialization copy: entry slots plus ~50% index headroom.
+  auto mat = [](const Relation& r) {
+    const size_t slots = r.size() * sizeof(Relation::Entry);
+    return slots + slots / 2;
+  };
+  size_t bytes = 0;
+  for (const auto& [id, s] : state_) {
+    bytes += kNode + sizeof(NodeState) + mat(s->left_mat) + mat(s->right_mat);
+    for (const auto& [key, texps] : s->support) {
+      bytes += kNode + owned(key) + texps.size() * (kNode + sizeof(Timestamp));
+    }
+    bytes += s->criticals.size() * (kMember + sizeof(Timestamp));
+    for (const auto* buckets : {&s->left_buckets, &s->right_buckets}) {
+      for (const auto& [key, bucket] : *buckets) {
+        bytes += kNode + owned(key) + sizeof(bucket) +
+                 bucket.capacity() * sizeof(Relation::Entry);
+      }
+    }
+    for (const auto& [key, group] : s->groups) {
+      bytes += kNode + owned(key) + sizeof(group) +
+               group.members.size() * kMember;
+    }
+  }
+  return bytes;
 }
 
 Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,

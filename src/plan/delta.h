@@ -57,6 +57,10 @@ struct BaseDelta {
   std::vector<Relation::DeltaBatch> batches;
 };
 
+/// \brief Bytes of `t`'s values: inline Value slots plus string contents.
+/// The unit every byte estimate in the plan layer is built from.
+size_t TuplePayloadBytes(const Tuple& t);
+
 /// \brief True when `node`'s operator can propagate deltas incrementally
 /// under `options`. Schrödinger validity tracking and approximate
 /// aggregates always force the full path; joins and semi-joins need
@@ -123,6 +127,16 @@ class DeltaPropagator {
   /// \brief Applies an op stream to a materialization in place.
   static void ApplyOps(const DeltaOps& ops, Relation* mat);
 
+  /// \brief Advisory byte footprint of the auxiliary state: join
+  /// buckets, projection support counts, aggregate partitions, set
+  /// operator child copies and difference criticals. Measured in full
+  /// when seeded, then scaled by the growth of the state's key count, so
+  /// the call is O(stateful nodes) — cheap enough for every patch. Growth
+  /// within a key (more rows per join key or group) is charged only when
+  /// the entry is refilled. 0 for a plan of stateless operators (scan,
+  /// filter).
+  size_t EstimateBytes() const;
+
  private:
   struct NodeState;
   struct Round;
@@ -145,12 +159,22 @@ class DeltaPropagator {
 
   Result<PropOut> Propagate(const PlanNode& node, Round* round);
 
+  /// Full O(state) walk behind EstimateBytes(). Entries copied from a
+  /// child share their tuple payload with the base and are charged only
+  /// their slot; keys built by projection own theirs.
+  size_t MeasureBytes() const;
+  /// Keys and entries held across every node's containers, O(nodes).
+  size_t StateKeys() const;
+
   PhysicalPlanPtr plan_;
   EvalOptions options_;
   /// Keyed by PlanNode::id. CSE shadow occurrences share the primary's
   /// state and have no entry; stateless operators (scan, filter) none
   /// either.
   std::map<uint32_t, std::unique_ptr<NodeState>> state_;
+  /// MeasureBytes() and StateKeys() right after seeding.
+  size_t seeded_bytes_ = 0;
+  size_t seeded_keys_ = 0;
 };
 
 }  // namespace plan

@@ -447,7 +447,9 @@ Result<ExecResult> Session::ExecuteCache(const CacheStatement& stmt) {
          " bytes, " + std::to_string(rs.hits) + " hits (" +
          std::to_string(rs.patches) + " patched), " +
          std::to_string(rs.misses) + " misses, " +
-         std::to_string(rs.evictions) + " evictions";
+         std::to_string(rs.evictions) + " evictions, " +
+         std::to_string(rs.admitted) + " admitted, " +
+         std::to_string(rs.rejected) + " rejected (first sighting)";
   msg += "\nprepared statements: " + std::to_string(engine_->prepared_count());
   return ExecResult{std::move(msg), std::nullopt, Now()};
 }

@@ -3,7 +3,9 @@
 // (pinned through the process metrics: a hit performs zero plan-node
 // executions), CACHE STATS/CLEAR, SET result_cache_bytes, DDL
 // invalidation, and a cached-vs-fresh set-identity sweep across
-// operators, time, and a tiny eviction budget.
+// operators, time, and a tiny eviction budget. The result cache admits a
+// statement on its second execution, so a test that wants a cached entry
+// runs the statement once more first ("first sighting").
 
 #include <string>
 #include <vector>
@@ -43,6 +45,7 @@ void MakeTable(Session& s) {
 TEST(ResultCacheSessionTest, HitPerformsZeroPlanNodeExecutions) {
   Session s;
   MakeTable(s);
+  MustExec(s, "SELECT * FROM t WHERE x >= 2");  // first sighting
   MustExec(s, "SELECT * FROM t WHERE x >= 2");  // fill
   const uint64_t evals0 = Metric("expdb_eval_evaluations_total");
   const uint64_t ops0 = Metric("expdb_eval_operators_total");
@@ -73,6 +76,7 @@ TEST(ResultCacheSessionTest, PrepareExecute) {
   auto p = MustExec(s, "PREPARE q AS SELECT name FROM t WHERE x >= $1");
   EXPECT_NE(p.message.find("1 parameter"), std::string::npos) << p.message;
 
+  EXPECT_EQ(RowsAt(MustExec(s, "EXECUTE q (2)")), 2u);  // first sighting
   auto r = MustExec(s, "EXECUTE q (2)");
   EXPECT_EQ(RowsAt(r), 2u);
   ASSERT_TRUE(r.relation.has_value());
@@ -127,6 +131,8 @@ TEST(ResultCacheSessionTest, ViewReadsBypassTheResultCache) {
 TEST(ResultCacheSessionTest, InsertAndDeletePatchTheCachedResult) {
   Session s;
   MakeTable(s);
+  // First sighting, then fill.
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t WHERE x >= 1")), 3u);
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t WHERE x >= 1")), 3u);
   const uint64_t patches0 = Metric("expdb_result_cache_patches_total");
   MustExec(s, "INSERT INTO t VALUES (4, 'd')");
@@ -145,7 +151,8 @@ TEST(ResultCacheSessionTest, TimePassingComputedExpiryRecomputes) {
   MustExec(s, "INSERT INTO q VALUES (1) TTL 5");
   // texp(r -exp q) = 5: tuple 1 reappears when q's copy expires.
   const std::string sel = "SELECT a FROM r EXCEPT SELECT a FROM q";
-  EXPECT_EQ(RowsAt(MustExec(s, sel)), 1u);
+  EXPECT_EQ(RowsAt(MustExec(s, sel)), 1u);  // first sighting
+  EXPECT_EQ(RowsAt(MustExec(s, sel)), 1u);  // fill
   const uint64_t hits0 = Metric("expdb_result_cache_hits_total");
   EXPECT_EQ(RowsAt(MustExec(s, sel)), 1u);  // warm hit before the expiry
   EXPECT_EQ(Metric("expdb_result_cache_hits_total") - hits0, 1u);
@@ -161,7 +168,8 @@ TEST(ResultCacheSessionTest, TimePassingComputedExpiryRecomputes) {
 TEST(ResultCacheSessionTest, ClearedBaseDoesNotServeStale) {
   Session s;
   MakeTable(s);
-  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 3u);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 3u);  // first sighting
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 3u);  // fill
   s.db().GetRelation("t").value()->Clear();
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 0u);
 }
@@ -176,6 +184,10 @@ TEST(ResultCacheSessionTest, CacheStatsAndClear) {
             std::string::npos)
       << stats.message;
   EXPECT_NE(stats.message.find("result cache: 1 entries"),
+            std::string::npos)
+      << stats.message;
+  // The first execution was rejected, the second admitted.
+  EXPECT_NE(stats.message.find("1 admitted, 1 rejected (first sighting)"),
             std::string::npos)
       << stats.message;
   MustExec(s, "PREPARE q AS SELECT * FROM t");
@@ -206,6 +218,7 @@ TEST(ResultCacheSessionTest, SetResultCacheBytes) {
   EXPECT_FALSE(s.Execute("SET result_cache_bytes = 'lots'").ok());
 
   MustExec(s, "SET result_cache_bytes = 1048576");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 3u);  // first sighting
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 3u);  // fill
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 3u);  // hit
   EXPECT_EQ(Metric("expdb_result_cache_hits_total") - hits0, 1u);
@@ -281,7 +294,10 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
   both("INSERT INTO s VALUES (1) TTL 6");
   both("INSERT INTO s VALUES (3), (5) EXPIRE NEVER");
   sweep("initial");
-  sweep("warm");  // second pass: cached side serves hits
+  sweep("admit");  // second sighting: the cached side stores its results
+  const uint64_t hits0 = Metric("expdb_result_cache_hits_total");
+  sweep("warm");  // third pass: cached side serves hits
+  EXPECT_GE(Metric("expdb_result_cache_hits_total") - hits0, queries.size());
 
   both("ADVANCE TIME 3");
   sweep("t=3");
@@ -325,6 +341,7 @@ TEST(ResultCacheSessionTest, SplitJoinPatchesOnEitherSide) {
   };
   MakeJoinTables(cached);
   MakeJoinTables(fresh);
+  MustExec(cached, q);  // first sighting
   MustExec(cached, q);  // fill
   for (const char* update :
        {"INSERT INTO r VALUES (3, 'q')", "DELETE FROM s WHERE a = 4",
