@@ -1,7 +1,7 @@
 // Expiration-partitioned storage (claim C14): scans skip expired data at
 // segment granularity, and expiration drains whole segments in O(1) each.
 //
-// Two axes:
+// Three axes:
 //
 //   ScanExpired/(n, expired%, segmented)
 //     A full scan of n tuples with the given fraction already expired at
@@ -19,14 +19,27 @@
 //     the fully-expired segments whole — O(segments + straddler width),
 //     independent of how many survivors sit above the horizon.
 //
-// Texps are uniform over [1, 1024], so with the default bucket geometry
-// an expired fraction f turns into ~f of the segments being fully
-// expired plus one straddler. See EXPERIMENTS.md C14 and
-// docs/PERFORMANCE.md §8.
+//   ScanFiltered/(sel%, correlated, segmented)
+//     σ_{a <= col <= b}(R) over 131 k live tuples, selecting 1% or 10%.
+//     `col` is either `ts`, which arrives in order with its TTL (texp =
+//     arrival + ttl, so every texp segment is a ts cluster), or `x`, a
+//     random permutation that no segment's bounds narrow. Segmented
+//     storage skips every segment whose column bounds the predicate
+//     cannot match; flat storage has no column bounds and evaluates the
+//     predicate on every tuple. The uncorrelated column prices the
+//     per-segment check when it never skips.
+//
+// In the first two axes texps are uniform over [1, 1024], so with the
+// default bucket geometry an expired fraction f turns into ~f of the
+// segments being fully expired plus one straddler. See EXPERIMENTS.md C14
+// and docs/PERFORMANCE.md §8.
 
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/eval.h"
@@ -123,6 +136,53 @@ void BM_ExpirationDrain(benchmark::State& state) {
                  std::to_string(survivors) + " survivors");
 }
 
+void BM_ScanFiltered(benchmark::State& state) {
+  const int64_t n = int64_t{1} << 17;
+  const int64_t sel_pct = state.range(0);
+  const bool correlated = state.range(1) != 0;
+  const bool segmented = state.range(2) != 0;
+
+  std::vector<int64_t> perm(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) perm[i] = i;
+  Rng rng(13);
+  for (int64_t i = n - 1; i > 0; --i) {
+    std::swap(perm[i], perm[rng.UniformInt(0, i)]);
+  }
+  Relation r(TwoInts());
+  if (segmented) r.SetSegmented();
+  r.Reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    // Arrival i with a fixed TTL: texp rises with ts = i.
+    r.InsertUnchecked(Tuple{i, perm[i]},
+                      Timestamp(kHorizon + i * kHorizon / n));
+  }
+  Database db;
+  if (!db.PutRelation("R", std::move(r)).ok()) state.SkipWithError("put");
+  if (segmented) db.GetRelation("R").value()->SetSegmented();
+
+  const size_t col = correlated ? 0 : 1;
+  const int64_t a = n / 3;
+  const int64_t b = a + n * sel_pct / 100 - 1;
+  const ExpressionPtr filtered = algebra::Select(
+      algebra::Base("R"),
+      Predicate::Compare(Operand::Column(col), ComparisonOp::kGe,
+                         Operand::Constant(Value(a)))
+          .And(Predicate::Compare(Operand::Column(col), ComparisonOp::kLe,
+                                  Operand::Constant(Value(b)))));
+
+  size_t out = 0;
+  for (auto _ : state) {
+    auto result = Evaluate(filtered, db, Timestamp::Zero());
+    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
+    out = result->relation.size();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["rows_out"] = benchmark::Counter(static_cast<double>(out));
+  state.SetLabel(std::string(segmented ? "segmented, " : "flat,      ") +
+                 (correlated ? "correlated ts, " : "uncorrelated x, ") +
+                 std::to_string(sel_pct) + "% selected");
+}
+
 void ScanArgs(benchmark::internal::Benchmark* b) {
   for (int64_t n : {int64_t{1} << 14, int64_t{1} << 17}) {
     for (int64_t pct : {0, 50, 90}) {
@@ -143,6 +203,9 @@ void DrainArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_ScanExpired)->Apply(ScanArgs)->ArgNames({"n", "pct", "seg"});
+BENCHMARK(BM_ScanFiltered)
+    ->ArgsProduct({{1, 10}, {1, 0}, {0, 1}})
+    ->ArgNames({"sel", "corr", "seg"});
 BENCHMARK(BM_ExpirationDrain)
     ->Apply(DrainArgs)
     ->ArgNames({"survivors", "seg"});

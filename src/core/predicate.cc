@@ -49,6 +49,47 @@ bool ApplyComparison(const Value& a, ComparisonOp op, const Value& b) {
   return false;
 }
 
+/// c op x  ⇔  x Mirror(op) c.
+ComparisonOp Mirror(ComparisonOp op) {
+  switch (op) {
+    case ComparisonOp::kLt:
+      return ComparisonOp::kGt;
+    case ComparisonOp::kLe:
+      return ComparisonOp::kGe;
+    case ComparisonOp::kGt:
+      return ComparisonOp::kLt;
+    case ComparisonOp::kGe:
+      return ComparisonOp::kLe;
+    case ComparisonOp::kEq:
+    case ComparisonOp::kNe:
+      return op;
+  }
+  return op;
+}
+
+/// Whether some x with lo <= x <= hi may satisfy `x op c`. x ↦ x <=> c is
+/// monotone on [lo, hi], so the extreme bound on the side `op` wants
+/// decides every comparison but `!=`, which fails only when all of
+/// [lo, hi] compares equal to c.
+bool RangeMayMatch(const Value& lo, const Value& hi, ComparisonOp op,
+                   const Value& c) {
+  switch (op) {
+    case ComparisonOp::kEq:
+      return lo <= c && c <= hi;
+    case ComparisonOp::kNe:
+      return lo != c || hi != c;
+    case ComparisonOp::kLt:
+      return lo < c;
+    case ComparisonOp::kLe:
+      return lo <= c;
+    case ComparisonOp::kGt:
+      return hi > c;
+    case ComparisonOp::kGe:
+      return hi >= c;
+  }
+  return true;
+}
+
 }  // namespace
 
 struct Predicate::Node {
@@ -86,6 +127,33 @@ struct Predicate::Node {
         return !left->Evaluate(t);
     }
     return false;
+  }
+
+  bool MayMatchWithin(const Value* lo, const Value* hi) const {
+    switch (kind) {
+      case Kind::kLiteral:
+        return literal;
+      case Kind::kCompare:
+        if (lhs.is_column() && rhs.is_constant()) {
+          const size_t i = lhs.column_index();
+          return RangeMayMatch(lo[i], hi[i], op, rhs.constant());
+        }
+        if (lhs.is_constant() && rhs.is_column()) {
+          const size_t i = rhs.column_index();
+          return RangeMayMatch(lo[i], hi[i], Mirror(op), lhs.constant());
+        }
+        if (lhs.is_constant() && rhs.is_constant()) {
+          return ApplyComparison(lhs.constant(), op, rhs.constant());
+        }
+        return true;  // column vs column, or an unbound parameter
+      case Kind::kAnd:
+        return left->MayMatchWithin(lo, hi) && right->MayMatchWithin(lo, hi);
+      case Kind::kOr:
+        return left->MayMatchWithin(lo, hi) || right->MayMatchWithin(lo, hi);
+      case Kind::kNot:
+        return true;
+    }
+    return true;
   }
 
   Status Validate(const Schema& schema) const {
@@ -375,6 +443,10 @@ Predicate Predicate::Not() const {
 }
 
 bool Predicate::Evaluate(const Tuple& t) const { return node_->Evaluate(t); }
+
+bool Predicate::MayMatchWithin(const Value* lo, const Value* hi) const {
+  return node_->MayMatchWithin(lo, hi);
+}
 
 Status Predicate::Validate(const Schema& schema) const {
   return node_->Validate(schema);

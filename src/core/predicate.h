@@ -94,6 +94,17 @@ class Predicate {
   /// (checked by Validate at plan time).
   bool Evaluate(const Tuple& t) const;
 
+  /// \brief False only when no tuple whose every column i lies within
+  /// [lo[i], hi[i]] (Value::Compare order) can satisfy the predicate, so
+  /// a storage segment with these column bounds holds no match (see
+  /// Relation::SegmentView). Column-vs-constant comparisons decide from
+  /// the bounds in either operand order (`!=` only when lo == hi == c);
+  /// ∧/∨ recurse; ¬, column-vs-column and unbound parameters answer true.
+  /// Sound because Evaluate uses the same Compare order, and Compare
+  /// against a fixed constant is monotone over any set of values that
+  /// does not mix Int64 with Double — which segment bounds guarantee.
+  bool MayMatchWithin(const Value* lo, const Value* hi) const;
+
   /// \brief Checks every referenced column index against the schema.
   Status Validate(const Schema& schema) const;
 

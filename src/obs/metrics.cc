@@ -430,6 +430,15 @@ void RegisterStandardMetrics(MetricsRegistry& r) {
                "Parallel-eligible scans run serially (below morsel cutoff)");
   r.GetHistogram("expdb_eval_parallel_morsel_latency_ns",
                  "Per-morsel wall time of parallel operator scans (ns)");
+  // Per-segment scan outcomes (docs/PERFORMANCE.md §8).
+  r.GetCounter("expdb_segment_pruned_total",
+               "Storage segments skipped by scans (fully expired at τ)");
+  r.GetCounter(
+      "expdb_segment_checked_total",
+      "Storage segments scanned with per-tuple texp checks (straddle τ)");
+  r.GetCounter("expdb_segment_skipped_total",
+               "Unexpired storage segments skipped because their column "
+               "bounds cannot match the scan's predicate");
   // plan -----------------------------------------------------------------
   r.GetCounter("expdb_plan_plans_total",
                "Physical plans produced by the planner");

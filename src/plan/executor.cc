@@ -52,6 +52,7 @@ struct EvalMetricSet {
   // Expiration-partitioned scans (docs/PERFORMANCE.md §8).
   obs::Counter* segment_pruned;
   obs::Counter* segment_checked;
+  obs::Counter* segment_skipped;
 
   static const EvalMetricSet& Get() {
     static const EvalMetricSet* set = [] {
@@ -95,11 +96,25 @@ struct EvalMetricSet {
       s->segment_checked = r.GetCounter(
           "expdb_segment_checked_total",
           "Storage segments scanned with per-tuple texp checks (straddle τ)");
+      s->segment_skipped = r.GetCounter(
+          "expdb_segment_skipped_total",
+          "Unexpired storage segments skipped because their column bounds "
+          "cannot match the scan's predicate");
       return s;
     }();
     return *set;
   }
 };
+
+/// True iff projecting onto `attrs` keeps every one of `arity` columns in
+/// order.
+bool IsIdentity(const std::vector<size_t>& attrs, size_t arity) {
+  if (attrs.size() != arity) return false;
+  for (size_t i = 0; i < arity; ++i) {
+    if (attrs[i] != i) return false;
+  }
+  return true;
+}
 
 /// Operators whose incremental state DeltaPropagator::Seed builds from
 /// their children's captured outputs (plan/delta.cc). Scans and filters
@@ -467,12 +482,14 @@ class PlanExecutor {
     // per-tuple texp check (and are bulk copied when there is no
     // predicate), and only segments straddling τ check texp — together
     // with the predicate, which always runs on the borrowed segment
-    // entries so only matches are copied. Flat relations are one segment,
-    // so the same loop covers both storage modes. Morsels never span
-    // segments — each segment parallelizes internally when large enough —
-    // so the live/straddling decision is made once per segment, not per
-    // tuple.
-    uint64_t segs_live = 0, segs_checked = 0, segs_pruned = 0, live = 0;
+    // entries so only matches are copied. A segment whose column bounds
+    // the predicate cannot match holds no match and is skipped whole.
+    // Flat relations are one segment without column bounds, so the same
+    // loop covers both storage modes. Morsels never span segments — each
+    // segment parallelizes internally when large enough — so the
+    // live/straddling decision is made once per segment, not per tuple.
+    uint64_t segs_live = 0, segs_checked = 0, segs_pruned = 0;
+    uint64_t segs_skipped = 0, live = 0;
     std::vector<Relation::Entry> kept;
     if (pred == nullptr) kept.reserve(rel->size());
     const size_t nsegs = rel->SegmentCount();
@@ -481,6 +498,11 @@ class PlanExecutor {
       if (seg.size == 0) continue;
       if (seg.max_texp <= tau_) {
         ++segs_pruned;
+        continue;
+      }
+      if (pred != nullptr && seg.col_lo != nullptr &&
+          !pred->MayMatchWithin(seg.col_lo, seg.col_hi)) {
+        ++segs_skipped;
         continue;
       }
       const bool all_live = seg.min_texp > tau_;
@@ -524,11 +546,13 @@ class PlanExecutor {
       s.segs_live += segs_live;
       s.segs_checked += segs_checked;
       s.segs_pruned += segs_pruned;
+      s.segs_skipped += segs_skipped;
     }
     if (options_.enable_metrics && rel->segmented()) {
       const EvalMetricSet& m = EvalMetricSet::Get();
       if (segs_pruned > 0) m.segment_pruned->Increment(segs_pruned);
       if (segs_checked > 0) m.segment_checked->Increment(segs_checked);
+      if (segs_skipped > 0) m.segment_skipped->Increment(segs_skipped);
     }
     MaterializedResult out;
     out.relation =
@@ -588,7 +612,16 @@ class PlanExecutor {
     Schema schema = n.schema;
     const std::vector<size_t>& attrs = n.expr->projection();
     MaterializedResult out;
-    if (!runner_.parallel()) {
+    if (IsIdentity(attrs, child.relation.arity())) {
+      // Eq. (3) on a set: no two tuples project onto one, so every tuple
+      // and texp passes through unchanged — only the names may differ.
+      out.relation = std::move(child.relation);
+      std::vector<std::string> names;
+      for (const Attribute& a : n.schema.attributes()) {
+        names.push_back(a.name);
+      }
+      EXPDB_RETURN_NOT_OK(out.relation.RenameAttributes(names));
+    } else if (!runner_.parallel()) {
       out.relation = Relation(std::move(schema));
       for (const Relation::Entry& en : child.relation.entries()) {
         // Eq. (3): a tuple gets the max expiration time of its duplicates.

@@ -140,12 +140,17 @@ void RenderNode(const PlanNode& n, const PlanProfile* profile,
             ", calls=" + std::to_string(s.calls) + ")";
     if (s.pruned) *out += " [pruned]";
     if (s.reused) *out += " [reused]";
-    // Partition-aware scans: how the segment bounds classified against τ.
+    // Partition-aware scans: how the segment bounds classified against τ
+    // and, under a fused filter, against the predicate.
     if (n.partition_aware &&
-        s.segs_live + s.segs_checked + s.segs_pruned > 0) {
+        s.segs_live + s.segs_checked + s.segs_pruned + s.segs_skipped > 0) {
       *out += " [segments: " + std::to_string(s.segs_live) + "/" +
               std::to_string(s.segs_checked) + "/" +
-              std::to_string(s.segs_pruned) + "]";
+              std::to_string(s.segs_pruned);
+      if (s.segs_skipped > 0) {
+        *out += ", " + std::to_string(s.segs_skipped) + " skipped";
+      }
+      *out += "]";
     }
   }
   *out += "\n";

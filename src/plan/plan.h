@@ -93,7 +93,8 @@ struct PlanNode {
   /// kScan only: the scanned base relation uses expiration-partitioned
   /// (segmented) storage, so the scan classifies whole segments against τ
   /// instead of checking texp per tuple. EXPLAIN ANALYZE reports the
-  /// per-segment outcome as `[segments: live/checked/pruned]`.
+  /// per-segment outcome as `[segments: live/checked/pruned]`, followed by
+  /// `, N skipped` when a fused filter skipped N segments by predicate.
   bool partition_aware = false;
 };
 
@@ -106,13 +107,16 @@ struct PlanProfile {
     int64_t wall_ns = 0;   ///< wall time inside the node, children included
     bool pruned = false;   ///< expired-subtree prune short-circuited it
     bool reused = false;   ///< served from the common-subtree cache
-    // Scan nodes over segmented storage: per-segment classification
-    // against τ (cumulative over calls). live = fully-live segments
-    // copied without per-tuple texp checks, checked = segments straddling
-    // τ (per-tuple filter), seg_pruned = fully-expired segments skipped.
+    // Scan nodes over segmented storage: per-segment outcome (cumulative
+    // over calls). live = fully-live segments copied without per-tuple
+    // texp checks, checked = segments straddling τ (per-tuple filter),
+    // pruned = fully-expired segments skipped, skipped = unexpired
+    // segments whose column bounds the fused filter's predicate cannot
+    // match (Predicate::MayMatchWithin). The four are disjoint.
     uint64_t segs_live = 0;
     uint64_t segs_checked = 0;
     uint64_t segs_pruned = 0;
+    uint64_t segs_skipped = 0;
   };
   std::vector<NodeStats> nodes;
   int64_t total_ns = 0;

@@ -243,6 +243,7 @@ Relation::Segment* Relation::FindOrCreateSegment(int64_t bucket) {
   if (it != segments_.end() && (*it)->bucket == bucket) return it->get();
   auto seg = std::make_unique<Segment>();
   seg->bucket = bucket;
+  seg->cols_known = segmented_;
   seg->id = static_cast<uint32_t>(seg_by_id_.size());
   seg_by_id_.push_back(seg.get());
   return segments_.insert(it, std::move(seg))->get();
@@ -262,6 +263,49 @@ void Relation::DropSegment(Segment* seg) {
     }
   }
   assert(false && "DropSegment: segment not in directory");
+}
+
+void Relation::WidenColumnBounds(Segment* seg, const std::vector<Value>& lo,
+                                 const std::vector<Value>& hi) {
+  if (!seg->cols_known) return;
+  if (seg->col_lo.empty()) {
+    seg->col_lo = lo;
+    seg->col_hi = hi;
+    return;
+  }
+  if (lo.size() != seg->col_lo.size()) {
+    ForgetColumnBounds(seg);
+    return;
+  }
+  // The numeric type a column's bounds commit it to (kNull: none yet).
+  auto numeric_type = [](const Value& a, const Value& b) {
+    return a.is_numeric() ? a.type()
+                          : b.is_numeric() ? b.type() : ValueType::kNull;
+  };
+  for (size_t i = 0; i < lo.size(); ++i) {
+    const ValueType have = numeric_type(seg->col_lo[i], seg->col_hi[i]);
+    const ValueType add = numeric_type(lo[i], hi[i]);
+    if (have != ValueType::kNull && add != ValueType::kNull && have != add) {
+      ForgetColumnBounds(seg);
+      return;
+    }
+    if (lo[i] < seg->col_lo[i]) seg->col_lo[i] = lo[i];
+    if (seg->col_hi[i] < hi[i]) seg->col_hi[i] = hi[i];
+  }
+}
+
+void Relation::ForgetColumnBounds(Segment* seg) {
+  seg->cols_known = false;
+  seg->col_lo.clear();
+  seg->col_hi.clear();
+}
+
+size_t Relation::AppendEntry(Segment* seg, Tuple tuple, Timestamp texp) {
+  seg->min_texp = Timestamp::Min(seg->min_texp, texp);
+  seg->max_texp = Timestamp::Max(seg->max_texp, texp);
+  WidenColumnBounds(seg, tuple.values(), tuple.values());
+  seg->entries.push_back(Entry{std::move(tuple), texp});
+  return seg->entries.size() - 1;
 }
 
 void Relation::MaybeRebucket() {
@@ -284,6 +328,11 @@ void Relation::MaybeRebucket() {
         Segment& dst = *merged.back();
         dst.min_texp = Timestamp::Min(dst.min_texp, seg->min_texp);
         dst.max_texp = Timestamp::Max(dst.max_texp, seg->max_texp);
+        if (!seg->cols_known) {
+          ForgetColumnBounds(&dst);
+        } else if (!seg->col_lo.empty()) {
+          WidenColumnBounds(&dst, seg->col_lo, seg->col_hi);
+        }
         dst.entries.insert(dst.entries.end(),
                            std::make_move_iterator(seg->entries.begin()),
                            std::make_move_iterator(seg->entries.end()));
@@ -403,10 +452,7 @@ Relation::InsertPos Relation::InsertEntry(Tuple tuple, Timestamp texp) {
     --tombstones_;
   }
   Segment* seg = TargetSegment(texp);
-  const size_t off = seg->entries.size();
-  seg->entries.push_back(Entry{std::move(tuple), texp});
-  seg->min_texp = Timestamp::Min(seg->min_texp, texp);
-  seg->max_texp = Timestamp::Max(seg->max_texp, texp);
+  const size_t off = AppendEntry(seg, std::move(tuple), texp);
   ++total_entries_;
   slots_[slot] = MakeHandle(seg->id, off);
   return InsertPos{seg, off, slot, true};
@@ -438,10 +484,7 @@ Relation::Entry* Relation::SetTexpAt(const InsertPos& pos, Timestamp texp) {
   seg->entries.pop_back();
   if (seg->entries.empty()) DropSegment(seg);  // invalidates seg
   Segment* target = FindOrCreateSegment(BucketFor(texp));
-  const size_t off = target->entries.size();
-  target->entries.push_back(Entry{std::move(tuple), texp});
-  target->min_texp = Timestamp::Min(target->min_texp, texp);
-  target->max_texp = Timestamp::Max(target->max_texp, texp);
+  const size_t off = AppendEntry(target, std::move(tuple), texp);
   slots_[pos.slot] = MakeHandle(target->id, off);
   return &target->entries[off];
 }
@@ -488,6 +531,8 @@ Relation Relation::FromEntriesUnchecked(Schema schema,
                                         std::vector<Entry> entries) {
   Relation out(std::move(schema));
   if (entries.empty()) return out;
+  // Flat, so the column bounds stay unknown (the Segment default):
+  // operator results never pay for them.
   auto seg = std::make_unique<Relation::Segment>();
   seg->bucket = kFlatBucket;
   seg->id = 0;
@@ -525,10 +570,8 @@ void Relation::SetSegmented(SegmentOptions options) {
   seg_by_id_.clear();
   for (auto& oseg : old) {
     for (Entry& e : oseg->entries) {
-      Segment* seg = FindOrCreateSegment(BucketFor(e.texp));
-      seg->min_texp = Timestamp::Min(seg->min_texp, e.texp);
-      seg->max_texp = Timestamp::Max(seg->max_texp, e.texp);
-      seg->entries.push_back(std::move(e));
+      AppendEntry(FindOrCreateSegment(BucketFor(e.texp)), std::move(e.tuple),
+                  e.texp);
     }
   }
   MaybeRebucket();  // also rebuilds the index when it merges

@@ -28,6 +28,13 @@
 //    "organize storage by expiration time" principle). Base relations in
 //    a Database use this mode.
 //
+//    Each segment also carries conservative per-column [lo, hi] value
+//    bounds. Under a TTL stream texp ≈ arrival + ttl, so a texp segment
+//    is an arrival-time cluster too, and a filtered scan skips every
+//    segment whose bounds its predicate cannot match
+//    (Predicate::MayMatchWithin). Flat storage does not track them:
+//    operator results never pay for bounds nobody scans with a filter.
+//
 // A single open-addressing hash index (linear probing over the hash cached
 // on each Tuple) spans all segments for point lookups; slots hold packed
 // (segment id, offset) handles. Erase is swap-with-last within the owning
@@ -100,11 +107,20 @@ class Relation {
   ///   max_texp <= τ  → every entry expired: skip the segment entirely;
   ///   min_texp  > τ  → every entry live: copy without per-tuple checks;
   ///   otherwise      → straddling: per-tuple texp > τ filter.
+  ///
+  /// `col_lo` / `col_hi` hold arity() values each: for every stored entry
+  /// e and column i, col_lo[i] <= e.tuple[i] <= col_hi[i] under
+  /// Value::Compare, and no column mixes Int64 with Double values. Like
+  /// the texp bounds they stay loose after erases. Both are null when the
+  /// bounds are unknown: flat storage, or a column that would mix Int64
+  /// and Double (Compare is not transitive across the two beyond 2^53).
   struct SegmentView {
     const Entry* data = nullptr;
     size_t size = 0;
     Timestamp min_texp = Timestamp::Infinity();
     Timestamp max_texp = Timestamp::Zero();
+    const Value* col_lo = nullptr;
+    const Value* col_hi = nullptr;
   };
 
   /// What a bulk expiration pass removed (see DropExpired).
@@ -162,8 +178,10 @@ class Relation {
   /// The i-th segment as a scan view. i < SegmentCount().
   SegmentView GetSegment(size_t i) const {
     const Segment& s = *segments_[i];
+    const bool cols = s.cols_known && !s.col_lo.empty();
     return SegmentView{s.entries.data(), s.entries.size(), s.min_texp,
-                       s.max_texp};
+                       s.max_texp, cols ? s.col_lo.data() : nullptr,
+                       cols ? s.col_hi.data() : nullptr};
   }
 
   /// \brief Physically removes every tuple with texp <= tau — the fast
@@ -183,9 +201,9 @@ class Relation {
   /// \brief Builds a flat relation directly from a dense entry vector
   /// whose tuples are known to be pairwise distinct (the parallel
   /// operators guarantee this structurally). No schema checks, no
-  /// duplicate merging — and no hash index: the build is deferred until
-  /// the first point lookup or mutation, since operator results are
-  /// mostly scanned forward and discarded.
+  /// duplicate merging, no column bounds — and no hash index: the build is
+  /// deferred until the first point lookup or mutation, since operator
+  /// results are mostly scanned forward and discarded.
   static Relation FromEntriesUnchecked(Schema schema,
                                        std::vector<Entry> entries);
 
@@ -404,14 +422,19 @@ class Relation {
   static constexpr int64_t kInfBucket = std::numeric_limits<int64_t>::max();
 
   /// One storage segment: a dense entry array plus its bucket key and
-  /// conservative expiration bounds. `id` is this relation's stable
-  /// handle namespace entry — retired when the segment is dropped, and
-  /// renumbered compactly on every rehash.
+  /// conservative expiration and column bounds (see SegmentView). `id` is
+  /// this relation's stable handle namespace entry — retired when the
+  /// segment is dropped, and renumbered compactly on every rehash.
   struct Segment {
     int64_t bucket = kFlatBucket;
     uint32_t id = 0;
     Timestamp min_texp = Timestamp::Infinity();
     Timestamp max_texp = Timestamp::Zero();
+    /// False once the column bounds are unknown; sticky until the segment
+    /// is dropped. Only segmented storage starts out tracking them.
+    bool cols_known = false;
+    std::vector<Value> col_lo;  ///< empty until the first entry arrives
+    std::vector<Value> col_hi;
     std::vector<Entry> entries;
   };
 
@@ -460,6 +483,16 @@ class Relation {
   /// Removes `seg` (must be empty or being bulk-dropped) from the
   /// directory and retires its id.
   void DropSegment(Segment* seg);
+  /// Widens `seg`'s column bounds to cover [lo, hi] column-wise (a tuple's
+  /// values for both when one entry arrives); makes them unknown when a
+  /// column would mix Int64 and Double values.
+  static void WidenColumnBounds(Segment* seg, const std::vector<Value>& lo,
+                                const std::vector<Value>& hi);
+  /// Marks `seg`'s column bounds unknown for the rest of its life.
+  static void ForgetColumnBounds(Segment* seg);
+  /// Adds (tuple, texp) at the end of `seg`, widening both its bounds;
+  /// returns the new entry's offset.
+  static size_t AppendEntry(Segment* seg, Tuple tuple, Timestamp texp);
   /// Doubles the bucket width (merging segments) while the finite
   /// segment count exceeds the cap; rebuilds the index. Must only be
   /// called between complete mutations (it invalidates slots/handles).

@@ -129,13 +129,15 @@ TEST_F(ExplainTest, AnalyzeRendersPerNodeStats) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const std::string rendered = p->ToString(&profile);
   EXPECT_TRUE(Contains(rendered, " total_time=")) << rendered;
-  // Filter keeps {(2,20), (3,30)}; the scan feeds all three tuples.
+  // Filter keeps {(2,20), (3,30)}. The scan skips the segment holding
+  // only (1,10), whose column bounds cannot match, and feeds two tuples.
   EXPECT_TRUE(Contains(
       rendered, "#1 Filter [$2 >= 20, est=1] [incremental] (rows=2, "))
       << rendered;
   EXPECT_TRUE(
-      Contains(rendered, "#2 Scan [R, est=3] [incremental] (rows=3, "))
+      Contains(rendered, "#2 Scan [R, est=3] [incremental] (rows=2, "))
       << rendered;
+  EXPECT_TRUE(Contains(rendered, "[segments: 2/0/0, 1 skipped]")) << rendered;
   EXPECT_TRUE(Contains(rendered, "calls=1)")) << rendered;
 }
 

@@ -383,6 +383,63 @@ TEST(ResultCacheSessionTest, ViewOverSplitJoinDeltaApplies) {
   EXPECT_EQ(Metric("expdb_view_recomputations_total"), recomputes0);
 }
 
+// Readings whose ts arrives in order with its TTL: each batch lands in its
+// own texp segment, so a ts window between batches skips every segment.
+void MakeClusteredReadings(Session& s) {
+  MustExec(s, "CREATE TABLE readings (sensor INT, ts INT, val INT)");
+  for (int b = 1; b <= 4; ++b) {
+    std::string values;
+    for (int i = 0; i < 10; ++i) {
+      const int ts = 100 * (b - 1) + i;
+      values += std::string(i == 0 ? "" : ", ") + "(" + std::to_string(i) +
+                ", " + std::to_string(ts) + ", " + std::to_string(ts * 2) +
+                ")";
+    }
+    MustExec(s, "INSERT INTO readings VALUES " + values + " TTL " +
+                    std::to_string(100 * b));
+  }
+}
+
+// An INSERT into a ts range every segment was skipped for must patch the
+// cached result and refresh a view over the same filter: skipping reads
+// the bounds as they are now, and the insert widened them.
+TEST(ResultCacheSessionTest, InsertIntoSkippedRangePatchesAndRefreshes) {
+  Session cached;
+  Session fresh;
+  MustExec(fresh, "SET result_cache_bytes = 0");
+  MakeClusteredReadings(cached);
+  MakeClusteredReadings(fresh);
+  const std::string q =
+      "SELECT sensor, ts, val FROM readings WHERE ts >= 150 AND ts <= 180";
+  MustExec(cached, "CREATE VIEW v AS " + q);
+  EXPECT_EQ(RowsAt(MustExec(cached, "SELECT * FROM v")), 0u);
+
+  const uint64_t skipped0 = Metric("expdb_segment_skipped_total");
+  EXPECT_EQ(RowsAt(MustExec(cached, q)), 0u);  // first sighting
+  EXPECT_EQ(Metric("expdb_segment_skipped_total") - skipped0, 4u);
+  auto explained = MustExec(fresh, "EXPLAIN ANALYZE " + q);
+  EXPECT_NE(explained.message.find("[segments: 0/0/0, 4 skipped]"),
+            std::string::npos)
+      << explained.message;
+  EXPECT_EQ(RowsAt(MustExec(cached, q)), 0u);  // fill
+
+  // TTL 200 lands in the segment holding ts 100..109.
+  for (Session* s : {&cached, &fresh}) {
+    MustExec(*s, "INSERT INTO readings VALUES (7, 160, 1) TTL 200");
+  }
+  const uint64_t patches0 = Metric("expdb_result_cache_patches_total");
+  auto c = MustExec(cached, q);
+  auto f = MustExec(fresh, q);
+  EXPECT_EQ(c.message, "ok (cached)");
+  EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 1u);
+  EXPECT_EQ(RowsAt(c), 1u);
+  ASSERT_TRUE(c.relation.has_value() && f.relation.has_value());
+  EXPECT_TRUE(Relation::EqualAt(*c.relation, *f.relation, c.served_at))
+      << "cached: " << c.relation->ToString()
+      << "\n fresh:  " << f.relation->ToString();
+  EXPECT_EQ(RowsAt(MustExec(cached, "SELECT * FROM v")), 1u);
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace expdb
