@@ -1,15 +1,16 @@
 // Experiment C4 (paper Sec. 3.2): eager versus lazy physical removal.
 //
-// Expected shape: lazy removal wins on raw advance/insert throughput
-// (batched compaction amortizes removal and skips the per-tuple priority
-// queue), eager wins on trigger latency (triggers fire the instant a
-// tuple expires) and keeps relations physically smaller between
-// compactions.
+// Expected shape: both policies drain through the same texp-bucketed
+// segments (whole expired segments drop in O(1)), so lazy removal wins
+// on raw advance throughput only by batching the straddling-segment work
+// into fewer passes; eager wins on trigger latency (triggers fire the
+// instant a tuple expires) and keeps relations physically smaller
+// between compactions.
 
 #include <benchmark/benchmark.h>
 
-#include "expiration/expiration_queue.h"
 #include "common/rng.h"
+#include "expiration/expiration_queue.h"
 
 namespace {
 
@@ -21,15 +22,13 @@ Schema TwoInt() {
 
 /// Insert n tuples with uniform TTLs, then advance tick-by-tick through
 /// the full horizon so every tuple expires.
-void RunChurn(benchmark::State& state, RemovalPolicy policy,
-              ExpirationIndex index = ExpirationIndex::kBinaryHeap) {
+void RunChurn(benchmark::State& state, RemovalPolicy policy) {
   const int64_t n = state.range(0);
   const int64_t horizon = 128;
   for (auto _ : state) {
     state.PauseTiming();
     ExpirationManagerOptions opts;
     opts.policy = policy;
-    opts.index = index;
     opts.lazy_compaction_threshold = 0.5;
     ExpirationManager em(opts);
     (void)em.CreateRelation("t", TwoInt());
@@ -49,8 +48,8 @@ void RunChurn(benchmark::State& state, RemovalPolicy policy,
     state.PauseTiming();
     state.counters["removed"] =
         benchmark::Counter(static_cast<double>(em.stats().removed));
-    state.counters["heap_pops"] =
-        benchmark::Counter(static_cast<double>(em.stats().heap_pops));
+    state.counters["segments_dropped"] =
+        benchmark::Counter(static_cast<double>(em.stats().segments_dropped));
     state.counters["compactions"] =
         benchmark::Counter(static_cast<double>(em.stats().compactions));
     state.ResumeTiming();
@@ -58,25 +57,17 @@ void RunChurn(benchmark::State& state, RemovalPolicy policy,
   state.counters["tuples_per_s"] = benchmark::Counter(
       static_cast<double>(n) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  std::string label(RemovalPolicyToString(policy));
-  if (policy == RemovalPolicy::kEager) {
-    label += "/" + std::string(ExpirationIndexToString(index));
-  }
-  state.SetLabel(label);
+  state.SetLabel(std::string(RemovalPolicyToString(policy)));
 }
 
 void BM_ChurnEager(benchmark::State& state) {
   RunChurn(state, RemovalPolicy::kEager);
 }
-void BM_ChurnEagerCalendar(benchmark::State& state) {
-  RunChurn(state, RemovalPolicy::kEager, ExpirationIndex::kCalendarQueue);
-}
 void BM_ChurnLazy(benchmark::State& state) {
   RunChurn(state, RemovalPolicy::kLazy);
 }
 
-BENCHMARK(BM_ChurnEager)->Range(1 << 10, 1 << 17)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ChurnEagerCalendar)
+BENCHMARK(BM_ChurnEager)
     ->Range(1 << 10, 1 << 17)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ChurnLazy)->Range(1 << 10, 1 << 17)->Unit(benchmark::kMillisecond);
@@ -97,8 +88,8 @@ void RunTriggerLatency(benchmark::State& state, RemovalPolicy policy,
     ExpirationManager em(opts);
     (void)em.CreateRelation("t", TwoInt());
     em.AddTrigger([&](const ExpirationEvent& e) {
-      total_latency += static_cast<double>(e.removed_at.ticks() -
-                                           e.texp.ticks());
+      total_latency +=
+          static_cast<double>(e.removed_at.ticks() - e.texp.ticks());
       ++fired;
     });
     Rng rng(11);
@@ -131,16 +122,14 @@ BENCHMARK(BM_TriggerLatencyLazy)->Arg(1 << 13)->Unit(benchmark::kMillisecond);
 /// price lazy removal pays on reads).
 void BM_ScanWithExpiredFraction(benchmark::State& state) {
   const int64_t n = 1 << 16;
-  const double expired_fraction =
-      static_cast<double>(state.range(0)) / 100.0;
+  const double expired_fraction = static_cast<double>(state.range(0)) / 100.0;
   Relation rel(TwoInt());
   Rng rng(13);
   const int64_t n_expired = static_cast<int64_t>(n * expired_fraction);
   for (int64_t i = 0; i < n; ++i) {
     // Expired tuples get texp <= 50; live ones texp > 50.
-    Timestamp texp = i < n_expired
-                         ? Timestamp(1 + rng.UniformInt(0, 49))
-                         : Timestamp(51 + rng.UniformInt(0, 49));
+    Timestamp texp = i < n_expired ? Timestamp(1 + rng.UniformInt(0, 49))
+                                   : Timestamp(51 + rng.UniformInt(0, 49));
     (void)rel.Insert(Tuple{i, 0}, texp);
   }
   const Timestamp now(50);

@@ -17,8 +17,8 @@
 //
 // Lock order: engine lock -> relation locks (sorted by name) ->
 // component-internal leaf mutexes (ViewManager, caches, expiration
-// index, prepared registry). Writers hold at most one relation lock, so
-// the scheme is deadlock-free by construction.
+// triggers, prepared registry). Writers hold at most one relation lock,
+// so the scheme is deadlock-free by construction.
 
 #ifndef EXPDB_ENGINE_ENGINE_H_
 #define EXPDB_ENGINE_ENGINE_H_

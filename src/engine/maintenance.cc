@@ -82,10 +82,11 @@ size_t MaintenanceService::RunOnce() {
     now = engine_->Now();
     // Physical removal: under lazy policy this deletes every expired
     // tuple (queries never saw them anyway — expτ filters them); under
-    // eager policy the advance already removed them and this is a no-op
-    // sweep for stragglers. With no triggers registered the compaction
-    // runs the segment bulk-drop path: whole expired segments go in O(1)
-    // each, so a pass over n expired tuples in k segments costs O(k).
+    // eager policy every advance already drained every relation through
+    // the same segment path, so this finds nothing. With no triggers
+    // registered the compaction runs the segment bulk-drop path: whole
+    // expired segments go in O(1) each, so a pass over n expired tuples
+    // in k segments costs O(k).
     const uint64_t segs_before =
         engine_->expiration().metrics().segments_dropped.value();
     removed = engine_->expiration().Compact();

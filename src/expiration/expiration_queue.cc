@@ -13,20 +13,11 @@ ExpirationMetrics::ExpirationMetrics() {
   removed.SetParent(r.GetCounter("expdb_expiration_removed_total"));
   triggers_fired.SetParent(
       r.GetCounter("expdb_expiration_triggers_fired_total"));
-  index_pushes.SetParent(
-      r.GetCounter("expdb_expiration_index_pushes_total"));
-  index_pops.SetParent(r.GetCounter("expdb_expiration_index_pops_total"));
-  stale_entries.SetParent(
-      r.GetCounter("expdb_expiration_stale_entries_total"));
   compactions.SetParent(r.GetCounter("expdb_expiration_compactions_total"));
   segments_dropped.SetParent(r.GetCounter(
       "expdb_segment_dropped_total",
-      "Whole storage segments bulk-dropped by expiration compaction"));
-  calendar_overflow.SetParent(
-      r.GetCounter("expdb_expiration_calendar_overflow_total"));
-  queue_size.SetParent(r.GetGauge("expdb_expiration_queue_size"));
-  drain_latency.SetParent(
-      r.GetHistogram("expdb_expiration_drain_latency_ns"));
+      "Whole storage segments bulk-dropped by expiration removal"));
+  drain_latency.SetParent(r.GetHistogram("expdb_expiration_drain_latency_ns"));
 }
 
 std::string_view RemovalPolicyToString(RemovalPolicy policy) {
@@ -39,22 +30,8 @@ std::string_view RemovalPolicyToString(RemovalPolicy policy) {
   return "?";
 }
 
-std::string_view ExpirationIndexToString(ExpirationIndex index) {
-  switch (index) {
-    case ExpirationIndex::kBinaryHeap:
-      return "binary-heap";
-    case ExpirationIndex::kCalendarQueue:
-      return "calendar-queue";
-  }
-  return "?";
-}
-
 ExpirationManager::ExpirationManager(ExpirationManagerOptions options)
-    : options_(options),
-      calendar_(Timestamp::Zero(),
-                std::max<size_t>(1, options.calendar_ring_size)) {
-  calendar_.set_overflow_counter(&metrics_.calendar_overflow);
-}
+    : options_(options) {}
 
 Result<Relation*> ExpirationManager::CreateRelation(const std::string& name,
                                                     Schema schema) {
@@ -69,18 +46,8 @@ Status ExpirationManager::Insert(const std::string& relation, Tuple tuple,
         " is not in the future (now = " + clock_.Now().ToString() + ")");
   }
   EXPDB_ASSIGN_OR_RETURN(Relation * rel, db_.GetRelation(relation));
-  EXPDB_RETURN_NOT_OK(rel->Insert(tuple, texp));
+  EXPDB_RETURN_NOT_OK(rel->Insert(std::move(tuple), texp));
   metrics_.inserted.Increment();
-  if (options_.policy == RemovalPolicy::kEager && texp.IsFinite()) {
-    std::lock_guard<std::mutex> guard(index_mu_);
-    if (options_.index == ExpirationIndex::kCalendarQueue) {
-      calendar_.Schedule(texp, {relation, std::move(tuple)});
-    } else {
-      queue_.push({texp, relation, std::move(tuple)});
-    }
-    metrics_.index_pushes.Increment();
-    metrics_.queue_size.Set(static_cast<int64_t>(QueueSizeLocked()));
-  }
   return Status::OK();
 }
 
@@ -101,7 +68,18 @@ void ExpirationManager::AddTrigger(ExpirationTrigger trigger) {
 Status ExpirationManager::AdvanceTo(Timestamp t) {
   EXPDB_RETURN_NOT_OK(clock_.AdvanceTo(t));
   if (options_.policy == RemovalPolicy::kEager) {
-    DrainEager(t);
+    obs::ScopedSpan span("expiration.drain", &metrics_.drain_latency);
+    const Relation::DropResult drained =
+        Drain(db_.RelationNames(), /*eager=*/true);
+    // One batch event per non-empty drain, not one per tuple: the event
+    // log records decisions, not the tuple stream.
+    obs::EventLog& log = obs::EventLog::Global();
+    if (drained.tuples > 0 && log.enabled()) {
+      log.Emit(obs::LogSeverity::kInfo, "expiration", "drain",
+               {{"now", t.ToString()},
+                {"removed", std::to_string(drained.tuples)},
+                {"segments_dropped", std::to_string(drained.segments)}});
+    }
   } else {
     MaybeAutoCompact();
   }
@@ -115,66 +93,12 @@ Status ExpirationManager::Advance(int64_t ticks) {
   return AdvanceTo(clock_.Now() + ticks);
 }
 
-void ExpirationManager::DrainEager(Timestamp t) {
-  obs::ScopedSpan span("expiration.drain", &metrics_.drain_latency);
-  // Entries may be stale because the tuple was re-inserted with a later
-  // expiration (Relation keeps the max) or explicitly erased; verify
-  // against the relation before removing ("lazy deletion" indexing).
-  size_t batch_removed = 0;
-  size_t batch_stale = 0;
-  auto expire_one = [&](Timestamp texp, const std::string& relation,
-                        const Tuple& tuple) {
-    metrics_.index_pops.Increment();
-    auto rel = db_.GetRelation(relation);
-    if (!rel.ok()) {
-      metrics_.stale_entries.Increment();  // relation dropped
-      ++batch_stale;
-      return;
-    }
-    auto current = rel.value()->GetTexp(tuple);
-    if (!current.has_value() || *current != texp) {
-      metrics_.stale_entries.Increment();  // erased or lifetime extended
-      ++batch_stale;
-      return;
-    }
-    rel.value()->Erase(tuple);
-    metrics_.removed.Increment();
-    ++batch_removed;
-    FireTriggers(relation, {{tuple, texp}}, texp);
-  };
-
-  {
-    std::lock_guard<std::mutex> guard(index_mu_);
-    if (options_.index == ExpirationIndex::kCalendarQueue) {
-      calendar_.AdvanceTo(t, [&](Timestamp texp, CalendarPayload& payload) {
-        expire_one(texp, payload.relation, payload.tuple);
-      });
-    } else {
-      while (!queue_.empty() && queue_.top().texp <= t) {
-        QueueEntry entry = queue_.top();
-        queue_.pop();
-        expire_one(entry.texp, entry.relation, entry.tuple);
-      }
-    }
-    metrics_.queue_size.Set(static_cast<int64_t>(QueueSizeLocked()));
-  }
-  // One batch event per non-empty drain, not one per tuple: the event
-  // log records decisions, not the tuple stream.
-  obs::EventLog& log = obs::EventLog::Global();
-  if ((batch_removed > 0 || batch_stale > 0) && log.enabled()) {
-    log.Emit(obs::LogSeverity::kInfo, "expiration", "drain",
-             {{"now", t.ToString()},
-              {"removed", std::to_string(batch_removed)},
-              {"stale_entries", std::to_string(batch_stale)},
-              {"queue_size", std::to_string(queue_size())}});
-  }
-}
-
 void ExpirationManager::MaybeAutoCompact() {
   if (options_.lazy_compaction_threshold <= 0) return;
   const Timestamp now = clock_.Now();
   if (now < next_lazy_check_) return;
   next_lazy_check_ = now + std::max<int64_t>(1, options_.lazy_check_interval);
+  std::vector<std::string> due;
   for (const std::string& name : db_.RelationNames()) {
     Relation* rel = db_.GetRelation(name).value();
     if (rel->empty()) continue;
@@ -182,71 +106,79 @@ void ExpirationManager::MaybeAutoCompact() {
     const double expired_fraction =
         1.0 - static_cast<double>(live) / static_cast<double>(rel->size());
     if (expired_fraction > options_.lazy_compaction_threshold) {
-      CompactRelation(name, rel);
+      due.push_back(name);
     }
+  }
+  if (!due.empty()) {
+    obs::ScopedSpan span("expiration.compact", &metrics_.drain_latency);
+    Drain(due, /*eager=*/false);
   }
 }
 
-size_t ExpirationManager::CompactRelation(const std::string& name,
-                                          Relation* rel) {
+size_t ExpirationManager::Compact() {
   obs::ScopedSpan span("expiration.compact", &metrics_.drain_latency);
-  // Trigger-free fast path: nobody needs the removed tuples, so let the
-  // storage layer drop fully-expired segments whole — O(segments), not
-  // O(tuples) — instead of enumerating them. With triggers registered the
-  // tuples must be materialized in expiration order, the classic path.
-  if (!HasTriggers()) {
-    const Relation::DropResult drop = rel->DropExpired(clock_.Now());
-    if (drop.tuples == 0) return 0;
+  return Drain(db_.RelationNames(), /*eager=*/false).tuples;
+}
+
+Relation::DropResult ExpirationManager::Drain(
+    const std::vector<std::string>& names, bool eager) {
+  const Timestamp now = clock_.Now();
+  const bool triggers = HasTriggers();
+  Relation::DropResult total;
+  std::vector<ExpirationEvent> events;
+  for (const std::string& name : names) {
+    Relation* rel = db_.GetRelation(name).value();
+    // Delta consumers hear of eager removals (one delete batch), so cached
+    // results and views shed the tuples; lazy compaction stays invisible.
+    const bool record = eager && rel->delta_tracking();
+    Relation::DropResult drained;
+    if (!triggers && !record) {
+      // Nobody needs the removed tuples: let the storage layer drop fully
+      // expired segments whole instead of enumerating them.
+      drained = rel->DropExpired(now);
+    } else {
+      const size_t segments = rel->SegmentCount();
+      std::vector<std::pair<Tuple, Timestamp>> removed =
+          rel->RemoveExpired(now, record);
+      drained.tuples = removed.size();
+      drained.segments = segments - rel->SegmentCount();
+      if (triggers) {
+        for (auto& [tuple, texp] : removed) {
+          events.push_back({name, std::move(tuple), texp, eager ? texp : now});
+        }
+      }
+    }
+    if (drained.tuples == 0) continue;
+    total.tuples += drained.tuples;
+    total.segments += drained.segments;
+    metrics_.removed.Increment(drained.tuples);
+    metrics_.segments_dropped.Increment(drained.segments);
+    if (eager) continue;
     metrics_.compactions.Increment();
-    metrics_.removed.Increment(drop.tuples);
-    metrics_.segments_dropped.Increment(drop.segments);
     obs::EventLog& log = obs::EventLog::Global();
     if (log.enabled()) {
       log.Emit(obs::LogSeverity::kInfo, "expiration", "compact",
                {{"relation", name},
-                {"removed", std::to_string(drop.tuples)},
-                {"segments_dropped", std::to_string(drop.segments)},
-                {"now", clock_.Now().ToString()}});
+                {"segments_dropped", std::to_string(drained.segments)},
+                {"removed", std::to_string(drained.tuples)},
+                {"now", now.ToString()}});
     }
-    return drop.tuples;
   }
-  std::vector<std::pair<Tuple, Timestamp>> removed =
-      rel->RemoveExpired(clock_.Now());
-  if (removed.empty()) return 0;
-  metrics_.compactions.Increment();
-  metrics_.removed.Increment(removed.size());
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled()) {
-    log.Emit(obs::LogSeverity::kInfo, "expiration", "compact",
-             {{"relation", name},
-              {"removed", std::to_string(removed.size())},
-              {"now", clock_.Now().ToString()}});
-  }
-  FireTriggers(name, removed, clock_.Now());
-  return removed.size();
-}
-
-size_t ExpirationManager::Compact() {
-  size_t total = 0;
-  for (const std::string& name : db_.RelationNames()) {
-    total += CompactRelation(name, db_.GetRelation(name).value());
-  }
-  return total;
-}
-
-void ExpirationManager::FireTriggers(
-    const std::string& relation,
-    const std::vector<std::pair<Tuple, Timestamp>>& removed,
-    Timestamp removed_at) {
+  if (events.empty()) return total;
+  // Each relation's removals arrive sorted by (texp, tuple) and `names` is
+  // sorted, so a stable sort on texp yields (texp, relation, tuple).
+  std::stable_sort(events.begin(), events.end(),
+                   [](const ExpirationEvent& a, const ExpirationEvent& b) {
+                     return a.texp < b.texp;
+                   });
   std::lock_guard<std::mutex> guard(triggers_mu_);
-  if (triggers_.empty()) return;
-  for (const auto& [tuple, texp] : removed) {
-    ExpirationEvent event{relation, tuple, texp, removed_at};
+  for (const ExpirationEvent& event : events) {
     for (const ExpirationTrigger& trigger : triggers_) {
       trigger(event);
       metrics_.triggers_fired.Increment();
     }
   }
+  return total;
 }
 
 }  // namespace expdb

@@ -3,8 +3,11 @@
 //
 // Two removal policies:
 //  * kEager — expired tuples are removed (and triggers fired) as soon as
-//    the clock passes their expiration time. A priority queue over
-//    expiration times makes each advance O(expired · log n).
+//    the clock passes their expiration time. The relations' texp-bucketed
+//    segments are the only expiration index: an advance drops fully
+//    expired segments whole and swap-erases only in segments straddling
+//    the new time, so it costs O(segments + entries of straddling
+//    segments), with no per-insert bookkeeping.
 //  * kLazy  — expired tuples stay physically present but invisible (every
 //    read path filters through expτ); physical removal happens in batched
 //    compactions, either on demand or when the expired fraction exceeds a
@@ -20,12 +23,10 @@
 
 #include <cstdint>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "expiration/calendar_queue.h"
 #include "expiration/clock.h"
 #include "expiration/trigger.h"
 #include "obs/metrics.h"
@@ -38,22 +39,9 @@ enum class RemovalPolicy { kEager, kLazy };
 
 std::string_view RemovalPolicyToString(RemovalPolicy policy);
 
-/// Which index structure tracks pending expirations under eager removal.
-enum class ExpirationIndex {
-  kBinaryHeap,     ///< std::priority_queue; O(log n) per operation.
-  kCalendarQueue,  ///< tick ring + overflow map; O(1) for near entries
-                   ///< (the TR [24] style real-time structure).
-};
-
-std::string_view ExpirationIndexToString(ExpirationIndex index);
-
 /// Tuning knobs for the manager.
 struct ExpirationManagerOptions {
   RemovalPolicy policy = RemovalPolicy::kEager;
-  /// Eager only: the pending-expiration index implementation.
-  ExpirationIndex index = ExpirationIndex::kBinaryHeap;
-  /// kCalendarQueue only: width of the near window in ticks.
-  size_t calendar_ring_size = 256;
   /// Lazy only: compact a relation when (expired tuples)/(stored tuples)
   /// exceeds this fraction. <= 0 disables automatic compaction.
   double lazy_compaction_threshold = 0.5;
@@ -68,14 +56,11 @@ struct ExpirationManagerOptions {
 /// ExpirationMetrics — the metric objects are the single source of truth
 /// and also feed the process-wide obs::MetricsRegistry.
 struct ExpirationStats {
-  uint64_t inserted = 0;           ///< tuples routed through Insert
-  uint64_t removed = 0;            ///< tuples physically removed
-  uint64_t triggers_fired = 0;     ///< expiration trigger invocations
-  uint64_t heap_pushes = 0;        ///< eager priority-queue pushes
-  uint64_t heap_pops = 0;          ///< eager priority-queue pops
-  uint64_t stale_heap_entries = 0; ///< pops ignored (tuple gone/extended)
-  uint64_t compactions = 0;        ///< lazy compaction passes
-  uint64_t segments_dropped = 0;   ///< whole storage segments bulk-dropped
+  uint64_t inserted = 0;          ///< tuples routed through Insert
+  uint64_t removed = 0;           ///< tuples physically removed
+  uint64_t triggers_fired = 0;    ///< expiration trigger invocations
+  uint64_t compactions = 0;       ///< lazy compaction passes
+  uint64_t segments_dropped = 0;  ///< whole storage segments bulk-dropped
 };
 
 /// Instance-local metric handles of one ExpirationManager. Every update
@@ -85,13 +70,8 @@ struct ExpirationMetrics {
   obs::Counter inserted;
   obs::Counter removed;
   obs::Counter triggers_fired;
-  obs::Counter index_pushes;
-  obs::Counter index_pops;
-  obs::Counter stale_entries;
   obs::Counter compactions;
   obs::Counter segments_dropped;
-  obs::Counter calendar_overflow;
-  obs::Gauge queue_size;
   obs::Histogram drain_latency;
 
   ExpirationMetrics();
@@ -102,7 +82,7 @@ struct ExpirationMetrics {
 ///
 /// Thread-safety (engine protocol, docs/CONCURRENCY.md): Insert may be
 /// called concurrently from writers that hold the target relation's
-/// writer lock — the shared expiration index and the trigger list are
+/// writer lock — it touches only that relation, and the trigger list is
 /// guarded internally. AdvanceTo/Advance/Compact mutate arbitrary
 /// relations and must run under the engine's exclusive lock (they are
 /// not internally serialized against concurrent relation writers).
@@ -118,11 +98,13 @@ class ExpirationManager {
   /// \brief Snapshot of the operational counters (thin view over the
   /// instance metrics; see ExpirationMetrics).
   ExpirationStats stats() const {
-    return ExpirationStats{
-        metrics_.inserted.value(),      metrics_.removed.value(),
-        metrics_.triggers_fired.value(), metrics_.index_pushes.value(),
-        metrics_.index_pops.value(),    metrics_.stale_entries.value(),
-        metrics_.compactions.value(),   metrics_.segments_dropped.value()};
+    ExpirationStats s;
+    s.inserted = metrics_.inserted.value();
+    s.removed = metrics_.removed.value();
+    s.triggers_fired = metrics_.triggers_fired.value();
+    s.compactions = metrics_.compactions.value();
+    s.segments_dropped = metrics_.segments_dropped.value();
+    return s;
   }
 
   const ExpirationMetrics& metrics() const { return metrics_; }
@@ -140,71 +122,42 @@ class ExpirationManager {
   void AddTrigger(ExpirationTrigger trigger);
 
   /// \brief True when at least one expiration trigger is registered.
-  /// Compaction enumerates removed tuples (the slow path) only then;
-  /// trigger-free compaction uses Relation::DropExpired, which drops
-  /// fully-expired segments in O(1) each without materializing tuples.
+  /// Removal enumerates removed tuples (the slow path) only then, or when
+  /// an eager drain must tell a delta-tracked relation's consumers;
+  /// otherwise it uses Relation::DropExpired, which drops fully-expired
+  /// segments in O(1) each without materializing tuples.
   bool HasTriggers() const {
     std::lock_guard<std::mutex> guard(triggers_mu_);
     return !triggers_.empty();
   }
 
-  /// \brief Advances the clock, applying the removal policy.
+  /// \brief Advances the clock, applying the removal policy. Under eager
+  /// removal every relation is drained to `t`: triggers fire in (texp,
+  /// relation, tuple) order with removed_at == texp, and a delta-tracked
+  /// relation records its removed tuples as one delete batch, so cached
+  /// results and views shed them with one patch.
   Status AdvanceTo(Timestamp t);
   Status Advance(int64_t ticks);
 
-  /// \brief Lazy policy: physically removes all currently expired tuples
-  /// (and fires their triggers). No-op under eager (nothing is expired).
+  /// \brief Physically removes all currently expired tuples (and fires
+  /// their triggers, in the same order as an eager advance but with
+  /// removed_at == now). Records nothing in the delta ring. Under eager
+  /// removal the advance already drained everything, so this finds
+  /// nothing to do.
   size_t Compact();
 
-  /// \brief Number of entries currently in the eager expiration index
-  /// (including stale ones awaiting lazy deletion).
-  size_t queue_size() const {
-    std::lock_guard<std::mutex> guard(index_mu_);
-    return QueueSizeLocked();
-  }
-
  private:
-  struct QueueEntry {
-    Timestamp texp;
-    std::string relation;
-    Tuple tuple;
-    bool operator>(const QueueEntry& other) const {
-      if (texp != other.texp) return texp > other.texp;
-      if (relation != other.relation) return relation > other.relation;
-      return other.tuple < tuple;
-    }
-  };
-
-  /// Calendar-queue payload (texp is the key, kept by the queue itself).
-  struct CalendarPayload {
-    std::string relation;
-    Tuple tuple;
-  };
-
-  void FireTriggers(const std::string& relation,
-                    const std::vector<std::pair<Tuple, Timestamp>>& removed,
-                    Timestamp removed_at);
-  void DrainEager(Timestamp t);
+  /// Removes every tuple with texp <= now from the relations `names`,
+  /// then fires triggers for them in (texp, relation, tuple) order —
+  /// removed_at is the tuple's texp when `eager`, else now. An eager
+  /// drain records each delta-tracked relation's removals as one delete
+  /// batch; a lazy one records nothing. Returns the totals removed.
+  Relation::DropResult Drain(const std::vector<std::string>& names, bool eager);
   void MaybeAutoCompact();
-  size_t CompactRelation(const std::string& name, Relation* rel);
-  size_t QueueSizeLocked() const {
-    return options_.index == ExpirationIndex::kCalendarQueue
-               ? calendar_.size()
-               : queue_.size();
-  }
 
   ExpirationManagerOptions options_;
   Database db_;
   LogicalClock clock_;
-  /// Guards the shared pending-expiration index (queue_/calendar_):
-  /// concurrent writers to *different* relations still funnel their
-  /// eager-index pushes through one structure. Leaf lock — nothing else
-  /// is acquired while held.
-  mutable std::mutex index_mu_;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue_;
-  CalendarQueue<CalendarPayload> calendar_;
   /// Guards trigger registration vs. firing (held across trigger
   /// callbacks; triggers must not call back into the manager).
   mutable std::mutex triggers_mu_;

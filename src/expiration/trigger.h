@@ -22,7 +22,8 @@ struct ExpirationEvent {
   Timestamp removed_at;
 };
 
-/// \brief Callback fired once per expired tuple, in (texp, tuple) order.
+/// \brief Callback fired once per expired tuple, in (texp, relation, tuple)
+/// order across every relation one advance or compaction removes from.
 using ExpirationTrigger = std::function<void(const ExpirationEvent&)>;
 
 }  // namespace expdb

@@ -474,18 +474,8 @@ void RegisterStandardMetrics(MetricsRegistry& r) {
                "Tuples physically removed on expiry");
   r.GetCounter("expdb_expiration_triggers_fired_total",
                "Expiration trigger invocations");
-  r.GetCounter("expdb_expiration_index_pushes_total",
-               "Eager expiration-index pushes");
-  r.GetCounter("expdb_expiration_index_pops_total",
-               "Eager expiration-index pops");
-  r.GetCounter("expdb_expiration_stale_entries_total",
-               "Index pops ignored (tuple gone or lifetime extended)");
   r.GetCounter("expdb_expiration_compactions_total",
                "Lazy compaction passes");
-  r.GetCounter("expdb_expiration_calendar_overflow_total",
-               "Calendar-queue schedules landing in the overflow map");
-  r.GetGauge("expdb_expiration_queue_size",
-             "Entries currently in the expiration index");
   r.GetHistogram("expdb_expiration_drain_latency_ns",
                  "Eager drain / lazy compaction wall time (ns)");
   // view -----------------------------------------------------------------

@@ -81,15 +81,4 @@ std::vector<std::string> Database::RelationNames() const {
   return names;
 }
 
-size_t Database::RemoveExpiredEverywhere(Timestamp tau) {
-  size_t total = 0;
-  for (auto& [name, rel] : relations_) {
-    // No triggers at the Database layer, so the count-only bulk path is
-    // enough — fully-expired segments drop in O(1) each.
-    total += rel->DropExpired(tau).tuples;
-  }
-  if (total > 0) BumpEpoch();
-  return total;
-}
-
 }  // namespace expdb

@@ -89,10 +89,6 @@ class Database {
 
   size_t relation_count() const { return relations_.size(); }
 
-  /// \brief Physically removes expired tuples from every relation.
-  /// \return total number of removed tuples.
-  size_t RemoveExpiredEverywhere(Timestamp tau);
-
   // --- concurrency plumbing (engine layer; docs/CONCURRENCY.md) -----------
   //
   // The database itself stays a passive catalog: it does not lock around

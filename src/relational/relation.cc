@@ -202,6 +202,20 @@ void Relation::RecordDeltaErase(const Tuple& tuple, Timestamp old_texp) {
   TrimDeltaRing();
 }
 
+void Relation::RecordDeltaDrain(
+    const std::vector<std::pair<Tuple, Timestamp>>& removed) {
+  DeltaLog* log = delta_log();
+  if (log == nullptr || removed.empty()) return;
+  DeltaBatch b;
+  b.epoch = ++log->epoch;
+  b.deleted.reserve(removed.size());
+  for (const auto& [tuple, texp] : removed) {
+    b.deleted.push_back(Entry{tuple, texp});
+  }
+  log->batches.push_back(std::move(b));
+  TrimDeltaRing();
+}
+
 void Relation::TrimDeltaRing() {
   DeltaLog* log = delta_log();
   while (log->batches.size() > log->capacity) {
@@ -739,7 +753,7 @@ Relation::DropResult Relation::DropExpired(Timestamp tau) {
 }
 
 std::vector<std::pair<Tuple, Timestamp>> Relation::RemoveExpired(
-    Timestamp tau) {
+    Timestamp tau, bool record_delta) {
   std::vector<std::pair<Tuple, Timestamp>> removed;
   for (size_t i = 0; i < segments_.size();) {
     Segment* seg = segments_[i].get();
@@ -802,6 +816,7 @@ std::vector<std::pair<Tuple, Timestamp>> Relation::RemoveExpired(
               if (a.second != b.second) return a.second < b.second;
               return a.first < b.first;
             });
+  if (record_delta) RecordDeltaDrain(removed);
   return removed;
 }
 

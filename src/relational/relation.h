@@ -191,8 +191,8 @@ class Relation {
   /// being scanned, and only segments straddling tau pay a per-tuple
   /// swap-erase. Does not enumerate the removed tuples — callers that
   /// must fire per-tuple expiration triggers use RemoveExpired instead —
-  /// and, like RemoveExpired, records nothing in the delta ring (removing
-  /// tuples with texp <= τ never changes expτ' for any τ' >= τ).
+  /// and records nothing in the delta ring (removing tuples with
+  /// texp <= τ never changes expτ' for any τ' >= τ).
   DropResult DropExpired(Timestamp tau);
 
   /// \brief Pre-sizes the dense array and the hash index for `n` tuples.
@@ -278,8 +278,11 @@ class Relation {
   /// (texp, tuple) — the order in which they expired. This is the
   /// trigger-feeding slow path; use DropExpired when the removed tuples
   /// are not needed. Also tightens segment bounds from the surviving
-  /// entries of straddling segments.
-  std::vector<std::pair<Tuple, Timestamp>> RemoveExpired(Timestamp tau);
+  /// entries of straddling segments. With `record_delta`, a tracked
+  /// relation records the removed tuples as one delete batch (one epoch),
+  /// so delta consumers can shed them too.
+  std::vector<std::pair<Tuple, Timestamp>> RemoveExpired(
+      Timestamp tau, bool record_delta = false);
 
   /// \brief Smallest finite texp strictly greater than `tau`; nullopt when
   /// no unexpired tuple has a finite expiration. This is the next instant
@@ -322,12 +325,16 @@ class Relation {
   //  * an erase             -> {epoch, inserted=[],        deleted=[t@old]}
   //
   // Physical expiration (RemoveExpired and the segment bulk path
-  // DropExpired) is NOT recorded: removing tuples with texp <= τ never
-  // changes expτ' for any τ' >= τ, so consumers that always read through
-  // expτ see no difference. Clear() and attribute renames break the
-  // history (consumers must fall back to recomputation). Ring overflow
-  // trims the oldest epochs; DeltasSince reports the loss instead of
-  // returning a partial stream.
+  // DropExpired) is not recorded by default: removing tuples with
+  // texp <= τ never changes expτ' for any τ' >= τ, so consumers that
+  // always read through expτ see no difference. Eager removal opts in
+  // (RemoveExpired's `record_delta`) so consumers also free the memory:
+  //
+  //  * an eager expiry drain -> {epoch, inserted=[], deleted=[t1@e1, ...]}
+  //
+  // Clear() and attribute renames break the history (consumers must fall
+  // back to recomputation). Ring overflow trims the oldest epochs;
+  // DeltasSince reports the loss instead of returning a partial stream.
 
   /// One recorded mutation epoch. `deleted` precedes `inserted` when both
   /// are non-empty (a texp change is delete-old-then-insert-new).
@@ -542,6 +549,8 @@ class Relation {
   void RecordDeltaUpdate(const Tuple& tuple, Timestamp old_texp,
                          Timestamp new_texp);
   void RecordDeltaErase(const Tuple& tuple, Timestamp old_texp);
+  void RecordDeltaDrain(
+      const std::vector<std::pair<Tuple, Timestamp>>& removed);
   void TrimDeltaRing();
   /// Invalidates all outstanding cursors (wholesale change happened).
   void BreakDeltaHistory();

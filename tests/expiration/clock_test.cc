@@ -38,8 +38,7 @@ TEST(LogicalClockTest, AdvanceToAbsolute) {
 
 TEST(LogicalClockTest, TimeNeverFlowsBackwards) {
   LogicalClock clock(Timestamp(10));
-  EXPECT_EQ(clock.AdvanceTo(Timestamp(9)).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(clock.AdvanceTo(Timestamp(9)).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(clock.Now(), Timestamp(10));
 }
 

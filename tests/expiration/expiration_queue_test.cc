@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
+#include "common/rng.h"
+
 namespace expdb {
 namespace {
 
@@ -102,9 +107,8 @@ TEST(ExpirationManagerTest, StaleHeapEntriesAfterLifetimeExtension) {
   // Re-insert with a longer lifetime: relation keeps max texp = 12.
   ASSERT_TRUE(em.Insert("t", Tuple{1}, T(12)).ok());
   ASSERT_TRUE(em.AdvanceTo(T(6)).ok());
-  // The @5 heap entry is stale; the tuple must survive.
+  // The original @5 lifetime is gone; the tuple must survive.
   EXPECT_TRUE(em.db().GetRelation("t").value()->Contains(Tuple{1}));
-  EXPECT_GE(em.stats().stale_heap_entries, 1u);
   ASSERT_TRUE(em.AdvanceTo(T(12)).ok());
   EXPECT_FALSE(em.db().GetRelation("t").value()->Contains(Tuple{1}));
 }
@@ -145,9 +149,129 @@ TEST(ExpirationManagerTest, InfiniteTuplesNeverEnterTheQueue) {
   ExpirationManager em;
   ASSERT_TRUE(em.CreateRelation("t", OneInt()).ok());
   ASSERT_TRUE(em.Insert("t", Tuple{1}, Timestamp::Infinity()).ok());
-  EXPECT_EQ(em.queue_size(), 0u);
   ASSERT_TRUE(em.AdvanceTo(T(1'000'000)).ok());
   EXPECT_TRUE(em.db().GetRelation("t").value()->Contains(Tuple{1}));
+}
+
+// The segments are the index: a tuple stored without going through the
+// manager is drained (and its trigger fired) like any other.
+TEST(ExpirationManagerTest, EagerRemovesTuplesInsertedPastTheManager) {
+  ExpirationManager em;
+  ASSERT_TRUE(em.CreateRelation("t", OneInt()).ok());
+  Relation* rel = em.db().GetRelation("t").value();
+  ASSERT_TRUE(rel->Insert(Tuple{7}, T(5)).ok());
+  ASSERT_TRUE(rel->Insert(Tuple{8}, T(50)).ok());
+  std::vector<Tuple> fired;
+  em.AddTrigger([&](const ExpirationEvent& e) { fired.push_back(e.tuple); });
+  ASSERT_TRUE(em.AdvanceTo(T(6)).ok());
+  EXPECT_FALSE(rel->Contains(Tuple{7}));
+  EXPECT_TRUE(rel->Contains(Tuple{8}));
+  EXPECT_EQ(fired, std::vector<Tuple>{Tuple{7}});
+  EXPECT_EQ(em.stats().removed, 1u);
+}
+
+// An eager advance tells delta consumers once: k expired tuples are one
+// delete batch in one epoch, in expiration order.
+TEST(ExpirationManagerTest, EagerDrainIsOneDeltaBatch) {
+  ExpirationManager em;
+  ASSERT_TRUE(em.CreateRelation("t", OneInt()).ok());
+  Relation* rel = em.db().GetRelation("t").value();
+  rel->EnableDeltaTracking();
+  ASSERT_TRUE(em.Insert("t", Tuple{3}, T(4)).ok());
+  ASSERT_TRUE(em.Insert("t", Tuple{1}, T(2)).ok());
+  ASSERT_TRUE(em.Insert("t", Tuple{2}, T(4)).ok());
+  ASSERT_TRUE(em.Insert("t", Tuple{9}, T(100)).ok());
+  const uint64_t epoch = rel->delta_epoch();
+  ASSERT_TRUE(em.AdvanceTo(T(10)).ok());
+  EXPECT_EQ(rel->delta_epoch(), epoch + 1);
+  auto batches = rel->DeltasSince(epoch);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_EQ(batches->size(), 1u);
+  const Relation::DeltaBatch& b = batches->front();
+  EXPECT_TRUE(b.inserted.empty());
+  ASSERT_EQ(b.deleted.size(), 3u);
+  EXPECT_EQ(b.deleted[0].tuple, Tuple{1});
+  EXPECT_EQ(b.deleted[0].texp, T(2));
+  EXPECT_EQ(b.deleted[1].tuple, Tuple{2});
+  EXPECT_EQ(b.deleted[2].tuple, Tuple{3});
+  EXPECT_EQ(rel->size(), 1u);
+  // An advance that expires nothing records nothing.
+  ASSERT_TRUE(em.AdvanceTo(T(20)).ok());
+  EXPECT_EQ(rel->delta_epoch(), epoch + 1);
+}
+
+using Fired = std::tuple<Timestamp, std::string, Tuple, Timestamp>;
+
+// Two relations, one multi-tick advance (or compaction): triggers fire in
+// (texp, relation, tuple) order across both relations.
+std::vector<Fired> FireAcrossRelations(RemovalPolicy policy) {
+  ExpirationManagerOptions opts;
+  opts.policy = policy;
+  opts.lazy_compaction_threshold = 0;
+  ExpirationManager em(opts);
+  EXPECT_TRUE(em.CreateRelation("a", OneInt()).ok());
+  EXPECT_TRUE(em.CreateRelation("b", OneInt()).ok());
+  EXPECT_TRUE(em.Insert("b", Tuple{1}, T(3)).ok());
+  EXPECT_TRUE(em.Insert("a", Tuple{2}, T(3)).ok());
+  EXPECT_TRUE(em.Insert("a", Tuple{1}, T(5)).ok());
+  EXPECT_TRUE(em.Insert("b", Tuple{0}, T(5)).ok());
+  EXPECT_TRUE(em.Insert("a", Tuple{0}, T(3)).ok());
+  EXPECT_TRUE(em.Insert("b", Tuple{5}, T(50)).ok());
+  std::vector<Fired> fired;
+  em.AddTrigger([&](const ExpirationEvent& e) {
+    fired.emplace_back(e.texp, e.relation, e.tuple, e.removed_at);
+  });
+  EXPECT_TRUE(em.AdvanceTo(T(10)).ok());
+  if (policy == RemovalPolicy::kLazy) {
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(em.Compact(), 5u);
+  }
+  return fired;
+}
+
+TEST(ExpirationManagerTest, EagerTriggersFireInTexpRelationTupleOrder) {
+  std::vector<Fired> expected;
+  expected.emplace_back(T(3), "a", Tuple{0}, T(3));
+  expected.emplace_back(T(3), "a", Tuple{2}, T(3));
+  expected.emplace_back(T(3), "b", Tuple{1}, T(3));
+  expected.emplace_back(T(5), "a", Tuple{1}, T(5));
+  expected.emplace_back(T(5), "b", Tuple{0}, T(5));
+  EXPECT_EQ(FireAcrossRelations(RemovalPolicy::kEager), expected);
+}
+
+TEST(ExpirationManagerTest, LazyCompactionFiresTheSameSequenceAtNow) {
+  std::vector<Fired> expected = FireAcrossRelations(RemovalPolicy::kEager);
+  for (Fired& f : expected) std::get<3>(f) = T(10);  // removed_at == now
+  EXPECT_EQ(FireAcrossRelations(RemovalPolicy::kLazy), expected);
+}
+
+// A 200-tuple stream drained over many advances fires exactly the stream
+// sorted by texp, except the tuple whose lifetime was extended past the
+// run: it never fires and stays stored.
+TEST(ExpirationManagerTest, StreamFiresInTexpOrder) {
+  ExpirationManager em;
+  ASSERT_TRUE(em.CreateRelation("t", OneInt()).ok());
+  std::vector<std::pair<Tuple, Timestamp>> fired;
+  em.AddTrigger(
+      [&](const ExpirationEvent& e) { fired.emplace_back(e.tuple, e.texp); });
+  Rng rng(99);
+  std::vector<std::pair<Timestamp, Tuple>> stream;
+  for (int i = 0; i < 200; ++i) {
+    const Timestamp texp(1 + rng.UniformInt(0, 50));
+    ASSERT_TRUE(em.Insert("t", Tuple{i}, texp).ok());
+    if (i != 0) stream.emplace_back(texp, Tuple{i});
+  }
+  ASSERT_TRUE(em.Insert("t", Tuple{0}, T(200)).ok());
+  for (int64_t t = 5; t <= 60; t += 5) {
+    ASSERT_TRUE(em.AdvanceTo(T(t)).ok());
+  }
+  std::sort(stream.begin(), stream.end());
+  std::vector<std::pair<Tuple, Timestamp>> expected;
+  for (const auto& [texp, tuple] : stream) expected.emplace_back(tuple, texp);
+  EXPECT_EQ(fired, expected);
+  const Relation* rel = em.db().GetRelation("t").value();
+  EXPECT_EQ(rel->size(), 1u);
+  EXPECT_TRUE(rel->Contains(Tuple{0}));
 }
 
 TEST(ExpirationManagerTest, TimeCannotMoveBackwards) {

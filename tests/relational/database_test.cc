@@ -67,17 +67,5 @@ TEST(DatabaseTest, PointersStableAcrossCatalogGrowth) {
   EXPECT_EQ(db.GetRelation("a").value(), first);
 }
 
-TEST(DatabaseTest, RemoveExpiredEverywhere) {
-  Database db;
-  Relation* a = db.CreateRelation("a", OneInt()).value();
-  Relation* b = db.CreateRelation("b", OneInt()).value();
-  ASSERT_TRUE(a->Insert(Tuple{1}, Timestamp(5)).ok());
-  ASSERT_TRUE(a->Insert(Tuple{2}, Timestamp(50)).ok());
-  ASSERT_TRUE(b->Insert(Tuple{3}, Timestamp(5)).ok());
-  EXPECT_EQ(db.RemoveExpiredEverywhere(Timestamp(10)), 2u);
-  EXPECT_EQ(a->size(), 1u);
-  EXPECT_EQ(b->size(), 0u);
-}
-
 }  // namespace
 }  // namespace expdb

@@ -372,6 +372,42 @@ TEST(SessionTest, LazyExpirationPolicySession) {
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 0u);
 }
 
+// An eager ADVANCE that expires many tuples moves the table's delta clock
+// once, and the cached SELECT over it is patched once and sheds them.
+TEST(SessionTest, EagerAdvanceShedsExpiredRowsFromCachedResults) {
+  Session s;
+  MustExec(s, "CREATE TABLE t (x INT, name STRING)");
+  std::string short_lived = "INSERT INTO t VALUES ";
+  std::string long_lived = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 20; ++i) {
+    const std::string sep = i == 0 ? "" : ", ";
+    short_lived += sep + "(" + std::to_string(i) + ", 'short')";
+    long_lived += sep + "(" + std::to_string(100 + i) + ", 'long')";
+  }
+  MustExec(s, short_lived + " TTL 5");
+  MustExec(s, long_lived + " EXPIRE NEVER");
+  const char* const query = "SELECT * FROM t WHERE x >= 0";
+  MustExec(s, query);  // first sighting
+  MustExec(s, query);  // fill
+  plan::ResultCache& cache = s.engine().result_cache();
+  const plan::ResultCache::Stats before = cache.stats();
+  ASSERT_EQ(before.entries, 1u);
+  const Relation* t = s.db().GetRelation("t").value();
+  const uint64_t epoch = t->delta_epoch();
+
+  MustExec(s, "ADVANCE TIME 10");
+  EXPECT_EQ(t->size(), 20u);
+  EXPECT_EQ(t->delta_epoch(), epoch + 1);
+
+  auto r = MustExec(s, query);
+  EXPECT_EQ(r.message, "ok (cached)");
+  EXPECT_EQ(RowsAt(r), 20u);
+  EXPECT_EQ(r.relation->size(), 20u);  // the entry dropped the expired rows
+  const plan::ResultCache::Stats after = cache.stats();
+  EXPECT_EQ(after.patches, before.patches + 1);
+  EXPECT_LT(after.bytes, before.bytes);
+}
+
 // --- STATS meta-command (docs/OBSERVABILITY.md) --------------------------
 
 TEST(SessionStatsTest, StatsRendersMetricsRelationEndToEnd) {
