@@ -18,6 +18,12 @@
 //   * SelectColdPlans vs SelectSharedSkeleton — tier 1 in isolation
 //     (result cache off): re-planning every statement vs rotating
 //     literals through one cached skeleton.
+//   * CountPatchedHit vs CountUncached, GroupCountPatchedHit vs
+//     GroupCountUncached — an 8-row INSERT (untimed) before every timed
+//     COUNT(*): one group over the whole table, or ~8 k groups. The
+//     patch touches one group and moves one row per touched group
+//     through the aggregate (its plan is per-group), so it must cost less
+//     than the recomputation beside it.
 
 #include <string>
 
@@ -35,13 +41,15 @@ void Must(const Result<sql::ExecResult>& r, benchmark::State& state) {
   if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
 }
 
-/// t(k INT, v INT): n rows, v uniform over 97 values, expirations far in
-/// the future (the cache is exercised, never lapsed, during the run).
-void FillTable(sql::Session& s, int64_t n, benchmark::State& state) {
+/// t(k INT, v INT): n rows, v uniform over `groups` values, expirations
+/// far in the future (the cache is exercised, never lapsed, during the
+/// run).
+void FillTable(sql::Session& s, int64_t n, benchmark::State& state,
+               int64_t groups = 97) {
   Must(s.Execute("CREATE TABLE t (k INT, v INT)"), state);
   Relation* r = s.db().GetRelation("t").value();
   for (int64_t i = 0; i < n; ++i) {
-    if (!r->Insert(Tuple{i, i % 97}, Timestamp(1000000 + i)).ok()) {
+    if (!r->Insert(Tuple{i, i % groups}, Timestamp(1000000 + i)).ok()) {
       state.SkipWithError("fill failed");
       return;
     }
@@ -139,6 +147,62 @@ void BM_SelectSharedSkeleton(benchmark::State& state) {
   state.SetLabel("one skeleton, rotating literals");
 }
 BENCHMARK(BM_SelectSharedSkeleton)->Arg(512);
+
+constexpr const char* kCount = "SELECT COUNT(*) FROM t";
+constexpr const char* kGroupCount = "SELECT v, COUNT(*) FROM t GROUP BY v";
+constexpr int64_t kGroups = 8192;
+
+/// Times `query` after an untimed 8-row INSERT per iteration; with
+/// `cached` the result cache is filled first, so every timed run is a
+/// patched hit, else it is off and every run recomputes.
+void CountAfterInserts(benchmark::State& state, const char* query,
+                       int64_t groups, bool cached) {
+  sql::Session s;
+  FillTable(s, state.range(0), state, groups);
+  if (cached) {
+    Must(s.Execute(query), state);  // first sighting
+    Must(s.Execute(query), state);  // fill
+  } else {
+    Must(s.Execute("SET result_cache_bytes = 0"), state);
+  }
+  int64_t next = 1000000000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = 0; i < 8; ++i, ++next) {
+      if (i > 0) insert += ", ";
+      insert += "(" + std::to_string(next) + ", " +
+                std::to_string(next % groups) + ")";
+    }
+    Must(s.Execute(insert), state);
+    state.ResumeTiming();
+    auto r = s.Execute(query);
+    Must(r, state);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel(cached ? "patched hit after an 8-row INSERT"
+                        : "recomputed after an 8-row INSERT");
+}
+
+void BM_CountPatchedHit(benchmark::State& state) {
+  CountAfterInserts(state, kCount, 97, /*cached=*/true);
+}
+BENCHMARK(BM_CountPatchedHit)->Arg(16384)->Arg(65536);
+
+void BM_CountUncached(benchmark::State& state) {
+  CountAfterInserts(state, kCount, 97, /*cached=*/false);
+}
+BENCHMARK(BM_CountUncached)->Arg(16384)->Arg(65536);
+
+void BM_GroupCountPatchedHit(benchmark::State& state) {
+  CountAfterInserts(state, kGroupCount, kGroups, /*cached=*/true);
+}
+BENCHMARK(BM_GroupCountPatchedHit)->Arg(16384);
+
+void BM_GroupCountUncached(benchmark::State& state) {
+  CountAfterInserts(state, kGroupCount, kGroups, /*cached=*/false);
+}
+BENCHMARK(BM_GroupCountUncached)->Arg(16384);
 
 }  // namespace
 

@@ -46,6 +46,13 @@ int main(int argc, char** argv) {
         "<25,2> expires at 10 per Eq. (8)");
   Check(hist_view->texp() == Timestamp(10),
         "texp(e) = 10: invalid from time 10 on (should contain <25,1>)");
+  // π_{2,3} keeps only the group column and the count, so the aggregate
+  // emits one row per degree rather than one per policy holder.
+  const plan::PlanNode& hist_root = hist_view->plan()->root();
+  Check(hist_root.op == plan::PlanOp::kProject &&
+            hist_root.left->op == plan::PlanOp::kHashAggregate &&
+            hist_root.left->per_group,
+        "the histogram's aggregate is planned per-group");
   Relation hist10 = views.Read("hist", Timestamp(10)).MoveValue();
   Check(hist10.size() == 1 && hist10.Contains(Tuple{25, 1}),
         "read at 10 = {<25,1>}, recomputed lazily");
@@ -56,8 +63,7 @@ int main(int argc, char** argv) {
 
   // (b)-(d) The growing difference. The plain expression is invalid from
   // time 3 on...
-  auto diff =
-      Difference(Project(Base("Pol"), {0}), Project(Base("El"), {0}));
+  auto diff = Difference(Project(Base("Pol"), {0}), Project(Base("El"), {0}));
   auto diff0 = Evaluate(diff, db, Timestamp(0)).MoveValue();
   Check(diff0.texp == Timestamp(3),
         "texp(e) = 3: the expression is invalid from time 3 onwards");
@@ -78,14 +84,12 @@ int main(int argc, char** argv) {
   Check(diffr0.size() == 1 && diffr0.Contains(Tuple{3}), "(b) = {<3>}");
 
   Relation diffr3 = views.Read("pol_minus_el", Timestamp(3)).MoveValue();
-  std::printf("(c) at time 3\n%s\n",
-              PrintTuples(diffr3, Timestamp(3)).c_str());
+  std::printf("(c) at time 3\n%s\n", PrintTuples(diffr3, Timestamp(3)).c_str());
   Check(diffr3.size() == 2 && diffr3.Contains(Tuple{2}),
         "(c) = {<2>, <3>} — the result grew");
 
   Relation diffr5 = views.Read("pol_minus_el", Timestamp(5)).MoveValue();
-  std::printf("(d) at time 5\n%s\n",
-              PrintTuples(diffr5, Timestamp(5)).c_str());
+  std::printf("(d) at time 5\n%s\n", PrintTuples(diffr5, Timestamp(5)).c_str());
   Check(diffr5.size() == 3 && diffr5.Contains(Tuple{1}),
         "(d) = {<1>, <2>, <3>} — grew monotonically before time 10");
 

@@ -101,6 +101,7 @@ Result<std::unique_ptr<PlanNode>> CloneBound(const PlanNode& node,
   copy->cse_id = node.cse_id;
   copy->const_false = node.const_false;
   copy->parallel = node.parallel;
+  copy->per_group = node.per_group;
   if (node.left != nullptr) {
     EXPDB_ASSIGN_OR_RETURN(copy->left, CloneBound(*node.left, args));
   }
@@ -398,6 +399,7 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
     patches_total_->Increment();
     LogCacheEvent("cache_patch",
                   {{"ops", std::to_string(applied.value().ops_out)},
+                   {"ops_total", std::to_string(applied.value().ops_total)},
                    {"texp", e.result.texp.ToString()}});
     if (bytes_ > max_bytes()) EvictFor(0, &key, &dropped);
     // The patch may have evicted this very entry when it no longer fits.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "core/aggregate.h"
@@ -149,13 +150,162 @@ struct DeltaPropagator::NodeState {
   std::vector<size_t> right_cols;
   bool covered = false;  ///< key match already implies the predicate
 
-  // kHashAggregate: group key -> members with their cached lifetime
-  // analysis (valid while now < the result's texp — see Apply()).
+  // kHashAggregate: groups hashed on their group-by columns in place (the
+  // key is a member tuple), each with its live members and their cached
+  // lifetime analysis (valid while now < the result's texp — see
+  // Apply()). A per-group node also keeps the member whose row it
+  // emitted. `invalid_caps` holds the change caps of the groups that
+  // invalidate the expression; its first element bounds texp(e).
   struct Group {
-    std::map<Tuple, Timestamp> members;
+    std::vector<Relation::Entry> members;
     PartitionAnalysis analysis;
+    Relation::Entry top;  ///< per-group: the member behind the emitted row
   };
-  std::map<Tuple, Group> groups;
+  std::unordered_map<Tuple, Group, GroupKeyHash, GroupKeyEq> groups;
+  std::multiset<Timestamp> invalid_caps;
+
+  /// Re-derives `g`'s analysis from its members and adds its cap to
+  /// `invalid_caps`.
+  Status Analyze(const PlanNode& n, AggregateExpirationMode mode, Group* g) {
+    std::vector<PartitionEntry> partition;
+    partition.reserve(g->members.size());
+    for (const Relation::Entry& m : g->members) {
+      partition.push_back({&m.tuple, m.texp});
+    }
+    EXPDB_ASSIGN_OR_RETURN(g->analysis,
+                           AnalyzePartition(partition, n.expr->aggregate(),
+                                            mode));
+    if (g->analysis.invalidates_expression) {
+      invalid_caps.insert(g->analysis.change_cap);
+    }
+    return Status::OK();
+  }
+
+  /// Picks the longest-lived of `candidates` into `g->top`; with `rescan`
+  /// the current top is discarded and every member is a candidate.
+  static void PickTop(const std::vector<Relation::Entry>& candidates,
+                      bool rescan, Group* g) {
+    if (rescan) g->top = candidates.front();
+    for (const Relation::Entry& m : candidates) {
+      if (LivesLonger(m.tuple, m.texp, g->top.tuple, g->top.texp)) {
+        g->top = m;
+      }
+    }
+  }
+
+  /// Applies one group's child ops in place, prunes the members dead at
+  /// `now`, re-analyzes the group and emits the change to its rows: at
+  /// most one delete and one insert for a per-group node; for a
+  /// per-member node the touched members' rows, or every row when the
+  /// value or the cap moved.
+  Status UpdateGroup(const PlanNode& n, const Tuple& key,
+                     const std::vector<const DeltaOp*>& ops, Timestamp now,
+                     AggregateExpirationMode mode, DeltaOps* out) {
+    // The net change per touched tuple (nullopt = deleted); the last op on
+    // a tuple wins. Without a delete every op inserts an absent tuple, so
+    // members need no probing (a dead copy left behind is pruned below).
+    std::unordered_map<Tuple, std::optional<Timestamp>> changes;
+    bool has_delete = false;
+    for (const DeltaOp* op : ops) {
+      has_delete |= op->is_delete;
+      changes[op->entry.tuple] =
+          op->is_delete ? std::nullopt
+                        : std::optional<Timestamp>(op->entry.texp);
+    }
+    auto git = groups.find(key);
+    const bool had = git != groups.end();
+    if (!had) git = groups.try_emplace(key).first;
+    Group& g = git->second;
+    const PartitionAnalysis old = g.analysis;
+    const Relation::Entry old_top = g.top;
+    if (had && old.invalidates_expression) {
+      invalid_caps.erase(invalid_caps.find(old.change_cap));
+    }
+
+    // Compact in place: members [0, kept) are unchanged; the old versions
+    // of members that leave or change texp go to `removed`, and their new
+    // versions plus the inserts are appended after `kept`.
+    std::vector<Relation::Entry> removed;
+    std::vector<Relation::Entry> added;
+    size_t kept = 0;
+    bool top_left = !had;  // the emitted row's member left or changed
+    for (size_t i = 0; i < g.members.size(); ++i) {
+      Relation::Entry& m = g.members[i];
+      std::optional<Timestamp> texp = m.texp;
+      if (has_delete) {
+        auto c = changes.find(m.tuple);
+        if (c != changes.end()) {
+          texp = c->second;
+          changes.erase(c);
+        }
+      }
+      if (texp == m.texp && m.texp > now) {
+        if (kept != i) g.members[kept] = std::move(m);
+        ++kept;
+        continue;
+      }
+      if (texp.has_value() && *texp > now) added.push_back({m.tuple, *texp});
+      top_left = top_left || (n.per_group && m.tuple == old_top.tuple);
+      removed.push_back(std::move(m));
+    }
+    g.members.resize(kept);
+    for (auto& [t, texp] : changes) {
+      if (texp.has_value() && *texp > now) added.push_back({t, *texp});
+    }
+    g.members.insert(g.members.end(), added.begin(), added.end());
+
+    auto retract_old = [&]() {
+      if (!had) return;
+      if (n.per_group) {
+        out->push_back({true, AggregateRow(old_top.tuple, old_top.texp, old)});
+        return;
+      }
+      for (size_t i = 0; i < kept; ++i) {
+        out->push_back(
+            {true, AggregateRow(g.members[i].tuple, g.members[i].texp, old)});
+      }
+      for (const Relation::Entry& m : removed) {
+        out->push_back({true, AggregateRow(m.tuple, m.texp, old)});
+      }
+    };
+    if (g.members.empty()) {
+      retract_old();
+      groups.erase(git);
+      return Status::OK();
+    }
+    EXPDB_RETURN_NOT_OK(Analyze(n, mode, &g));
+    const PartitionAnalysis& now_a = g.analysis;
+    if (n.per_group) {
+      // The top only changes to a newcomer unless it left the group.
+      PickTop(top_left ? g.members : added, top_left, &g);
+      const Relation::Entry row = AggregateRow(g.top.tuple, g.top.texp, now_a);
+      if (had) {
+        const Relation::Entry old_row =
+            AggregateRow(old_top.tuple, old_top.texp, old);
+        if (old_row.tuple == row.tuple && old_row.texp == row.texp) {
+          return Status::OK();
+        }
+        out->push_back({true, old_row});
+      }
+      out->push_back({false, row});
+      return Status::OK();
+    }
+    if (had && old.value == now_a.value && old.change_cap == now_a.change_cap) {
+      // The unchanged members keep their rows; only the touched ones move.
+      for (const Relation::Entry& m : removed) {
+        out->push_back({true, AggregateRow(m.tuple, m.texp, old)});
+      }
+      for (const Relation::Entry& m : added) {
+        out->push_back({false, AggregateRow(m.tuple, m.texp, now_a)});
+      }
+      return Status::OK();
+    }
+    retract_old();
+    for (const Relation::Entry& m : g.members) {
+      out->push_back({false, AggregateRow(m.tuple, m.texp, now_a)});
+    }
+    return Status::OK();
+  }
 };
 
 /// Per-Apply round context.
@@ -166,6 +316,8 @@ struct DeltaPropagator::Round {
   /// primary occurrence (first in the executor's left-first DFS order)
   /// computes and owns the state, shadows reuse the ops.
   std::map<int32_t, PropOut> cse;
+  /// Ops emitted by every node this round (shadows counted once).
+  size_t ops_total = 0;
 };
 
 DeltaPropagator::DeltaPropagator(PhysicalPlanPtr plan, EvalOptions options)
@@ -272,20 +424,23 @@ bool DeltaPropagator::Seed(const PlanNode& n, const NodeCapture& capture,
     case PlanOp::kHashAggregate: {
       auto state = std::make_unique<NodeState>();
       const auto& gb = n.expr->group_by();
+      state->groups = decltype(state->groups)(16, GroupKeyHash{&gb},
+                                              GroupKeyEq{&gb});
+      // Consecutive members of one group share one hash lookup.
+      NodeState::Group* run = nullptr;
+      const Tuple* run_key = nullptr;
       for (const auto& e : ChildEntries(*n.left, capture)) {
-        state->groups[e.tuple.Project(gb)].members[e.tuple] = e.texp;
+        if (run == nullptr || !state->groups.key_eq()(*run_key, e.tuple)) {
+          run_key = &e.tuple;
+          run = &state->groups[e.tuple];
+        }
+        run->members.push_back(e);
       }
       for (auto& [key, group] : state->groups) {
-        std::vector<PartitionEntry> partition;
-        partition.reserve(group.members.size());
-        for (auto mit = group.members.begin(); mit != group.members.end();
-             ++mit) {
-          partition.push_back({&mit->first, mit->second});
+        if (!state->Analyze(n, options_.aggregate_mode, &group).ok()) {
+          return false;
         }
-        auto analysis = AnalyzePartition(partition, n.expr->aggregate(),
-                                         options_.aggregate_mode);
-        if (!analysis.ok()) return false;
-        group.analysis = std::move(analysis).value();
+        if (n.per_group) NodeState::PickTop(group.members, true, &group);
       }
       state_[n.id] = std::move(state);
       break;
@@ -343,10 +498,12 @@ size_t DeltaPropagator::MeasureBytes() const {
                  bucket.capacity() * sizeof(Relation::Entry);
       }
     }
+    // Group keys and members borrow their tuples from the child.
     for (const auto& [key, group] : s->groups) {
-      bytes += kNode + owned(key) + sizeof(group) +
-               group.members.size() * kMember;
+      bytes += kNode + sizeof(key) + sizeof(group) +
+               group.members.capacity() * sizeof(Relation::Entry);
     }
+    bytes += s->invalid_caps.size() * (kNode + sizeof(Timestamp));
   }
   return bytes;
 }
@@ -497,6 +654,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
       }
       out.children_texp = Timestamp::Min(left.texp, right.texp);
       out.texp = Timestamp::Min(out.children_texp, tau_r);
+      round->ops_total += out.ops.size();
       if (n.cse_id >= 0) round->cse[n.cse_id] = out;
       return out;
     }
@@ -642,93 +800,22 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
         return Status::Internal("delta: missing aggregate state");
       }
       NodeState& s = *sit->second;
+      // Bucket the child ops by group, in order, keyed on their own tuples'
+      // group-by columns.
       const auto& gb = n.expr->group_by();
-      const AggregateFunction& f = n.expr->aggregate();
-      // Bucket the child ops by group key, preserving order per group.
-      std::map<Tuple, DeltaOps> by_group;
+      std::unordered_map<const Tuple*, std::vector<const DeltaOp*>,
+                         GroupKeyHash, GroupKeyEq>
+          by_group(16, GroupKeyHash{&gb}, GroupKeyEq{&gb});
       for (const auto& op : child.ops) {
-        by_group[op.entry.tuple.Project(gb)].push_back(op);
+        by_group[&op.entry.tuple].push_back(&op);
       }
-      for (auto& [key, group_ops] : by_group) {
-        auto git = s.groups.find(key);
-        const bool had = git != s.groups.end();
-        std::map<Tuple, Timestamp> members =
-            had ? git->second.members : std::map<Tuple, Timestamp>{};
-        const std::map<Tuple, Timestamp> old_members = members;
-        const PartitionAnalysis old_analysis =
-            had ? git->second.analysis : PartitionAnalysis{};
-        for (const auto& op : group_ops) {
-          if (op.is_delete) {
-            members.erase(op.entry.tuple);
-          } else {
-            members[op.entry.tuple] = op.entry.texp;
-          }
-        }
-        std::vector<PartitionEntry> live;
-        for (auto mit = members.begin(); mit != members.end(); ++mit) {
-          if (mit->second > round->now) {
-            live.push_back({&mit->first, mit->second});
-          }
-        }
-        if (live.empty()) {
-          // The group died: retract every previously-emitted output.
-          if (had) {
-            for (const auto& [t, x] : old_members) {
-              out.ops.push_back(
-                  {true,
-                   {t.Append(old_analysis.value),
-                    Timestamp::Min(x, old_analysis.change_cap)}});
-            }
-            s.groups.erase(git);
-          }
-          continue;
-        }
-        EXPDB_ASSIGN_OR_RETURN(
-            PartitionAnalysis analysis,
-            AnalyzePartition(live, f, options_.aggregate_mode));
-        if (had && analysis.value == old_analysis.value &&
-            analysis.change_cap == old_analysis.change_cap) {
-          // Fast path: the partition's value and cap are unchanged, so
-          // only the touched members' outputs move.
-          for (const auto& op : group_ops) {
-            out.ops.push_back(
-                {op.is_delete,
-                 {op.entry.tuple.Append(analysis.value),
-                  Timestamp::Min(op.entry.texp, analysis.change_cap)}});
-          }
-          git->second.members = std::move(members);
-          git->second.analysis = analysis;
-        } else {
-          // Full per-group replay: retract all old outputs, emit all new
-          // ones, and prune the membership to the live set.
-          if (had) {
-            for (const auto& [t, x] : old_members) {
-              out.ops.push_back(
-                  {true,
-                   {t.Append(old_analysis.value),
-                    Timestamp::Min(x, old_analysis.change_cap)}});
-            }
-          }
-          std::map<Tuple, Timestamp> pruned;
-          for (const auto& e : live) {
-            pruned[*e.tuple] = e.texp;
-            out.ops.push_back(
-                {false,
-                 {e.tuple->Append(analysis.value),
-                  Timestamp::Min(e.texp, analysis.change_cap)}});
-          }
-          NodeState::Group& g = s.groups[key];
-          g.members = std::move(pruned);
-          g.analysis = analysis;
-        }
+      for (const auto& [key, group_ops] : by_group) {
+        EXPDB_RETURN_NOT_OK(s.UpdateGroup(n, *key, group_ops, round->now,
+                                          options_.aggregate_mode, &out.ops));
       }
-      Timestamp caps = Timestamp::Infinity();
-      for (const auto& [key, g] : s.groups) {
-        if (g.analysis.invalidates_expression) {
-          caps = Timestamp::Min(caps, g.analysis.change_cap);
-        }
-      }
-      out.texp = Timestamp::Min(child.texp, caps);
+      out.texp = Timestamp::Min(child.texp, s.invalid_caps.empty()
+                                                ? Timestamp::Infinity()
+                                                : *s.invalid_caps.begin());
       break;
     }
     case PlanOp::kCrossProduct:
@@ -737,6 +824,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
   }
 
   out.children_texp = out.texp;
+  round->ops_total += out.ops.size();
   if (n.cse_id >= 0) round->cse[n.cse_id] = out;
   return out;
 }
@@ -756,7 +844,7 @@ Result<DeltaPropagator::ApplyResult> DeltaPropagator::Apply(
     }
   }
 
-  Round round{now, &base_ops, {}};
+  Round round{now, &base_ops, {}, 0};
   EXPDB_ASSIGN_OR_RETURN(PropOut root, Propagate(plan_->root(), &round));
 
   ApplyResult result;
@@ -765,6 +853,7 @@ Result<DeltaPropagator::ApplyResult> DeltaPropagator::Apply(
   result.children_texp = root.children_texp;
   result.ops_in = ops_in;
   result.ops_out = result.root_ops.size();
+  result.ops_total = round.ops_total;
   const PlanNode& root_node = plan_->root();
   if (root_node.op == PlanOp::kHashDifference && !root_node.const_false) {
     result.root_is_difference = true;

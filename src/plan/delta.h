@@ -5,8 +5,10 @@
 // materializations of one execution (plan/executor.h NodeCapture). When a
 // base relation records explicit mutations (Relation::DeltasSince), the
 // DeltaPropagator pushes them node-by-node through the cached plan,
-// emitting the net change to the root materialization — O(|delta|) work
-// instead of the O(|base|) full recomputation.
+// emitting the net change to the root materialization — O(|delta| + size
+// of the touched aggregate groups) work instead of the O(|base|) full
+// recomputation. A per-group aggregate (PlanNode::per_group) emits at most
+// one delete and one insert per touched group.
 //
 // The op-stream contract every operator maintains:
 //  * an insert means the tuple was semantically absent from the node's
@@ -77,7 +79,7 @@ bool PlanSupportsDelta(const PhysicalPlan& plan, const EvalOptions& options);
 ///
 /// Seeded from one execution's NodeCapture, the propagator keeps the
 /// auxiliary per-node state incremental maintenance needs (join key
-/// buckets, projection support counts, aggregate partitions with their
+/// buckets, projection support counts, aggregate groups with their
 /// lifetime analyses, difference criticals) and translates each batch of
 /// base mutations into the net op stream on the root materialization.
 class DeltaPropagator {
@@ -98,6 +100,9 @@ class DeltaPropagator {
     bool root_is_difference = false;
     size_t ops_in = 0;   ///< base-relation ops consumed
     size_t ops_out = 0;  ///< root ops emitted
+    /// Ops emitted by every node of the plan this round, the root's
+    /// included: the work the round moved through the plan.
+    size_t ops_total = 0;
   };
 
   /// \brief Builds a propagator for `plan`, seeding per-node state from

@@ -819,24 +819,25 @@ class PlanExecutor {
     // φexp (Eq. 7): partitioning by equality on the grouping attributes
     // (SQL GROUP BY), hashing/comparing the key columns in place — no key
     // tuple is materialized.
-    struct KeyHash {
-      const std::vector<size_t>* cols;
-      size_t operator()(const Tuple* t) const {
-        return t->HashOfColumns(*cols);
-      }
-    };
-    struct KeyEq {
-      const std::vector<size_t>* cols;
-      bool operator()(const Tuple* a, const Tuple* b) const {
-        for (size_t c : *cols) {
-          if (a->at(c) != b->at(c)) return false;
-        }
-        return true;
-      }
-    };
     using GroupMap = std::unordered_map<const Tuple*,
-                                        std::vector<PartitionEntry>, KeyHash,
-                                        KeyEq>;
+                                        std::vector<PartitionEntry>,
+                                        GroupKeyHash, GroupKeyEq>;
+    // Consecutive members of one group (all of them, without GROUP BY)
+    // share one hash lookup.
+    struct Grouper {
+      explicit Grouper(const std::vector<size_t>* cols)
+          : groups(16, GroupKeyHash{cols}, GroupKeyEq{cols}) {}
+      GroupMap groups;
+      const Tuple* run_key = nullptr;
+      std::vector<PartitionEntry>* run = nullptr;
+      void Add(const Relation::Entry& en) {
+        if (run == nullptr || !groups.key_eq()(run_key, &en.tuple)) {
+          run_key = &en.tuple;
+          run = &groups[run_key];
+        }
+        run->push_back({&en.tuple, en.texp});
+      }
+    };
 
     struct AggLocal {
       std::vector<Relation::Entry> result;
@@ -857,13 +858,22 @@ class PlanExecutor {
           return;
         }
         const PartitionAnalysis& analysis = analyzed.value();
-        for (const PartitionEntry& entry : partition) {
-          // Eq. (8)/(9) with the source-tuple cap (see aggregate.h): the
-          // result tuple dies with its source tuple or when the
-          // partition's aggregate value changes, whichever is earlier.
+        if (n.per_group) {
+          // The projection above keeps only the longest-lived member's
+          // row (see PlanNode::per_group); the others are never built.
+          const PartitionEntry* top = &partition.front();
+          for (const PartitionEntry& entry : partition) {
+            if (LivesLonger(*entry.tuple, entry.texp, *top->tuple, top->texp)) {
+              top = &entry;
+            }
+          }
           local->result.push_back(
-              {entry.tuple->Append(analysis.value),
-               Timestamp::Min(entry.texp, analysis.change_cap)});
+              AggregateRow(*top->tuple, top->texp, analysis));
+        } else {
+          for (const PartitionEntry& entry : partition) {
+            local->result.push_back(
+                AggregateRow(*entry.tuple, entry.texp, analysis));
+          }
         }
         if (analysis.invalidates_expression) {
           local->texp_cap =
@@ -879,11 +889,9 @@ class PlanExecutor {
                          ? runner_.workers()
                          : 1;
     if (P == 1) {
-      GroupMap groups(16, KeyHash{&gb}, KeyEq{&gb});
-      for (const Relation::Entry& en : entries) {
-        groups[&en.tuple].push_back({&en.tuple, en.texp});
-      }
-      replay_groups(groups, &total);
+      Grouper g(&gb);
+      for (const Relation::Entry& en : entries) g.Add(en);
+      replay_groups(g.groups, &total);
     } else {
       // Phase 1 — scatter: P static chunks route entry pointers into
       // per-chunk, per-partition buckets by group-key hash (chunks are
@@ -906,14 +914,12 @@ class PlanExecutor {
       std::mutex mu;
       runner_.RunTasks(P, [&](size_t pb, size_t pe) {
         for (size_t p = pb; p < pe; ++p) {
-          GroupMap groups(16, KeyHash{&gb}, KeyEq{&gb});
+          Grouper g(&gb);
           for (size_t c = 0; c < P; ++c) {
-            for (const Relation::Entry* en : scat[c][p]) {
-              groups[&en->tuple].push_back({&en->tuple, en->texp});
-            }
+            for (const Relation::Entry* en : scat[c][p]) g.Add(*en);
           }
           AggLocal local;
-          replay_groups(groups, &local);
+          replay_groups(g.groups, &local);
           std::lock_guard<std::mutex> lock(mu);
           total.result.insert(total.result.end(),
                               std::make_move_iterator(local.result.begin()),
@@ -930,7 +936,8 @@ class PlanExecutor {
     EXPDB_RETURN_NOT_OK(total.status);
 
     MaterializedResult out;
-    // Source tuples are unique and each contributes one result tuple.
+    // Source tuples are unique and each contributes at most one result
+    // tuple.
     out.relation = Relation::FromEntriesUnchecked(std::move(schema),
                                                   std::move(total.result));
     Timestamp texp_e = Timestamp::Min(child.texp, total.texp_cap);
@@ -1125,6 +1132,18 @@ class PlanExecutor {
 };
 
 }  // namespace
+
+Relation::Entry AggregateRow(const Tuple& member, Timestamp texp,
+                             const PartitionAnalysis& analysis) {
+  // The row dies with its source tuple or when the partition's aggregate
+  // value changes, whichever is earlier.
+  return {member.Append(analysis.value),
+          Timestamp::Min(texp, analysis.change_cap)};
+}
+
+bool LivesLonger(const Tuple& a, Timestamp xa, const Tuple& b, Timestamp xb) {
+  return xa != xb ? xa > xb : a < b;
+}
 
 size_t ResolveWorkers(size_t parallelism) {
   if (parallelism == 1) return 1;

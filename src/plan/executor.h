@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/result.h"
 #include "core/eval.h"
@@ -25,6 +26,36 @@ namespace plan {
 /// EvalOptions::parallelism -> worker count: 1 stays serial, 0 sizes to
 /// the hardware (>= 2), anything else is the worker count.
 size_t ResolveWorkers(size_t parallelism);
+
+/// \brief Hash and equality of a tuple's group-by columns, taken in place:
+/// aggregation never materializes a group key (φexp, Eq. 7).
+struct GroupKeyHash {
+  const std::vector<size_t>* cols = nullptr;
+  size_t operator()(const Tuple& t) const { return t.HashOfColumns(*cols); }
+  size_t operator()(const Tuple* t) const { return (*this)(*t); }
+};
+struct GroupKeyEq {
+  const std::vector<size_t>* cols = nullptr;
+  bool operator()(const Tuple& a, const Tuple& b) const {
+    for (size_t c : *cols) {
+      if (a.at(c) != b.at(c)) return false;
+    }
+    return true;
+  }
+  bool operator()(const Tuple* a, const Tuple* b) const {
+    return (*this)(*a, *b);
+  }
+};
+
+/// \brief Member r's aggregation row r ⧺ f(P), expiring at
+/// min(texp_R(r), change_cap) — Eq. (8)/(9) with the source-tuple cap
+/// (core/aggregate.h).
+Relation::Entry AggregateRow(const Tuple& member, Timestamp texp,
+                             const PartitionAnalysis& analysis);
+
+/// \brief The order that picks a per-group node's row: (a, xa) lives
+/// longer than (b, xb) when xa > xb; equal texps go to the smaller tuple.
+bool LivesLonger(const Tuple& a, Timestamp xa, const Tuple& b, Timestamp xb);
 
 /// \brief Per-node materializations captured during one plan execution —
 /// the seed state for incremental (delta-driven) maintenance of the plan

@@ -132,6 +132,7 @@ void RenderNode(const PlanNode& n, const PlanProfile* profile,
   if (n.cse_id >= 0) *out += ", cse=#" + std::to_string(n.cse_id);
   if (n.parallel) *out += ", parallel";
   *out += "]";
+  if (n.per_group) *out += " [per-group]";
   if (!n.const_false && NodeSupportsDelta(n, eval)) *out += " [incremental]";
   if (profile != nullptr && n.id < profile->nodes.size()) {
     const PlanProfile::NodeStats& s = profile->at(n.id);

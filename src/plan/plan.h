@@ -96,6 +96,12 @@ struct PlanNode {
   /// per-segment outcome as `[segments: live/checked/pruned]`, followed by
   /// `, N skipped` when a fused filter skipped N segments by predicate.
   bool partition_aware = false;
+  /// kHashAggregate only: the node's one consumer is a Project that reads
+  /// nothing but the group-by columns and the aggregate column, so the
+  /// node emits one row per group — the longest-lived member's — instead
+  /// of one per member (docs/ALGEBRA.md, "Aggregation under its
+  /// projection"). EXPLAIN renders `[per-group]`.
+  bool per_group = false;
 };
 
 /// \brief Per-node execution statistics for EXPLAIN ANALYZE, indexed by

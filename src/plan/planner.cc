@@ -226,6 +226,30 @@ void AssignCommonSubtrees(PlanNode* root) {
   }
 }
 
+/// Marks every aggregate whose one consumer is a projection onto its
+/// group-by columns and its aggregate column as per-group. Under such a
+/// projection every member row of a group projects onto the same tuple,
+/// and Eq. (3) keeps the latest texp among them: min(texp_R(r), cap) is
+/// largest for the longest-lived member r, so that member's row is the
+/// only one the projection can see. The identity holds under every
+/// EvalOptions (tolerance and validity tracking change the cap and the
+/// expression's validity, never which member row survives), so the mark
+/// is final at plan time. A common-subtree aggregate is read by several
+/// consumers and keeps its member rows.
+void MarkPerGroup(PlanNode* n) {
+  if (n->op == PlanOp::kProject && n->left->op == PlanOp::kHashAggregate &&
+      n->left->cse_id < 0) {
+    const std::vector<size_t>& gb = n->left->expr->group_by();
+    const size_t value_col = n->left->schema.arity() - 1;
+    const std::vector<size_t>& cols = n->expr->projection();
+    n->left->per_group = std::all_of(cols.begin(), cols.end(), [&](size_t c) {
+      return c == value_col || std::find(gb.begin(), gb.end(), c) != gb.end();
+    });
+  }
+  if (n->left != nullptr) MarkPerGroup(n->left.get());
+  if (n->right != nullptr) MarkPerGroup(n->right.get());
+}
+
 }  // namespace
 
 Result<PhysicalPlanPtr> Planner::Plan(const ExpressionPtr& expr,
@@ -254,6 +278,7 @@ Result<PhysicalPlanPtr> Planner::Plan(const ExpressionPtr& expr,
   EXPDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> root,
                          builder.Build(planned));
   if (options.detect_common_subtrees) AssignCommonSubtrees(root.get());
+  MarkPerGroup(root.get());
 
   PlannerOptions stored = options;
   stored.rewrite_report = nullptr;  // not owned by the plan

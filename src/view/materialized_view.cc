@@ -272,6 +272,7 @@ Result<bool> MaterializedView::TryApplyDeltas(const Database& db,
   metrics_.delta_tuples.Increment(applied.ops_out);
   LogViewEvent(name_, "delta_apply",
                {{"tuples", std::to_string(applied.ops_out)},
+                {"ops_total", std::to_string(applied.ops_total)},
                 {"texp", result_.texp.ToString()}});
   UpdateGauges();
   return true;

@@ -182,6 +182,26 @@ TEST_F(ExplainTest, AnalyzeOmitsSegmentsForFlatRelations) {
   EXPECT_FALSE(Contains(rendered, "[segments:")) << rendered;
 }
 
+TEST_F(ExplainTest, AnalyzePerGroupCountEmitsOneRow) {
+  // COUNT(*) sits under a projection onto its aggregate column, so the
+  // aggregate emits one row for its one group instead of 4 096.
+  sql::Session s;
+  ASSERT_TRUE(s.Execute("CREATE TABLE t (k INT)").ok());
+  Relation* t = s.db().GetRelation("t").value();
+  for (int64_t i = 0; i < 4096; ++i) {
+    ASSERT_TRUE(t->Insert(Tuple{i}, T(100 + i)).ok());
+  }
+  auto r = s.Execute("EXPLAIN ANALYZE SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(Contains(r->message,
+                       "#2 HashAggregate [group=, f=count, est=4096] "
+                       "[per-group] [incremental] (rows=1, "))
+      << r->message;
+  EXPECT_TRUE(Contains(r->message, "#1 Project [cols=$2, est=4096] "
+                                   "[incremental] (rows=1, "))
+      << r->message;
+}
+
 // --- one golden per rewrite rule ------------------------------------------
 
 TEST_F(ExplainTest, RewriteMergeSelects) {
