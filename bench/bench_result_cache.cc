@@ -24,11 +24,20 @@
 //     patch touches one group and moves one row per touched group
 //     through the aggregate (its plan is per-group), so it must cost less
 //     than the recomputation beside it.
+//   * ConcurrentWarmHits/0 and /1 at 1, 2 and 4 threads — each thread
+//     has its own Session over one shared Engine and SELECTs one of 16
+//     cached point queries on an 8 k-row table. /0 hits unpatched; /1
+//     inserts or deletes one row of the queried value (under the write
+//     lock) before each SELECT, so every hit is patched first. Shows
+//     whether concurrent cache hits run in parallel or queue.
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "engine/engine.h"
 #include "sql/session.h"
 
 namespace {
@@ -203,6 +212,65 @@ void BM_GroupCountUncached(benchmark::State& state) {
   CountAfterInserts(state, kGroupCount, kGroups, /*cached=*/false);
 }
 BENCHMARK(BM_GroupCountUncached)->Arg(16384);
+
+constexpr int64_t kWarmQueries = 16;
+
+std::string WarmQuery(int64_t v) {
+  return "SELECT * FROM t WHERE v = " + std::to_string(v);
+}
+
+/// The engine every ConcurrentWarmHits thread shares; built by Setup
+/// before the threads start, released by Teardown after they join.
+std::shared_ptr<engine::Engine> g_warm_engine;
+
+void SetupWarmEngine(const benchmark::State&) {
+  g_warm_engine = std::make_shared<engine::Engine>();
+  sql::Session s(g_warm_engine);
+  (void)s.Execute("CREATE TABLE t (k INT, v INT)");
+  Relation* r = s.db().GetRelation("t").value();
+  for (int64_t i = 0; i < 8192; ++i) {
+    (void)r->Insert(Tuple{i, i % 97}, Timestamp(1000000 + i));
+  }
+  for (int64_t v = 0; v < kWarmQueries; ++v) {
+    (void)s.Execute(WarmQuery(v));  // first sighting
+    (void)s.Execute(WarmQuery(v));  // fill
+  }
+}
+
+void TeardownWarmEngine(const benchmark::State&) { g_warm_engine.reset(); }
+
+void BM_ConcurrentWarmHits(benchmark::State& state) {
+  const bool patched = state.range(0) == 1;
+  sql::Session s(g_warm_engine);
+  std::vector<std::string> queries;
+  for (int64_t v = 0; v < kWarmQueries; ++v) queries.push_back(WarmQuery(v));
+  // Each thread owns one row key, so its inserts and deletes alternate.
+  const int64_t own_key = 1000000 + state.thread_index();
+  int64_t i = state.thread_index();
+  for (auto _ : state) {
+    const int64_t v = i++ % kWarmQueries;
+    if (patched) {
+      engine::Engine::WriteGuard g = g_warm_engine->LockWrite("t");
+      Relation* r = g_warm_engine->db().GetRelation("t").value();
+      const Tuple row{own_key, v};
+      if (!r->Erase(row)) (void)r->Insert(row, Timestamp::Infinity());
+    }
+    auto hit = s.Execute(queries[static_cast<size_t>(v)]);
+    Must(hit, state);
+    benchmark::DoNotOptimize(hit);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(patched ? "patched after a write" : "unpatched");
+}
+BENCHMARK(BM_ConcurrentWarmHits)
+    ->Arg(0)
+    ->Arg(1)
+    ->Setup(SetupWarmEngine)
+    ->Teardown(TeardownWarmEngine)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -212,14 +212,36 @@ std::string ResultCacheKey(const std::string& fingerprint,
 
 size_t EstimateResultBytes(const Relation& relation) {
   // Fixed per-entry overhead (plan + cursors + map/list nodes) plus the
-  // materialization: entry structs, inline values, string payloads, and
-  // ~50% hash-index headroom on the entry storage.
+  // materialization's rows.
   size_t bytes = 512 + sizeof(Relation);
   for (const Relation::Entry& e : relation.entries()) {
-    const size_t entry = sizeof(Relation::Entry) + TuplePayloadBytes(e.tuple);
-    bytes += entry + entry / 2;
+    bytes += ResultEntryBytes(e.tuple);
   }
   return bytes;
+}
+
+const char* ResultCache::MissReasonName(MissReason reason) {
+  switch (reason) {
+    case MissReason::kAbsent:
+      return "absent";
+    case MissReason::kLapsed:
+      return "lapsed";
+    case MissReason::kBaseGone:
+      return "base_gone";
+    case MissReason::kInstanceChurn:
+      return "instance_churn";
+    case MissReason::kNoPropagator:
+      return "no_propagator";
+    case MissReason::kHistoryTrimmed:
+      return "history_trimmed";
+    case MissReason::kPatchFailed:
+      return "patch_failed";
+    case MissReason::kLapsedAfterPatch:
+      return "lapsed_after_patch";
+    case MissReason::kEvictedByPatch:
+      return "evicted_by_patch";
+  }
+  return "unknown";
 }
 
 ResultCache::ResultCache() {
@@ -230,6 +252,12 @@ ResultCache::ResultCache() {
   misses_total_ = reg.GetCounter("expdb_result_cache_misses_total",
                                  "Result-cache lookups that fell through to "
                                  "execution");
+  for (size_t r = 0; r < kMissReasons; ++r) {
+    const std::string name = MissReasonName(static_cast<MissReason>(r));
+    const std::string metric = "expdb_result_cache_misses_" + name + "_total";
+    const std::string help = "Result-cache misses for reason " + name;
+    miss_reason_totals_[r] = reg.GetCounter(metric, help);
+  }
   patches_total_ = reg.GetCounter(
       "expdb_result_cache_patches_total",
       "Result-cache hits served after delta patching the entry");
@@ -256,7 +284,7 @@ void ResultCache::set_max_bytes(size_t bytes) {
     Clear();
     return;
   }
-  std::vector<Entry> dropped;  // destroyed after mu_ is released
+  std::vector<EntryPtr> dropped;  // destroyed after mu_ is released
   std::lock_guard<std::mutex> guard(mu_);
   max_bytes_.store(bytes, std::memory_order_relaxed);
   if (bytes_ > bytes) EvictFor(0, nullptr, &dropped);
@@ -279,40 +307,46 @@ void ResultCache::Admit(uint64_t hash) {
                       std::memory_order_relaxed);
 }
 
+void ResultCache::SetBytes(size_t bytes) {
+  bytes_ = bytes;
+  bytes_gauge_.Set(static_cast<int64_t>(bytes_));
+}
+
 void ResultCache::DropEntry(EntryMap::iterator it,
-                            std::vector<Entry>* dropped) {
+                            std::vector<EntryPtr>* dropped) {
   // The key had earned its place: whatever dropped it (lapse, churn,
   // broken history, failed patch, eviction, DDL), its next fill is
   // admitted without a fresh second sighting.
   Admit(KeyHash(it->first));
-  bytes_ -= it->second.bytes;
-  bytes_gauge_.Set(static_cast<int64_t>(bytes_));
-  lru_.erase(it->second.lru_it);
+  SetBytes(bytes_ - it->second->bytes);
+  lru_.erase(it->second->lru_it);
   dropped->push_back(std::move(it->second));
   entries_.erase(it);
 }
 
+void ResultCache::Evict(EntryMap::iterator it,
+                        std::vector<EntryPtr>* dropped) {
+  ++evictions_;
+  evictions_total_->Increment();
+  LogCacheEvent("cache_evict",
+                {{"entry_bytes", std::to_string(it->second->bytes)},
+                 {"cache_bytes", std::to_string(bytes_)},
+                 {"budget", std::to_string(max_bytes())}});
+  DropEntry(it, dropped);
+}
+
 void ResultCache::EvictFor(size_t need, const std::string* keep,
-                           std::vector<Entry>* dropped) {
-  const size_t max_bytes = max_bytes_.load(std::memory_order_relaxed);
-  while (bytes_ + need > max_bytes && !lru_.empty()) {
-    std::string victim = lru_.back();
-    if (keep != nullptr && victim == *keep) {
+                           std::vector<EntryPtr>* dropped) {
+  while (bytes_ + need > max_bytes() && !lru_.empty()) {
+    auto it = entries_.find(lru_.back());
+    if (keep != nullptr && it->first == *keep) {
       // The protected entry is the LRU tail; nothing older to evict.
       if (lru_.size() == 1) return;
       // Rotate it to the front so older-than-it entries can go.
-      auto it = entries_.find(victim);
-      Touch(&it->second);
+      Touch(it->second.get());
       continue;
     }
-    auto it = entries_.find(victim);
-    ++evictions_;
-    evictions_total_->Increment();
-    LogCacheEvent("cache_evict",
-                  {{"entry_bytes", std::to_string(it->second.bytes)},
-                   {"cache_bytes", std::to_string(bytes_)},
-                   {"budget", std::to_string(max_bytes)}});
-    DropEntry(it, dropped);
+    Evict(it, dropped);
   }
 }
 
@@ -320,96 +354,132 @@ void ResultCache::Touch(Entry* entry) {
   lru_.splice(lru_.begin(), lru_, entry->lru_it);
 }
 
-void ResultCache::CountMiss() {
-  ++misses_;
+std::optional<MaterializedResult> ResultCache::Miss(MissReason reason) {
+  const size_t r = static_cast<size_t>(reason);
+  misses_[r].fetch_add(1, std::memory_order_relaxed);
   misses_total_->Increment();
+  miss_reason_totals_[r]->Increment();
+  LogCacheEvent("cache_miss", {{"reason", MissReasonName(reason)}});
+  return std::nullopt;
 }
 
-std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
-                                                      const Database& db,
-                                                      Timestamp now) {
-  obs::ScopedSpan span("sql.result_cache.lookup", lookup_latency_);
-  std::vector<Entry> dropped;  // destroyed after mu_ is released
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = entries_.find(key);
-  // Counts a miss, dropping the entry when there is one.
-  auto miss = [&]() -> std::optional<MaterializedResult> {
-    if (it != entries_.end()) DropEntry(it, &dropped);
-    CountMiss();
-    return std::nullopt;
+std::optional<ResultCache::MissReason> ResultCache::Refresh(
+    Entry* e, const Database& db, Timestamp now, bool* patched) {
+  if (e->dead.has_value()) return e->dead;
+  auto miss = [e](MissReason reason) {
+    e->dead = reason;
+    return reason;
   };
-  if (it == entries_.end()) {
-    RecordSighting(KeyHash(key));
-    return miss();
-  }
-  Entry& e = it->second;
   // Lapsed materialization: Theorem 2's identity window is over, and the
   // propagator's cached analyses lapse with it.
-  if (!(now < e.result.texp)) {
-    return miss();
-  }
+  if (!(now < e->result.texp)) return miss(MissReason::kLapsed);
   std::vector<BaseDelta> deltas;
-  bool drifted = false;
-  for (auto& [name, cursor] : e.bases) {
+  for (auto& [name, cursor] : e->bases) {
     auto rel = db.GetRelation(name);
-    if (!rel.ok()) {
-      return miss();
-    }
+    if (!rel.ok()) return miss(MissReason::kBaseGone);
     const Relation* base = rel.value();
     // Instance churn = a different body of data under the name; an epoch
     // bump with a broken/trimmed history (Clear(), ring overflow) shows
     // up as DeltasSince -> nullopt below. Either way: never serve stale.
     if (base->delta_instance_id() == 0 ||
         base->delta_instance_id() != cursor.instance_id) {
-      return miss();
+      return miss(MissReason::kInstanceChurn);
     }
     if (base->delta_epoch() == cursor.epoch) continue;
-    drifted = true;
-    if (e.propagator == nullptr) {
-      return miss();
-    }
+    if (e->propagator == nullptr) return miss(MissReason::kNoPropagator);
     auto batches = base->DeltasSince(cursor.epoch);
-    if (!batches.has_value()) {
-      return miss();
-    }
+    if (!batches.has_value()) return miss(MissReason::kHistoryTrimmed);
     deltas.push_back({name, std::move(*batches)});
   }
-  if (drifted) {
-    auto applied = e.propagator->Apply(deltas, now);
-    if (!applied.ok()) {
-      return miss();
-    }
-    DeltaPropagator::ApplyOps(applied.value().root_ops, &e.result.relation);
-    e.result.texp = applied.value().texp;
-    e.result.materialized_at = now;
-    e.result.validity = IntervalSet(now, e.result.texp);
-    if (!(now < e.result.texp)) {
-      return miss();
-    }
-    for (auto& [name, cursor] : e.bases) {
-      auto rel = db.GetRelation(name);
-      if (rel.ok()) cursor = rel.value()->delta_cursor();
-    }
-    const size_t new_bytes =
-        EstimateResultBytes(e.result.relation) + e.propagator->EstimateBytes();
-    bytes_ += new_bytes - e.bytes;
-    e.bytes = new_bytes;
-    bytes_gauge_.Set(static_cast<int64_t>(bytes_));
-    ++patches_;
-    patches_total_->Increment();
-    LogCacheEvent("cache_patch",
-                  {{"ops", std::to_string(applied.value().ops_out)},
-                   {"ops_total", std::to_string(applied.value().ops_total)},
-                   {"texp", e.result.texp.ToString()}});
-    if (bytes_ > max_bytes()) EvictFor(0, &key, &dropped);
-    // The patch may have evicted this very entry when it no longer fits.
-    it = entries_.find(key);
-    if (it == entries_.end()) return miss();
+  if (deltas.empty()) return std::nullopt;
+  auto applied = e->propagator->Apply(deltas, now);
+  if (!applied.ok()) return miss(MissReason::kPatchFailed);
+  const int64_t delta_bytes =
+      DeltaPropagator::ApplyOps(applied.value().root_ops, &e->result.relation);
+  e->result_bytes += static_cast<size_t>(delta_bytes);
+  e->result.texp = applied.value().texp;
+  e->result.materialized_at = now;
+  e->result.validity = IntervalSet(now, e->result.texp);
+  e->texp.store(e->result.texp, std::memory_order_relaxed);
+  if (!(now < e->result.texp)) return miss(MissReason::kLapsedAfterPatch);
+  for (auto& [name, cursor] : e->bases) {
+    cursor = db.GetRelation(name).value()->delta_cursor();
   }
-  Touch(&it->second);
-  ++hits_;
+  e->charge.store(e->result_bytes + e->propagator->EstimateBytes(),
+                  std::memory_order_relaxed);
+  LogCacheEvent("cache_patch",
+                {{"ops", std::to_string(applied.value().ops_out)},
+                 {"ops_total", std::to_string(applied.value().ops_total)},
+                 {"texp", e->result.texp.ToString()}});
+  *patched = true;
+  return std::nullopt;
+}
+
+std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
+                                                      const Database& db,
+                                                      Timestamp now) {
+  obs::ScopedSpan span("sql.result_cache.lookup", lookup_latency_);
+  // 1. Under mu_: find and pin the entry.
+  EntryPtr entry;
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      RecordSighting(KeyHash(key));
+    } else {
+      entry = it->second;
+      Touch(entry.get());
+    }
+  }
+  if (entry == nullptr) return Miss(MissReason::kAbsent);
+
+  // 2. Under the entry mutex only: validate, patch, copy what is served.
+  std::optional<MissReason> missed;
+  bool patched = false;
+  std::optional<MaterializedResult> served;
+  {
+    std::lock_guard<std::mutex> guard(entry->mu);
+    missed = Refresh(entry.get(), db, now, &patched);
+    if (!missed.has_value()) {
+      const MaterializedResult& cached = entry->result;
+      MaterializedResult& out = served.emplace();
+      out.relation = cached.relation.UnexpiredAt(now);
+      out.materialized_at = cached.materialized_at;
+      out.texp = cached.texp;
+      out.validity = cached.validity;
+    }
+  }
+
+  // 3. Back under mu_ only when the outcome changes cache-wide state. A
+  // detached entry (replaced, evicted, cleared) is no longer charged.
+  if (missed.has_value() || patched) {
+    std::vector<EntryPtr> dropped;  // destroyed after mu_ is released
+    std::lock_guard<std::mutex> guard(mu_);
+    auto it = entries_.find(key);
+    if (it != entries_.end() && it->second == entry) {
+      if (missed.has_value()) {
+        DropEntry(it, &dropped);
+      } else {
+        const size_t charge = entry->charge.load(std::memory_order_relaxed);
+        SetBytes(bytes_ - entry->bytes + charge);
+        entry->bytes = charge;
+        if (charge > max_bytes()) {
+          Evict(it, &dropped);
+          missed = MissReason::kEvictedByPatch;
+        } else if (bytes_ > max_bytes()) {
+          EvictFor(0, &key, &dropped);
+        }
+      }
+    }
+  }
+  if (missed.has_value()) return Miss(*missed);
+  if (patched) {
+    patches_.fetch_add(1, std::memory_order_relaxed);
+    patches_total_->Increment();
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
   hits_total_->Increment();
-  return it->second.result;
+  return served;
 }
 
 void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
@@ -431,7 +501,7 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
   // The whole entry is built before mu_ is taken: the cursors stay put
   // under the caller's reader locks, and the byte estimate and propagator
   // seeding read only this execution's state.
-  Entry e;
+  auto e = std::make_shared<Entry>();
   for (const std::string& name : plan->planned_expr()->BaseRelationNames()) {
     auto rel = db.GetRelation(name);
     if (!rel.ok()) return;
@@ -439,39 +509,40 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
     // serve stale data after the first INSERT/DELETE; enabling is
     // idempotent and metadata-only (allowed through const access).
     rel.value()->EnableDeltaTracking();
-    e.bases.emplace_back(name, rel.value()->delta_cursor());
+    e->bases.emplace_back(name, rel.value()->delta_cursor());
   }
-  e.bytes = EstimateResultBytes(result.relation);
-  if (e.bytes > max_bytes()) return;
+  e->result_bytes = EstimateResultBytes(result.relation);
+  e->bytes = e->result_bytes;
+  if (e->bytes > max_bytes()) return;
   if (capture != nullptr) {
-    e.propagator =
+    e->propagator =
         DeltaPropagator::Create(plan, *capture, plan->options().eval);
-    if (e.propagator != nullptr) e.bytes += e.propagator->EstimateBytes();
-    if (e.bytes > max_bytes()) return;
+    if (e->propagator != nullptr) e->bytes += e->propagator->EstimateBytes();
+    if (e->bytes > max_bytes()) return;
   }
-  e.plan = std::move(plan);
-  e.result = std::move(result);
+  e->charge.store(e->bytes, std::memory_order_relaxed);
+  e->texp.store(result.texp, std::memory_order_relaxed);
+  e->result = std::move(result);
 
-  std::vector<Entry> dropped;  // destroyed after mu_ is released
+  std::vector<EntryPtr> dropped;  // destroyed after mu_ is released
   std::lock_guard<std::mutex> guard(mu_);
   // The budget may have shrunk (or been disabled) since the check above.
-  if (e.bytes > max_bytes()) return;
+  if (e->bytes > max_bytes()) return;
   auto existing = entries_.find(key);
   if (existing != entries_.end()) DropEntry(existing, &dropped);
-  EvictFor(e.bytes, nullptr, &dropped);
+  EvictFor(e->bytes, nullptr, &dropped);
   lru_.push_front(key);
-  e.lru_it = lru_.begin();
-  bytes_ += e.bytes;
-  bytes_gauge_.Set(static_cast<int64_t>(bytes_));
+  e->lru_it = lru_.begin();
+  SetBytes(bytes_ + e->bytes);
   entries_.emplace(key, std::move(e));
 }
 
 void ResultCache::InvalidateBase(const std::string& name) {
-  std::vector<Entry> dropped;  // destroyed after mu_ is released
+  std::vector<EntryPtr> dropped;  // destroyed after mu_ is released
   std::lock_guard<std::mutex> guard(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     bool reads = false;
-    for (const auto& [base, cursor] : it->second.bases) {
+    for (const auto& [base, cursor] : it->second->bases) {
       if (base == name) {
         reads = true;
         break;
@@ -491,22 +562,24 @@ void ResultCache::Clear() {
   std::lock_guard<std::mutex> guard(mu_);
   cleared.swap(entries_);
   lru_.clear();
-  bytes_ = 0;
-  bytes_gauge_.Set(0);
+  SetBytes(0);
 }
 
 ResultCache::Stats ResultCache::stats() const {
-  std::lock_guard<std::mutex> guard(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.patches = patches_;
-  s.evictions = evictions_;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.patches = patches_.load(std::memory_order_relaxed);
+  for (size_t r = 0; r < kMissReasons; ++r) {
+    s.misses_by_reason[r] = misses_[r].load(std::memory_order_relaxed);
+    s.misses += s.misses_by_reason[r];
+  }
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
+  s.max_bytes = max_bytes();
+  std::lock_guard<std::mutex> guard(mu_);
+  s.evictions = evictions_;
   s.entries = entries_.size();
   s.bytes = bytes_;
-  s.max_bytes = max_bytes();
   return s;
 }
 
@@ -514,7 +587,7 @@ size_t ResultCache::CountStaleAt(Timestamp now) const {
   std::lock_guard<std::mutex> guard(mu_);
   size_t stale = 0;
   for (const auto& [key, entry] : entries_) {
-    if (entry.result.texp <= now) ++stale;
+    if (entry->texp.load(std::memory_order_relaxed) <= now) ++stale;
   }
   return stale;
 }

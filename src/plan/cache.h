@@ -151,15 +151,14 @@ std::string ResultCacheKey(const std::string& fingerprint,
 /// \brief LRU-over-byte-budget cache of materialized query results,
 /// validity-stamped with the paper's computed expiration times.
 ///
-/// Per entry: the instantiated plan, the MaterializedResult, one
-/// Relation::DeltaCursor per base relation, and (when the plan is
-/// incrementalizable) a seeded DeltaPropagator. Lookup outcomes:
+/// Per entry: the MaterializedResult, one Relation::DeltaCursor per base
+/// relation, and (when the plan is incrementalizable) a seeded
+/// DeltaPropagator. Lookup outcomes:
 ///
 ///   hit    — every cursor unchanged and now < texp: served verbatim.
 ///   patch  — cursors drifted but the delta streams are available and the
 ///            result has not lapsed: patched in place, then served.
-///   miss   — anything else (absent, expired, history broken, Clear()'d
-///            base, instance-id churn, patch failure): entry dropped.
+///   miss   — anything else (MissReason): the entry, if any, is dropped.
 ///
 /// Admission: Insert stores a result only when its key has been sighted
 /// twice. A fixed table of kSightingSlots relaxed atomics remembers recent
@@ -170,27 +169,58 @@ std::string ResultCacheKey(const std::string& fingerprint,
 /// bytes or seeding a propagator. Slot collisions only delay admission:
 /// admission decides what is stored, never what is served.
 ///
-/// Thread-safe: the engine shares one instance across every session.
-/// Lookup, and the splice step of Insert (replace a same-key entry, pick
-/// LRU victims, link the new entry), serialize on an internal mutex.
-/// Insert checks admission and builds its entry — base cursors, byte
-/// estimate, seeded propagator — before taking the mutex, and every
-/// operation destroys the entries it drops or evicts only after releasing
-/// it. enabled() and max_bytes() read an atomic budget without locking.
-/// Callers must still hold the base relations' reader locks across
-/// Lookup/Insert (the cache reads delta cursors and rings from `db`) —
-/// the internal mutex only protects the cache's own structures. Lookup
-/// returns the materialization by value, so a served result can never be
-/// torn by a concurrent patch or eviction.
+/// Thread-safe: the engine shares one instance across every session, and
+/// two mutexes split the work (docs/CONCURRENCY.md).
+///  * The cache mutex guards the bookkeeping: the key map, the LRU list,
+///    the byte total, eviction and the sighting writes. It is held only
+///    for map and list operations, never across a patch or a copy.
+///  * Each entry's own mutex guards its materialization: the result, the
+///    base cursors and the propagator. A lookup pins the entry (a
+///    shared_ptr) under the cache mutex, then validates, patches and
+///    copies under the entry mutex alone, so lookups of different keys
+///    run in parallel. It retakes the cache mutex only when the outcome
+///    changes cache-wide state: a miss drops the entry (if the map still
+///    holds that same entry) and a patch re-charges its bytes. A plain
+///    hit never does; the hit, miss and patch counters are atomics.
+///  * Lock order: cache mutex, then entry mutex — never the reverse.
+///  * An entry that Insert replaced, or that eviction, InvalidateBase or
+///    Clear() unlinked, stays alive for the lookups that pinned it; they
+///    finish on the detached entry, which is still validated against the
+///    bases under the caller's snapshot.
+/// Insert checks admission and builds its entry before taking the cache
+/// mutex, and every operation destroys the entries it unlinks only after
+/// releasing it. enabled() and max_bytes() read an atomic budget.
+/// Callers must hold the base relations' reader locks across
+/// Lookup/Insert (the cache reads delta cursors and rings from `db`).
 class ResultCache {
  public:
   static constexpr size_t kDefaultMaxBytes = 64ull << 20;  // 64 MiB
 
   ResultCache();
 
+  /// Why a Lookup fell through to execution. Each reason has its own
+  /// expdb_result_cache_misses_<name>_total counter; together they sum to
+  /// expdb_result_cache_misses_total.
+  enum class MissReason : uint8_t {
+    kAbsent,            ///< no entry under the key
+    kLapsed,            ///< now >= texp(e): Theorem 2's window is over
+    kBaseGone,          ///< a base relation no longer exists
+    kInstanceChurn,     ///< a base is a different body of data (recreated)
+    kNoPropagator,      ///< a base drifted and the plan cannot be patched
+    kHistoryTrimmed,    ///< the base's delta history is gone (Clear, ring)
+    kPatchFailed,       ///< delta propagation reported an error
+    kLapsedAfterPatch,  ///< the patched texp(e) is already <= now
+    kEvictedByPatch,    ///< the patched entry alone exceeds the budget
+  };
+  static constexpr size_t kMissReasons =
+      static_cast<size_t>(MissReason::kEvictedByPatch) + 1;
+  /// \brief The snake_case name of `reason` ("history_trimmed"), as in
+  /// its counter name, CACHE STATS and the cache_miss event.
+  static const char* MissReasonName(MissReason reason);
+
   struct Stats {
     uint64_t hits = 0;
-    uint64_t misses = 0;
+    uint64_t misses = 0;  ///< sum of misses_by_reason
     uint64_t patches = 0;  ///< subset of hits served after delta patching
     uint64_t evictions = 0;
     uint64_t admitted = 0;  ///< Inserts past admission (second sighting)
@@ -198,6 +228,8 @@ class ResultCache {
     size_t entries = 0;
     size_t bytes = 0;
     size_t max_bytes = 0;
+    /// Indexed by MissReason.
+    std::array<uint64_t, kMissReasons> misses_by_reason{};
   };
 
   size_t max_bytes() const {
@@ -209,9 +241,10 @@ class ResultCache {
   void set_max_bytes(size_t bytes);
 
   /// \brief Looks up `key` at time `now`, validating base cursors against
-  /// `db` and patching drifted entries through the propagator. Returns
-  /// the (possibly patched) materialization — the caller serves
-  /// `relation.UnexpiredAt(now)` — or nullopt on a miss.
+  /// `db` and patching drifted entries through the propagator. Returns a
+  /// copy of the rows live at `now` (texp(e), materialized_at and
+  /// validity as cached) — the caller serves it as is — or nullopt on a
+  /// miss.
   std::optional<MaterializedResult> Lookup(const std::string& key,
                                            const Database& db, Timestamp now);
 
@@ -235,7 +268,8 @@ class ResultCache {
   /// \brief Entries whose validity stamp has lapsed at `now` (texp <=
   /// now): dead weight a Lookup would drop on contact. The telemetry
   /// layer reads this as the result-cache staleness gauge; entries are
-  /// not evicted here (Lookup/Insert own mutation).
+  /// not evicted here (Lookup/Insert own mutation). Reads each entry's
+  /// atomic copy of texp, so it never waits behind a patch.
   size_t CountStaleAt(Timestamp now) const;
 
   static constexpr size_t kSightingSlots = 4096;
@@ -246,14 +280,32 @@ class ResultCache {
 
  private:
   struct Entry {
-    PhysicalPlanPtr plan;
+    /// Guards the materialization: result, the cursors in bases,
+    /// propagator, result_bytes and dead.
+    std::mutex mu;
     MaterializedResult result;
+    /// The names are fixed when the entry is built (InvalidateBase reads
+    /// them under the cache mutex); the cursors move under `mu`.
     std::vector<std::pair<std::string, Relation::DeltaCursor>> bases;
     std::unique_ptr<DeltaPropagator> propagator;
-    size_t bytes = 0;
+    /// EstimateResultBytes(result.relation), kept by each patch.
+    size_t result_bytes = 0;
+    /// Set by the first miss on the entry: a lookup that pinned it before
+    /// it was dropped misses for the same reason without touching state
+    /// a failed patch may have left inconsistent.
+    std::optional<MissReason> dead;
+    /// result.texp, for CountStaleAt.
+    std::atomic<Timestamp> texp{Timestamp::Infinity()};
+    /// result_bytes plus the propagator's estimate: stored under `mu`,
+    /// read under the cache mutex when a patch re-charges the entry, so
+    /// whichever re-charge runs last charges the latest patch.
+    std::atomic<size_t> charge{0};
+    // Guarded by the cache mutex.
+    size_t bytes = 0;  ///< what bytes_ counts for this entry
     std::list<std::string>::iterator lru_it;
   };
-  using EntryMap = std::unordered_map<std::string, Entry>;
+  using EntryPtr = std::shared_ptr<Entry>;
+  using EntryMap = std::unordered_map<std::string, EntryPtr>;
 
   // Admission. Each slot holds 0 or a key's hash with bit 1 set (so a
   // recorded tag is never 0) and bit 0 meaning "seen twice". Slots are
@@ -274,38 +326,49 @@ class ResultCache {
   /// Marks the key seen twice, so its next Insert is admitted.
   void Admit(uint64_t hash);
 
-  // All other private helpers require mu_ to be held by the caller.
-  // Unlinked entries move to `*dropped`, which the caller destroys after
-  // releasing mu_.
-  void DropEntry(EntryMap::iterator it, std::vector<Entry>* dropped);
+  /// Brings a pinned entry up to date under its mutex (held by the
+  /// caller): lapse and cursor checks, then a delta patch if a base
+  /// drifted. Returns the miss reason, or nullopt when the entry may be
+  /// served; `*patched` reports a patch.
+  std::optional<MissReason> Refresh(Entry* e, const Database& db,
+                                    Timestamp now, bool* patched);
+  /// Counts a miss (and logs it when the event log is on).
+  std::optional<MaterializedResult> Miss(MissReason reason);
+
+  // The helpers below require mu_ to be held by the caller. Unlinked
+  // entries move to `*dropped`, which the caller destroys after releasing
+  // mu_.
+  void DropEntry(EntryMap::iterator it, std::vector<EntryPtr>* dropped);
+  void Evict(EntryMap::iterator it, std::vector<EntryPtr>* dropped);
   /// Evicts LRU entries until `need` more bytes fit under the budget,
   /// never evicting `keep`.
   void EvictFor(size_t need, const std::string* keep,
-                std::vector<Entry>* dropped);
+                std::vector<EntryPtr>* dropped);
   void Touch(Entry* entry);
-  void CountMiss();
+  void SetBytes(size_t bytes);
 
   /// Written under mu_; read without it by enabled()/max_bytes().
   std::atomic<size_t> max_bytes_{kDefaultMaxBytes};
   /// See "Admission" above.
   std::array<std::atomic<uint64_t>, kSightingSlots> sightings_{};
-  /// Guards every member below. Leaf lock within the cache (obs metric
-  /// updates under it are themselves lock-free or leaf-locked).
+  /// Guards bytes_, entries_, lru_ and evictions_. Taken before an entry
+  /// mutex, never after one (obs metric updates under it are lock-free or
+  /// leaf-locked).
   mutable std::mutex mu_;
   size_t bytes_ = 0;
   EntryMap entries_;
   std::list<std::string> lru_;  // front = most recently used
-  // Session-local stats (CACHE STATS) ...
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t patches_ = 0;
   uint64_t evictions_ = 0;
-  // (admission decisions are counted by Insert, outside mu_)
+  // Session-local stats (CACHE STATS), counted outside mu_ ...
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> patches_{0};
+  std::array<std::atomic<uint64_t>, kMissReasons> misses_{};
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> rejected_{0};
   // ... parented into the process-wide expdb_result_cache_* metrics.
   obs::Counter* hits_total_;
   obs::Counter* misses_total_;
+  std::array<obs::Counter*, kMissReasons> miss_reason_totals_;
   obs::Counter* patches_total_;
   obs::Counter* evictions_total_;
   obs::Counter* admissions_total_;
@@ -314,8 +377,8 @@ class ResultCache {
   obs::Histogram* lookup_latency_;
 };
 
-/// \brief Byte-footprint estimate of a cached result: entry storage plus
-/// string payloads. Advisory; together with
+/// \brief Byte-footprint estimate of a cached result: a fixed overhead plus
+/// ResultEntryBytes of every row. Advisory; together with
 /// DeltaPropagator::EstimateBytes() it is what the LRU budget accounts in.
 size_t EstimateResultBytes(const Relation& relation);
 

@@ -92,6 +92,11 @@ size_t TuplePayloadBytes(const Tuple& t) {
   return bytes;
 }
 
+size_t ResultEntryBytes(const Tuple& t) {
+  const size_t entry = sizeof(Relation::Entry) + TuplePayloadBytes(t);
+  return entry + entry / 2;
+}
+
 bool NodeSupportsDelta(const PlanNode& node, const EvalOptions& options) {
   // Schrödinger validity intervals are not maintained incrementally.
   if (options.compute_validity) return false;
@@ -876,14 +881,20 @@ Result<DeltaPropagator::ApplyResult> DeltaPropagator::Apply(
   return result;
 }
 
-void DeltaPropagator::ApplyOps(const DeltaOps& ops, Relation* mat) {
+int64_t DeltaPropagator::ApplyOps(const DeltaOps& ops, Relation* mat) {
+  int64_t bytes = 0;
   for (const auto& op : ops) {
+    const int64_t row = static_cast<int64_t>(ResultEntryBytes(op.entry.tuple));
     if (op.is_delete) {
-      mat->Erase(op.entry.tuple);
+      if (mat->Erase(op.entry.tuple)) bytes -= row;
     } else {
+      // A present tuple only has its texp overwritten.
+      const size_t before = mat->size();
       mat->InsertUnchecked(op.entry.tuple, op.entry.texp);
+      if (mat->size() > before) bytes += row;
     }
   }
+  return bytes;
 }
 
 }  // namespace plan

@@ -63,6 +63,11 @@ struct BaseDelta {
 /// The unit every byte estimate in the plan layer is built from.
 size_t TuplePayloadBytes(const Tuple& t);
 
+/// \brief Bytes one materialized row is charged by the result-cache
+/// budget: its entry slot and payload plus ~50% hash-index headroom.
+/// EstimateResultBytes sums it; ApplyOps reports its net change.
+size_t ResultEntryBytes(const Tuple& t);
+
 /// \brief True when `node`'s operator can propagate deltas incrementally
 /// under `options`. Schrödinger validity tracking and approximate
 /// aggregates always force the full path; joins and semi-joins need
@@ -129,8 +134,10 @@ class DeltaPropagator {
   Result<ApplyResult> Apply(const std::vector<BaseDelta>& deltas,
                             Timestamp now);
 
-  /// \brief Applies an op stream to a materialization in place.
-  static void ApplyOps(const DeltaOps& ops, Relation* mat);
+  /// \brief Applies an op stream to a materialization in place and
+  /// returns the net change of the rows' ResultEntryBytes: O(|ops|), so a
+  /// byte budget follows a patch without re-walking the materialization.
+  static int64_t ApplyOps(const DeltaOps& ops, Relation* mat);
 
   /// \brief Advisory byte footprint of the auxiliary state: join
   /// buckets, projection support counts, aggregate partitions, set

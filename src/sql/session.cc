@@ -344,9 +344,10 @@ Result<ExecResult> Session::ExecutePlannedSelect(
     if (cached.has_value()) {
       // Theorems 1–2: letting the materialization expire in place
       // reproduces recomputation at every instant before its texp, so a
-      // hit is served with zero operator executions.
+      // hit is served with zero operator executions. Lookup already
+      // copied only the rows live at `now`.
       ExecResult out;
-      out.relation = cached->relation.UnexpiredAt(now);
+      out.relation = std::move(cached->relation);
       out.served_at = now;
       out.message = "ok (cached)";
       return out;
@@ -429,6 +430,23 @@ Result<ExecResult> Session::ExecuteRunPrepared(
   return ExecutePlannedSelect(*prepared, stmt.args, Now());
 }
 
+namespace {
+
+/// " (absent 3, lapsed 1)": the non-zero miss reasons, or "" when none.
+std::string MissReasonsText(const plan::ResultCache::Stats& rs) {
+  std::string text;
+  for (size_t r = 0; r < plan::ResultCache::kMissReasons; ++r) {
+    if (rs.misses_by_reason[r] == 0) continue;
+    text += text.empty() ? " (" : ", ";
+    text += plan::ResultCache::MissReasonName(
+        static_cast<plan::ResultCache::MissReason>(r));
+    text += " " + std::to_string(rs.misses_by_reason[r]);
+  }
+  return text.empty() ? text : text + ")";
+}
+
+}  // namespace
+
 Result<ExecResult> Session::ExecuteCache(const CacheStatement& stmt) {
   plan::StatementCache& stmt_cache = engine_->stmt_cache();
   if (stmt.what == CacheStatement::What::kClear) {
@@ -446,7 +464,7 @@ Result<ExecResult> Session::ExecuteCache(const CacheStatement& stmt) {
          std::to_string(rs.bytes) + " / " + std::to_string(rs.max_bytes) +
          " bytes, " + std::to_string(rs.hits) + " hits (" +
          std::to_string(rs.patches) + " patched), " +
-         std::to_string(rs.misses) + " misses, " +
+         std::to_string(rs.misses) + " misses" + MissReasonsText(rs) + ", " +
          std::to_string(rs.evictions) + " evictions, " +
          std::to_string(rs.admitted) + " admitted, " +
          std::to_string(rs.rejected) + " rejected (first sighting)";

@@ -1,18 +1,23 @@
 // Two-tier cache regressions (plan layer): parameterized plan
-// instantiation, result-cache hit/patch/miss outcomes, broken delta
-// history (Relation::Clear), expiry passage, LRU byte-budget eviction,
-// second-sighting admission, and propagator byte accounting.
+// instantiation, result-cache hit/patch/miss outcomes and their miss
+// reasons, broken delta history (Relation::Clear), expiry passage, LRU
+// byte-budget eviction, second-sighting admission, propagator and
+// per-patch byte accounting, and per-entry locking under concurrent
+// snapshot readers, a writer and budget churn.
 
 #include "plan/cache.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/expression.h"
+#include "engine/engine.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
 
@@ -25,6 +30,20 @@ using namespace algebra;  // NOLINT
 Timestamp T(int64_t t) { return Timestamp(t); }
 
 Value V(int64_t v) { return Value(v); }
+
+/// Row i of the table W(a, s) and its expiration time.
+Tuple WRow(int64_t i) { return Tuple{i, "payload" + std::to_string(i)}; }
+
+Timestamp WTexp(int64_t i) {
+  return i % 4 == 0 ? T(10 + i % 100) : Timestamp::Infinity();
+}
+
+/// The process counter of one miss reason.
+uint64_t MissCounter(ResultCache::MissReason reason) {
+  const std::string name = ResultCache::MissReasonName(reason);
+  const std::string metric = "expdb_result_cache_misses_" + name + "_total";
+  return obs::MetricsRegistry::Global().GetCounter(metric)->value();
+}
 
 class ResultCacheTest : public ::testing::Test {
  protected:
@@ -65,6 +84,27 @@ class ResultCacheTest : public ::testing::Test {
         ExecutePlan(*plan, db_, now, plan->options().eval, nullptr, &capture)
             .value();
     cache->Insert(key, std::move(plan), &capture, std::move(result), db_, now);
+  }
+
+  /// Expects the next lookup of "k" at `now` to miss for `reason` and drop
+  /// the entry: counted once in the stats, once in the reason's counter,
+  /// and the reasons still sum to the total.
+  void ExpectMiss(ResultCache* cache, ResultCache::MissReason reason,
+                  Timestamp now) {
+    SCOPED_TRACE(ResultCache::MissReasonName(reason));
+    ASSERT_EQ(cache->stats().entries, 1u);
+    const size_t r = static_cast<size_t>(reason);
+    const ResultCache::Stats before = cache->stats();
+    const uint64_t counted = MissCounter(reason);
+    EXPECT_FALSE(cache->Lookup("k", db_, now).has_value());
+    const ResultCache::Stats after = cache->stats();
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.misses_by_reason[r] - before.misses_by_reason[r], 1u);
+    uint64_t sum = 0;
+    for (uint64_t n : after.misses_by_reason) sum += n;
+    EXPECT_EQ(sum, after.misses);
+    EXPECT_EQ(MissCounter(reason) - counted, 1u);
+    EXPECT_EQ(after.entries, 0u);
   }
 
   PhysicalPlanPtr PlanOf(const ExpressionPtr& expr) {
@@ -522,6 +562,279 @@ TEST_F(ResultCacheTest, BudgetChargesPropagatorState) {
     EXPECT_GT(cache.stats().bytes, before) << expr->ToString();
     ASSERT_TRUE(s->Erase(extra));
   }
+}
+
+TEST_F(ResultCacheTest, HitCopiesOnlyTheRowsLiveAtNow) {
+  ResultCache cache;
+  Fill(&cache, "k", 1, T(0));  // first sighting: rejected
+  Fill(&cache, "k", 1, T(0));
+  // The entry keeps all three rows; a hit at 15 hands back the two that
+  // are still live, so the caller serves it without a second copy.
+  auto hit = cache.Lookup("k", db_, T(15));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->relation.size(), 2u);
+  EXPECT_FALSE(hit->relation.Contains(Tuple{1}));
+  EXPECT_EQ(hit->texp, Timestamp::Infinity());
+}
+
+// Every miss exit counts its own reason once, the reasons sum to the
+// total, and the reason's process counter moves.
+TEST_F(ResultCacheTest, EachMissReasonIsCounted) {
+  using Reason = ResultCache::MissReason;
+  {
+    ResultCache cache;
+    const uint64_t counted = MissCounter(Reason::kAbsent);
+    EXPECT_FALSE(cache.Lookup("k", db_, T(0)).has_value());
+    EXPECT_EQ(cache.stats().misses_by_reason[0], 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(MissCounter(Reason::kAbsent) - counted, 1u);
+  }
+  const Schema schema = db_.GetRelation("R").value()->schema();
+  {
+    ResultCache cache;
+    Fill(&cache, "k", 1, T(0));  // first sighting: rejected
+    Fill(&cache, "k", 1, T(0));
+    ASSERT_TRUE(db_.DropRelation("R").ok());
+    ExpectMiss(&cache, Reason::kBaseGone, T(1));
+  }
+  Relation* r = db_.CreateRelation("R", schema).value();
+  ASSERT_TRUE(r->Insert(Tuple{1}, T(10)).ok());
+  {
+    ResultCache cache;
+    Fill(&cache, "k", 1, T(0));  // first sighting: rejected
+    Fill(&cache, "k", 1, T(0));
+    ASSERT_TRUE(db_.DropRelation("R").ok());
+    r = db_.CreateRelation("R", schema).value();
+    ASSERT_TRUE(r->Insert(Tuple{1}, T(10)).ok());
+    ExpectMiss(&cache, Reason::kInstanceChurn, T(1));
+  }
+  {
+    ResultCache cache;
+    Fill(&cache, "k", 1, T(0));  // first sighting: rejected
+    Fill(&cache, "k", 1, T(0));
+    r->Clear();
+    ASSERT_TRUE(r->Insert(Tuple{2}, T(20)).ok());
+    ExpectMiss(&cache, Reason::kHistoryTrimmed, T(1));
+  }
+  {
+    // Filled without a node capture: the entry has no propagator.
+    ResultCache cache;
+    PhysicalPlanPtr plan = InstantiatePlan(ParamPlan(), {V(1)}).value();
+    for (int sighting = 0; sighting < 2; ++sighting) {
+      EXPECT_FALSE(cache.Lookup("k", db_, T(0)).has_value());
+      cache.Insert("k", plan, nullptr, ExecutePlan(*plan, db_, T(0)).value(),
+                   db_, T(0));
+    }
+    ASSERT_TRUE(r->Insert(Tuple{5}, Timestamp::Infinity()).ok());
+    ExpectMiss(&cache, Reason::kNoPropagator, T(1));
+  }
+  {
+    // R -exp S is valid on [0, 5) while S's tuple 2 lives.
+    Relation* s = db_.CreateRelation("S", schema).value();
+    ASSERT_TRUE(s->Insert(Tuple{2}, T(5)).ok());
+    ResultCache cache;
+    FillPlan(&cache, "k", PlanOf(Difference(Base("R"), Base("S"))), T(0));
+    FillPlan(&cache, "k", PlanOf(Difference(Base("R"), Base("S"))), T(0));
+    ExpectMiss(&cache, Reason::kLapsed, T(6));
+  }
+  {
+    // A group summing to INT64_MAX overflows once a row joins it: the
+    // propagator's re-aggregation fails.
+    const Schema pair({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}});
+    Relation* u = db_.CreateRelation("U", pair).value();
+    const int64_t max = std::numeric_limits<int64_t>::max();
+    ASSERT_TRUE(u->Insert(Tuple{int64_t{1}, max}).ok());
+    const ExpressionPtr sum =
+        Aggregate(Base("U"), {0}, AggregateFunction::Sum(1));
+    ResultCache cache;
+    FillPlan(&cache, "k", PlanOf(sum), T(0));
+    FillPlan(&cache, "k", PlanOf(sum), T(0));
+    ASSERT_TRUE(u->Insert(Tuple{int64_t{1}, int64_t{1}}).ok());
+    ExpectMiss(&cache, Reason::kPatchFailed, T(1));
+  }
+  {
+    // A patch that grows its entry past the whole budget evicts the entry
+    // itself, as Insert would have refused it.
+    ResultCache cache;
+    Fill(&cache, "k", 1, T(0));  // first sighting: rejected
+    Fill(&cache, "k", 1, T(0));
+    cache.set_max_bytes(cache.stats().bytes + 64);
+    for (int64_t i = 10; i < 20; ++i) {
+      ASSERT_TRUE(r->Insert(Tuple{i}, Timestamp::Infinity()).ok());
+    }
+    ExpectMiss(&cache, Reason::kEvictedByPatch, T(1));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().bytes, 0u);
+  }
+  // kLapsedAfterPatch guards the propagator's contract rather than a
+  // known input: the propagator prunes members and criticals dead at
+  // `now`, so a patch entered under `now < texp(e)` returns a later texp.
+  EXPECT_STREQ(ResultCache::MissReasonName(Reason::kLapsedAfterPatch),
+               "lapsed_after_patch");
+}
+
+// A patch charges its byte delta from the ops it applied, not a walk of
+// the materialization. A mirror propagator seeded from the same capture
+// replays every round, so after each INSERT, DELETE and ADVANCE the charge
+// must equal a fresh estimate of the mirror plus its propagator state.
+TEST_F(ResultCacheTest, PatchChargesTheBytesOfItsOps) {
+  const Schema schema({{"a", ValueType::kInt64}, {"s", ValueType::kString}});
+  Relation* w = db_.CreateRelation("W", schema).value();
+  for (int64_t i = 0; i < 4096; ++i) {
+    ASSERT_TRUE(w->Insert(WRow(i), WTexp(i)).ok());
+  }
+  // π_s(W): the projection keeps support state.
+  const PhysicalPlanPtr plan = PlanOf(Project(Base("W"), {1}));
+  ResultCache cache;
+  EXPECT_FALSE(cache.Lookup("k", db_, T(0)).has_value());
+  EXPECT_FALSE(cache.Lookup("k", db_, T(0)).has_value());
+  NodeCapture capture;
+  MaterializedResult result =
+      ExecutePlan(*plan, db_, T(0), plan->options().eval, nullptr, &capture)
+          .value();
+  ASSERT_EQ(result.relation.size(), 4096u);
+  Relation mirror = result.relation;
+  std::unique_ptr<DeltaPropagator> mirror_prop =
+      DeltaPropagator::Create(plan, capture, plan->options().eval);
+  ASSERT_NE(mirror_prop, nullptr);
+  uint64_t epoch = w->delta_epoch();
+  cache.Insert("k", plan, &capture, std::move(result), db_, T(0));
+  ASSERT_EQ(cache.stats().entries, 1u);
+
+  int64_t next = 4096;
+  Timestamp now = T(0);
+  for (int round = 0; round < 9; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (round % 3 == 0) {  // INSERT
+      for (int i = 0; i < 3; ++i, ++next) {
+        ASSERT_TRUE(w->Insert(WRow(next), WTexp(next)).ok());
+      }
+    } else if (round % 3 == 1) {  // DELETE
+      for (int64_t i = round; i < 4096; i += 701) w->Erase(WRow(i));
+    } else {  // ADVANCE with an eager drain
+      now = T(now.ticks() + 40);
+      w->RemoveExpired(now, /*record_delta=*/true);
+    }
+    auto hit = cache.Lookup("k", db_, now);
+    ASSERT_TRUE(hit.has_value());
+    std::vector<BaseDelta> deltas;
+    deltas.push_back({"W", w->DeltasSince(epoch).value()});
+    epoch = w->delta_epoch();
+    auto applied = mirror_prop->Apply(deltas, now);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    DeltaPropagator::ApplyOps(applied.value().root_ops, &mirror);
+    EXPECT_EQ(cache.stats().bytes,
+              EstimateResultBytes(mirror) + mirror_prop->EstimateBytes());
+    EXPECT_EQ(hit->relation.SortedEntries(),
+              mirror.UnexpiredAt(now).SortedEntries());
+  }
+  EXPECT_EQ(cache.stats().patches, 9u);
+}
+
+// Per-entry locking: 4 readers under Engine::Snapshot look up 3 keys (one
+// hot), a writer INSERTs and DELETEs under WriteGuard, and a third thread
+// flips the budget between tiny and roomy and Clear()s, so entries are
+// evicted or replaced while lookups are in flight. Every served result
+// must equal an uncached execution under the same snapshot, and the byte
+// total must end equal to the live entries'. Run under TSan in CI.
+TEST_F(ResultCacheTest, ConcurrentSameKeyPatchesServeRecomputation) {
+  engine::Engine eng;
+  Database& db = eng.db();
+  {
+    engine::Engine::ExclusiveGuard x = eng.LockExclusive();
+    const Schema schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}});
+    Relation* r = db.CreateRelation("R", schema).value();
+    for (int64_t i = 0; i < 200; ++i) {
+      ASSERT_TRUE(r->Insert(Tuple{i, i % 10}, Timestamp::Infinity()).ok());
+    }
+  }
+  ResultCache& cache = eng.result_cache();
+  const PhysicalPlanPtr skeleton =
+      Planner::Plan(ParamExpr(), db, PlannerOptions{}).value();
+  const EvalOptions eval = skeleton->options().eval;
+  const std::vector<int64_t> args = {0, 100, 150};  // args[0] is hot
+  auto key_of = [](int64_t arg) { return "k" + std::to_string(arg); };
+  const Timestamp now = eng.Now();
+  // About one hot entry: under it, patches that grow an entry evict
+  // others or the entry itself.
+  const PhysicalPlanPtr hot = InstantiatePlan(skeleton, {V(0)}).value();
+  const Relation hot_rows = ExecutePlan(*hot, db, now).value().relation;
+  const size_t tiny = EstimateResultBytes(hot_rows);
+
+  std::atomic<int> readers_left{4};
+  std::atomic<uint64_t> served{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 150; ++i) {
+        // Out of the snapshot for a moment, so the writer gets in.
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        const int64_t arg = args[(i + t) % 4 == 3 ? 1 + i % 2 : 0];
+        const std::string key = key_of(arg);
+        const PhysicalPlanPtr bound =
+            InstantiatePlan(skeleton, {V(arg)}).value();
+        engine::Engine::Snapshot snap = eng.OpenSnapshot({"R"});
+        auto hit = cache.Lookup(key, db, now);
+        NodeCapture capture;
+        auto fresh = ExecutePlan(*bound, db, now, eval, nullptr, &capture);
+        ASSERT_TRUE(fresh.ok());
+        if (hit.has_value()) {
+          ++served;
+          const Relation expected = fresh->relation.UnexpiredAt(now);
+          ASSERT_EQ(hit->relation.SortedEntries(), expected.SortedEntries());
+        } else {
+          cache.Insert(key, bound, &capture, fresh.MoveValue(), db, now);
+        }
+      }
+      --readers_left;
+    });
+  }
+  std::atomic<bool> churn_done{false};
+  threads.emplace_back([&] {
+    const size_t roomy = cache.max_bytes();
+    for (int i = 0; !churn_done.load(); ++i) {
+      cache.set_max_bytes(i % 3 == 0 ? tiny + tiny / 4 : roomy);
+      if (i % 3 == 2) cache.Clear();
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    cache.set_max_bytes(roomy);
+  });
+  {
+    std::vector<int64_t> live;
+    for (int64_t i = 0; i < 200; ++i) live.push_back(i);
+    int64_t next = 200;
+    for (int op = 0; readers_left.load() > 0; ++op) {
+      std::this_thread::yield();
+      engine::Engine::WriteGuard g = eng.LockWrite("R");
+      Relation* r = db.GetRelation("R").value();
+      if (op % 3 != 2) {
+        ASSERT_TRUE(r->Insert(Tuple{next, next % 10}).ok());
+        live.push_back(next++);
+      } else {
+        const size_t victim = (op * 7919) % live.size();
+        ASSERT_TRUE(r->Erase(Tuple{live[victim], live[victim] % 10}));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+  }
+  for (int t = 0; t < 4; ++t) threads[t].join();
+  churn_done.store(true);
+  threads[4].join();
+
+  EXPECT_GT(served.load(), 0u);
+  EXPECT_GT(cache.stats().patches, 0u);
+  // σ plans carry no propagator state, so an entry is charged exactly
+  // its result's estimate.
+  engine::Engine::Snapshot snap = eng.OpenSnapshot({"R"});
+  size_t live_entries = 0, live_bytes = 0;
+  for (int64_t arg : args) {
+    auto hit = cache.Lookup(key_of(arg), db, now);
+    if (!hit.has_value()) continue;
+    ++live_entries;
+    live_bytes += EstimateResultBytes(hit->relation);
+  }
+  EXPECT_EQ(cache.stats().entries, live_entries);
+  EXPECT_EQ(cache.stats().bytes, live_bytes);
 }
 
 TEST_F(ResultCacheTest, StatementCacheLruAndInvalidation) {

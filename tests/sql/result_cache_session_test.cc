@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "sql/session.h"
 
@@ -204,6 +205,37 @@ TEST(ResultCacheSessionTest, CacheStatsAndClear) {
             std::string::npos)
       << cleared.message;
   EXPECT_EQ(RowsAt(MustExec(s, "EXECUTE q")), 3u);
+}
+
+// Miss reasons surface in CACHE STATS (non-zero ones only) and, with the
+// event log on, as cache_miss events carrying a `reason` field.
+TEST(ResultCacheSessionTest, MissReasonsInCacheStatsAndEvents) {
+  Session s;
+  MakeTable(s);
+  obs::EventLog& log = obs::EventLog::Global();
+  const bool was_enabled = log.enabled();
+  log.Clear();
+  log.set_enabled(true);
+  MustExec(s, "SELECT * FROM t WHERE x >= 1");  // first sighting: absent
+  MustExec(s, "SELECT * FROM t WHERE x >= 1");  // absent, then filled
+  MustExec(s, "DROP TABLE t");
+  MakeTable(s);
+  MustExec(s, "SELECT * FROM t WHERE x >= 1");  // DDL dropped it: absent
+  log.set_enabled(was_enabled);
+  auto stats = MustExec(s, "CACHE STATS");
+  EXPECT_NE(stats.message.find("3 misses (absent 3), "), std::string::npos)
+      << stats.message;
+  EXPECT_EQ(stats.message.find("lapsed"), std::string::npos) << stats.message;
+  size_t events = 0;
+  for (const obs::LogEvent& e : log.Snapshot()) {
+    if (e.event != "cache_miss") continue;
+    ++events;
+    ASSERT_EQ(e.fields.size(), 1u);
+    EXPECT_EQ(e.fields[0].first, "reason");
+    EXPECT_EQ(e.fields[0].second, "absent");
+  }
+  log.Clear();
+  EXPECT_EQ(events, 3u);
 }
 
 TEST(ResultCacheSessionTest, SetResultCacheBytes) {
