@@ -29,6 +29,14 @@
 //     predicate on every tuple. The uncorrelated column prices the
 //     per-segment check when it never skips.
 //
+//   DeleteOneRow/n
+//     A SQL `DELETE FROM t WHERE v = c` that removes one of n live rows
+//     of a segmented base table, TTLs uniform over [1, 2000] and v rising
+//     with arrival (the ttl_churn writer's shape). The delete walks the
+//     segments once — skipping those whose v bounds exclude c — and
+//     records one delta batch. Each iteration puts the row back with the
+//     timer paused.
+//
 // In the first two axes texps are uniform over [1, 1024], so with the
 // default bucket geometry an expired fraction f turns into ~f of the
 // segments being fully expired plus one straddler. See EXPERIMENTS.md C14
@@ -44,6 +52,7 @@
 #include "common/rng.h"
 #include "core/eval.h"
 #include "relational/database.h"
+#include "sql/session.h"
 
 namespace {
 
@@ -183,6 +192,38 @@ void BM_ScanFiltered(benchmark::State& state) {
                  std::to_string(sel_pct) + "% selected");
 }
 
+void BM_DeleteOneRow(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  sql::Session s;
+  if (!s.Execute("CREATE TABLE t (k INT, v INT)").ok()) {
+    state.SkipWithError("create");
+    return;
+  }
+  Relation* t = s.db().GetRelation("t").value();
+  Rng rng(7);
+  std::vector<Timestamp> texps;
+  texps.reserve(static_cast<size_t>(n));
+  for (int64_t v = 0; v < n; ++v) {
+    texps.push_back(Timestamp(rng.UniformInt(1, 2000)));
+    t->InsertUnchecked(Tuple{v % 997, v}, texps.back());
+  }
+  int64_t victim = 0;
+  for (auto _ : state) {
+    auto r = s.Execute("DELETE FROM t WHERE v = " + std::to_string(victim));
+    if (!r.ok() || r->message.rfind("1 row ", 0) != 0) {
+      state.SkipWithError("delete did not remove one row");
+      return;
+    }
+    benchmark::DoNotOptimize(r);
+    state.PauseTiming();
+    t->InsertUnchecked(Tuple{victim % 997, victim},
+                       texps[static_cast<size_t>(victim)]);
+    victim = (victim + 7919) % n;
+    state.ResumeTiming();
+  }
+  state.SetLabel("segmented, 1 of " + std::to_string(n) + " rows");
+}
+
 void ScanArgs(benchmark::internal::Benchmark* b) {
   for (int64_t n : {int64_t{1} << 14, int64_t{1} << 17}) {
     for (int64_t pct : {0, 50, 90}) {
@@ -209,6 +250,7 @@ BENCHMARK(BM_ScanFiltered)
 BENCHMARK(BM_ExpirationDrain)
     ->Apply(DrainArgs)
     ->ArgNames({"survivors", "seg"});
+BENCHMARK(BM_DeleteOneRow)->Arg(16384)->Arg(65536);
 
 }  // namespace
 

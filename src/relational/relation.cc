@@ -202,16 +202,12 @@ void Relation::RecordDeltaErase(const Tuple& tuple, Timestamp old_texp) {
   TrimDeltaRing();
 }
 
-void Relation::RecordDeltaDrain(
-    const std::vector<std::pair<Tuple, Timestamp>>& removed) {
+void Relation::RecordDeltaDrain(std::vector<Entry> removed) {
   DeltaLog* log = delta_log();
-  if (log == nullptr || removed.empty()) return;
+  if (log == nullptr) return;
   DeltaBatch b;
   b.epoch = ++log->epoch;
-  b.deleted.reserve(removed.size());
-  for (const auto& [tuple, texp] : removed) {
-    b.deleted.push_back(Entry{tuple, texp});
-  }
+  b.deleted = std::move(removed);
   log->batches.push_back(std::move(b));
   TrimDeltaRing();
 }
@@ -522,16 +518,23 @@ void Relation::EraseWithinSegment(Segment* seg, size_t off, size_t slot) {
 
 void Relation::ShrinkAfterErase(Segment* seg) {
   if (total_entries_ == 0) {
-    // Parity with classic behaviour: an emptied relation drops all
-    // storage so repeated fill/drain cycles do not accrete state.
-    segments_.clear();
-    seg_by_id_.clear();
-    slots_.clear();
-    tombstones_ = 0;
-    slots_ready_.store(true, std::memory_order_relaxed);
-    return;
+    ResetStorage();
+  } else if (seg->entries.empty()) {
+    DropSegment(seg);
   }
-  if (seg->entries.empty()) DropSegment(seg);
+}
+
+void Relation::DropSegmentAt(size_t i) {
+  seg_by_id_[segments_[i]->id] = nullptr;
+  segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(i));
+}
+
+void Relation::ResetStorage() {
+  segments_.clear();
+  seg_by_id_.clear();
+  slots_.clear();
+  tombstones_ = 0;
+  slots_ready_.store(true, std::memory_order_relaxed);
 }
 
 void Relation::Reserve(size_t n) {
@@ -704,8 +707,7 @@ Relation::DropResult Relation::DropExpired(Timestamp tau) {
       // A deferred index has no slots to go stale.
       if (!slots_.empty()) tombstones_ += n;
       total_entries_ -= n;
-      seg_by_id_[seg->id] = nullptr;
-      segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(i));
+      DropSegmentAt(i);
       continue;  // the next segment shifted into position i
     }
     if (seg->min_texp > tau) {
@@ -734,21 +736,14 @@ Relation::DropResult Relation::DropExpired(Timestamp tau) {
       }
     }
     if (seg->entries.empty()) {
-      seg_by_id_[seg->id] = nullptr;
-      segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(i));
+      DropSegmentAt(i);
       continue;
     }
     seg->min_texp = new_min;
     seg->max_texp = new_max;
     ++i;
   }
-  if (total_entries_ == 0 && out.tuples > 0) {
-    segments_.clear();
-    seg_by_id_.clear();
-    slots_.clear();
-    tombstones_ = 0;
-    slots_ready_.store(true, std::memory_order_relaxed);
-  }
+  if (total_entries_ == 0 && out.tuples > 0) ResetStorage();
   return out;
 }
 
@@ -774,8 +769,7 @@ std::vector<std::pair<Tuple, Timestamp>> Relation::RemoveExpired(
       }
       if (!slots_.empty()) tombstones_ += n;
       total_entries_ -= n;
-      seg_by_id_[seg->id] = nullptr;
-      segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(i));
+      DropSegmentAt(i);
       continue;
     }
     EnsureSlots();
@@ -796,27 +790,28 @@ std::vector<std::pair<Tuple, Timestamp>> Relation::RemoveExpired(
       }
     }
     if (seg->entries.empty()) {
-      seg_by_id_[seg->id] = nullptr;
-      segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(i));
+      DropSegmentAt(i);
       continue;
     }
     seg->min_texp = new_min;
     seg->max_texp = new_max;
     ++i;
   }
-  if (total_entries_ == 0 && !removed.empty()) {
-    segments_.clear();
-    seg_by_id_.clear();
-    slots_.clear();
-    tombstones_ = 0;
-    slots_ready_.store(true, std::memory_order_relaxed);
-  }
+  if (removed.empty()) return removed;
+  if (total_entries_ == 0) ResetStorage();
   std::sort(removed.begin(), removed.end(),
             [](const auto& a, const auto& b) {
               if (a.second != b.second) return a.second < b.second;
               return a.first < b.first;
             });
-  if (record_delta) RecordDeltaDrain(removed);
+  if (record_delta && delta_tracking()) {
+    std::vector<Entry> deleted;
+    deleted.reserve(removed.size());
+    for (const auto& [tuple, texp] : removed) {
+      deleted.push_back(Entry{tuple, texp});
+    }
+    RecordDeltaDrain(std::move(deleted));
+  }
   return removed;
 }
 
@@ -962,11 +957,7 @@ bool Relation::EqualAt(const Relation& a, const Relation& b, Timestamp tau) {
 }
 
 void Relation::Clear() {
-  segments_.clear();
-  seg_by_id_.clear();
-  slots_.clear();
-  tombstones_ = 0;
-  slots_ready_.store(true, std::memory_order_relaxed);
+  ResetStorage();
   total_entries_ = 0;
   // A wholesale wipe cannot be represented as a bounded delta stream.
   BreakDeltaHistory();

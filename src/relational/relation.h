@@ -66,6 +66,8 @@
 
 namespace expdb {
 
+class Predicate;
+
 /// \brief A relation with per-tuple expiration times (set semantics).
 ///
 /// Re-inserting a tuple that is already present keeps the later of the two
@@ -229,6 +231,18 @@ class Relation {
   /// \return true iff the tuple was present.
   bool Erase(const Tuple& tuple);
 
+  /// \brief Removes every tuple of expτ(R) that satisfies `pred` (every
+  /// unexpired tuple when null) — the SQL DELETE. One walk over the
+  /// segments with the scan's classification: segments with
+  /// max_texp <= τ and segments whose column bounds `pred` cannot match
+  /// (Predicate::MayMatchWithin) are skipped unread; the rest evaluate
+  /// `pred` on their entries in place. A tracked relation records the
+  /// removed tuples as one delete batch (one epoch), ordered by
+  /// (texp, tuple) like an eager drain; nothing when nothing matched.
+  /// Defined in core/erase_where.cc, next to Predicate.
+  /// \return the number of tuples removed.
+  size_t EraseWhere(const Predicate* pred, Timestamp tau);
+
   /// \brief texp_R(r). nullopt if r ∉ R.
   std::optional<Timestamp> GetTexp(const Tuple& tuple) const;
 
@@ -331,6 +345,9 @@ class Relation {
   // (RemoveExpired's `record_delta`) so consumers also free the memory:
   //
   //  * an eager expiry drain -> {epoch, inserted=[], deleted=[t1@e1, ...]}
+  //
+  // EraseWhere (a SQL DELETE) records its removed tuples the same way: one
+  // batch per statement, however many rows it removes.
   //
   // Clear() and attribute renames break the history (consumers must fall
   // back to recomputation). Ring overflow trims the oldest epochs;
@@ -529,6 +546,12 @@ class Relation {
   /// Drops `seg` if it just became empty; resets all storage when the
   /// relation as a whole became empty.
   void ShrinkAfterErase(Segment* seg);
+  /// Retires the id of segments_[i] and unlinks it; its remaining index
+  /// slots (if any) turn stale.
+  void DropSegmentAt(size_t i);
+  /// Releases every segment and the index of a relation that holds no
+  /// entries, so repeated fill/drain cycles do not accrete state.
+  void ResetStorage();
   /// Grows/rebuilds the index so it can hold at least `n` live entries.
   /// Renumbers segment ids compactly and purges stale slots/tombstones.
   void Rehash(size_t n);
@@ -549,8 +572,8 @@ class Relation {
   void RecordDeltaUpdate(const Tuple& tuple, Timestamp old_texp,
                          Timestamp new_texp);
   void RecordDeltaErase(const Tuple& tuple, Timestamp old_texp);
-  void RecordDeltaDrain(
-      const std::vector<std::pair<Tuple, Timestamp>>& removed);
+  /// Records `removed` (non-empty) as one delete batch.
+  void RecordDeltaDrain(std::vector<Entry> removed);
   void TrimDeltaRing();
   /// Invalidates all outstanding cursors (wholesale change happened).
   void BreakDeltaHistory();

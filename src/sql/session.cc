@@ -808,14 +808,10 @@ Result<ExecResult> Session::ExecuteDelete(const DeleteStatement& stmt) {
         Predicate p, BindWhere(*stmt.where, {TableRef{stmt.table, ""}}, db()));
     pred = std::move(p);
   }
-  size_t deleted = 0;
-  for (const auto& [tuple, texp] : rel->SortedEntries()) {
-    if (texp <= Now()) continue;  // already expired: not visible to DELETE
-    if (!pred.has_value() || pred->Evaluate(tuple)) {
-      rel->Erase(tuple);
-      ++deleted;
-    }
-  }
+  // Expired tuples are not visible to DELETE; the removal is one delete
+  // batch, so views and cached results see one change.
+  const size_t deleted =
+      rel->EraseWhere(pred.has_value() ? &*pred : nullptr, Now());
   if (deleted > 0) engine_->views().NotifyBaseChanged(stmt.table);
   return ExecResult{std::to_string(deleted) +
                         (deleted == 1 ? " row" : " rows") + " deleted from " +

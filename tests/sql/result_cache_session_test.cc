@@ -7,6 +7,7 @@
 // statement on its second execution, so a test that wants a cached entry
 // runs the statement once more first ("first sighting").
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,60 @@ TEST(ResultCacheSessionTest, InsertAndDeletePatchTheCachedResult) {
   MustExec(s, "DELETE FROM t WHERE x = 1");
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t WHERE x >= 1")), 3u);
   EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 2u);
+}
+
+// A DELETE is one delta batch however many rows it removes, so one wider
+// than the delta ring (kDefaultDeltaRingCapacity batches) still patches a
+// cached COUNT(*) and is delta-applied to a view. Recorded row by row, it
+// would trim the cursors' history: a history_trimmed miss and a view
+// recompute.
+TEST(ResultCacheSessionTest, DeleteWiderThanTheDeltaRingStillPatches) {
+  Session s;
+  // Removes more rows than the ring holds batches, but under half of the
+  // table, so the view keeps its plan (a 2x size drift replans it).
+  const int wide = static_cast<int>(Relation::kDefaultDeltaRingCapacity) + 500;
+  const int n = 2 * wide;
+  MustExec(s, "CREATE TABLE t (x INT)");
+  for (int lo = 0; lo < n; lo += 1000) {
+    std::string values;
+    for (int x = lo; x < std::min(n, lo + 1000); ++x) {
+      values += std::string(x == lo ? "" : ", ") + "(" + std::to_string(x) +
+                ")";
+    }
+    MustExec(s, "INSERT INTO t VALUES " + values);
+  }
+  MustExec(s, "CREATE VIEW v AS SELECT x FROM t WHERE x >= 0");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), static_cast<size_t>(n));
+  MustExec(s, "INSERT INTO t VALUES (" + std::to_string(n) + ")");
+  // Seeds the view's propagator.
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")),
+            static_cast<size_t>(n) + 1);
+  const std::string count = "SELECT COUNT(*) FROM t";
+  MustExec(s, count);  // first sighting
+  MustExec(s, count);  // fill
+
+  const uint64_t patches0 = Metric("expdb_result_cache_patches_total");
+  const uint64_t trimmed0 =
+      Metric("expdb_result_cache_misses_history_trimmed_total");
+  const uint64_t applies0 = Metric("expdb_view_delta_applies_total");
+  const uint64_t fallbacks0 = Metric("expdb_view_delta_fallbacks_total");
+  auto del = MustExec(s, "DELETE FROM t WHERE x < " + std::to_string(wide));
+  EXPECT_NE(del.message.find(std::to_string(wide) + " rows"),
+            std::string::npos)
+      << del.message;
+
+  const size_t left = static_cast<size_t>(n - wide) + 1;
+  auto c = MustExec(s, count);
+  EXPECT_EQ(c.message, "ok (cached)");
+  ASSERT_TRUE(c.relation.has_value());
+  EXPECT_EQ(c.relation->SortedEntries().at(0).first.at(0),
+            Value(static_cast<int64_t>(left)));
+  EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 1u);
+  EXPECT_EQ(Metric("expdb_result_cache_misses_history_trimmed_total"),
+            trimmed0);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), left);
+  EXPECT_EQ(Metric("expdb_view_delta_applies_total") - applies0, 1u);
+  EXPECT_EQ(Metric("expdb_view_delta_fallbacks_total"), fallbacks0);
 }
 
 TEST(ResultCacheSessionTest, TimePassingComputedExpiryRecomputes) {

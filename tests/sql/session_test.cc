@@ -323,6 +323,44 @@ TEST(SessionTest, DeleteRespectsVisibility) {
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 0u);
 }
 
+// A DELETE is one delta batch however many rows it removes: one epoch
+// for the views and cached results that follow the table.
+TEST(SessionTest, MultiRowDeleteIsOneDeltaEpoch) {
+  Session s;
+  MustExec(s, "CREATE TABLE t (x INT)");
+  MustExec(s, "INSERT INTO t VALUES (1), (2), (3), (4), (5)");
+  const Relation* t = s.db().GetRelation("t").value();
+  t->EnableDeltaTracking();
+  const uint64_t epoch = t->delta_epoch();
+  auto r = MustExec(s, "DELETE FROM t WHERE x >= 2");
+  EXPECT_NE(r.message.find("4 rows"), std::string::npos) << r.message;
+  EXPECT_EQ(t->delta_epoch(), epoch + 1);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 1u);
+}
+
+// A DELETE that removes nothing live — its matches already expired, or
+// there are none — changes nothing a view can see, so no view goes stale.
+TEST(SessionTest, DeleteOfNothingLiveLeavesViewsFresh) {
+  Session s;
+  MustExec(s, "CREATE TABLE t (x INT)");
+  MustExec(s, "INSERT INTO t VALUES (1) TTL 3");
+  MustExec(s, "INSERT INTO t VALUES (2)");
+  MustExec(s, "CREATE VIEW v AS SELECT x FROM t");
+  MustExec(s, "ADVANCE TIME 5");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 1u);
+  obs::Counter* marked =
+      obs::MetricsRegistry::Global().GetCounter("expdb_view_marked_stale_total");
+  const uint64_t marked0 = marked->value();
+  for (const char* stmt :
+       {"DELETE FROM t WHERE x = 1", "DELETE FROM t WHERE x = 9"}) {
+    auto r = MustExec(s, stmt);
+    EXPECT_NE(r.message.find("0 rows"), std::string::npos) << r.message;
+  }
+  EXPECT_EQ(marked->value(), marked0);
+  EXPECT_FALSE(s.engine().views().GetView("v").value()->stale());
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 1u);
+}
+
 TEST(SessionTest, ShowStatements) {
   Session s;
   MustExec(s, "CREATE TABLE t (x INT)");
