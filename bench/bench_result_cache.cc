@@ -24,6 +24,12 @@
 //     patch touches one group and moves one row per touched group
 //     through the aggregate (its plan is per-group), so it must cost less
 //     than the recomputation beside it.
+//   * PatchedHitRingDepth/16 and /4096 — a cached point query patched
+//     after 16 one-row INSERTs (untimed), with the table's delta ring
+//     holding 16 or 4 096 batches when the lookup runs. Fifteen rows miss
+//     the filter; the sixteenth re-inserts one matching row with a later
+//     texp, so the result keeps its size. A patch reads only the batches
+//     after its cursor, so both depths must cost the same.
 //   * ConcurrentWarmHits/0 and /1 at 1, 2 and 4 threads — each thread
 //     has its own Session over one shared Engine and SELECTs one of 16
 //     cached point queries on an 8 k-row table. /0 hits unpatched; /1
@@ -212,6 +218,56 @@ void BM_GroupCountUncached(benchmark::State& state) {
   CountAfterInserts(state, kGroupCount, kGroups, /*cached=*/false);
 }
 BENCHMARK(BM_GroupCountUncached)->Arg(16384);
+
+void BM_PatchedHitRingDepth(benchmark::State& state) {
+  const size_t depth = static_cast<size_t>(state.range(0));
+  sql::Session s;
+  // Built here rather than by CREATE TABLE so the ring's capacity is the
+  // depth: the 8 192-row fill leaves it full, and every INSERT below keeps
+  // it full.
+  auto created = s.db().CreateRelation(
+      "t", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
+  if (!created.ok()) {
+    state.SkipWithError(created.status().ToString().c_str());
+    return;
+  }
+  Relation* r = created.value();
+  r->EnableDeltaTracking(depth);
+  for (int64_t i = 0; i < 8192; ++i) {
+    if (!r->Insert(Tuple{i, i % 97}, Timestamp(1000000 + i)).ok()) {
+      state.SkipWithError("fill failed");
+      return;
+    }
+  }
+  Must(s.Execute(kPointQuery), state);  // first sighting
+  Must(s.Execute(kPointQuery), state);  // fill
+  const uint64_t patches_before = s.engine().result_cache().stats().patches;
+  int64_t next = 1000000000;
+  int64_t ttl = 2000000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int i = 0; i < 15; ++i, ++next) {
+      const int64_t v = 4 + next % 93;  // never the queried 3
+      Must(s.Execute("INSERT INTO t VALUES (" + std::to_string(next) + ", " +
+                     std::to_string(v) + ")"),
+           state);
+    }
+    Must(s.Execute("INSERT INTO t VALUES (999999999, 3) TTL " +
+                   std::to_string(++ttl)),
+         state);
+    state.ResumeTiming();
+    auto hit = s.Execute(kPointQuery);
+    Must(hit, state);
+    benchmark::DoNotOptimize(hit);
+  }
+  const uint64_t patches =
+      s.engine().result_cache().stats().patches - patches_before;
+  if (patches != static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("a lookup was not a patched hit");
+  }
+  state.SetLabel("patched hit after 16 one-row INSERTs");
+}
+BENCHMARK(BM_PatchedHitRingDepth)->Arg(16)->Arg(4096);
 
 constexpr int64_t kWarmQueries = 16;
 

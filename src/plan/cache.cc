@@ -389,7 +389,7 @@ std::optional<ResultCache::MissReason> ResultCache::Refresh(
     if (e->propagator == nullptr) return miss(MissReason::kNoPropagator);
     auto batches = base->DeltasSince(cursor.epoch);
     if (!batches.has_value()) return miss(MissReason::kHistoryTrimmed);
-    deltas.push_back({name, std::move(*batches)});
+    deltas.push_back({name, *batches});
   }
   if (deltas.empty()) return std::nullopt;
   auto applied = e->propagator->Apply(deltas, now);

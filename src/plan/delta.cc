@@ -70,6 +70,25 @@ Relation ChildCopy(const PlanNode& child, const NodeCapture& capture) {
                                         ChildEntries(child, capture));
 }
 
+/// Calls `fn(is_delete, entry)` for each op a scan of `relation` emits
+/// this round, read in place from the borrowed batches: per batch its
+/// deletes, then its inserts. Inserts already expired at `now` would be
+/// invisible to every expτ reader downstream and are skipped; deletes
+/// always pass (the tuple may have been live when captured).
+template <typename Fn>
+void ForEachScanOp(const std::vector<BaseDelta>& deltas,
+                   const std::string& relation, Timestamp now, Fn&& fn) {
+  for (const BaseDelta& base : deltas) {
+    if (base.relation != relation) continue;
+    for (const Relation::DeltaBatch& batch : base.batches) {
+      for (const Relation::Entry& e : batch.deleted) fn(true, e);
+      for (const Relation::Entry& e : batch.inserted) {
+        if (e.texp > now) fn(false, e);
+      }
+    }
+  }
+}
+
 bool SubtreeSupportsDelta(const PlanNode& n, const EvalOptions& options) {
   if (n.const_false) return true;  // never executes
   if (!NodeSupportsDelta(n, options)) return false;
@@ -316,7 +335,8 @@ struct DeltaPropagator::NodeState {
 /// Per-Apply round context.
 struct DeltaPropagator::Round {
   Timestamp now;
-  const std::map<std::string, DeltaOps>* base_ops;
+  /// The bases' borrowed batches; scans read them in place.
+  const std::vector<BaseDelta>* deltas;
   /// Per-round memo of common-subtree outputs, keyed by cse_id: the
   /// primary occurrence (first in the executor's left-first DFS order)
   /// computes and owns the state, shadows reuse the ops.
@@ -523,22 +543,33 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
 
   PropOut out;
   switch (n.op) {
-    case PlanOp::kScan: {
-      auto it = round->base_ops->find(n.expr->relation_name());
-      if (it != round->base_ops->end()) {
-        for (const auto& op : it->second) {
-          // Inserts already expired at `now` would be invisible to every
-          // expτ reader downstream; deletes always pass (the tuple may
-          // have been live when captured).
-          if (!op.is_delete && op.entry.texp <= round->now) continue;
-          out.ops.push_back(op);
-        }
-      }
+    case PlanOp::kScan:
+      ForEachScanOp(*round->deltas, n.expr->relation_name(), round->now,
+                    [&](bool is_delete, const Relation::Entry& e) {
+                      out.ops.push_back({is_delete, e});
+                    });
       break;  // scans are monotonic: texp stays ∞
-    }
     case PlanOp::kFilter: {
-      EXPDB_ASSIGN_OR_RETURN(PropOut child, Propagate(*n.left, round));
       const Predicate& p = n.expr->predicate();
+      const PlanNode& input = *n.left;
+      if (input.op == PlanOp::kScan && !input.const_false &&
+          input.cse_id < 0) {
+        // Fused with its scan: the predicate reads the borrowed batches
+        // and only matches are copied. The scan's ops still count toward
+        // ops_total, as if it had emitted them. Scans are monotonic, so
+        // texp stays ∞.
+        size_t scanned = 0;
+        ForEachScanOp(*round->deltas, input.expr->relation_name(), round->now,
+                      [&](bool is_delete, const Relation::Entry& e) {
+                        ++scanned;
+                        if (p.Evaluate(e.tuple)) {
+                          out.ops.push_back({is_delete, e});
+                        }
+                      });
+        round->ops_total += scanned;
+        break;
+      }
+      EXPDB_ASSIGN_OR_RETURN(PropOut child, Propagate(input, round));
       for (const auto& op : child.ops) {
         if (p.Evaluate(op.entry.tuple)) out.ops.push_back(op);
       }
@@ -836,20 +867,14 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
 
 Result<DeltaPropagator::ApplyResult> DeltaPropagator::Apply(
     const std::vector<BaseDelta>& deltas, Timestamp now) {
-  std::map<std::string, DeltaOps> base_ops;
   size_t ops_in = 0;
-  for (const auto& base : deltas) {
-    DeltaOps& ops = base_ops[base.relation];
-    for (const auto& batch : base.batches) {
-      // Within a batch the delete precedes the insert (a texp change is
-      // delete-old-then-insert-new).
-      for (const auto& e : batch.deleted) ops.push_back({true, e});
-      for (const auto& e : batch.inserted) ops.push_back({false, e});
+  for (const BaseDelta& base : deltas) {
+    for (const Relation::DeltaBatch& batch : base.batches) {
       ops_in += batch.deleted.size() + batch.inserted.size();
     }
   }
 
-  Round round{now, &base_ops, {}, 0};
+  Round round{now, &deltas, {}, 0};
   EXPDB_ASSIGN_OR_RETURN(PropOut root, Propagate(plan_->root(), &round));
 
   ApplyResult result;

@@ -52,11 +52,12 @@ struct DeltaOp {
 };
 using DeltaOps = std::vector<DeltaOp>;
 
-/// The recorded mutation stream of one base relation (the batches come
-/// from Relation::DeltasSince, already in epoch order).
+/// The recorded mutation stream of one base relation: the batches
+/// Relation::DeltasSince lends, in epoch order. Borrowed, so a BaseDelta
+/// lives only as long as the lock its range was read under.
 struct BaseDelta {
   std::string relation;
-  std::vector<Relation::DeltaBatch> batches;
+  Relation::DeltaRange batches;
 };
 
 /// \brief Bytes of `t`'s values: inline Value slots plus string contents.
@@ -121,7 +122,9 @@ class DeltaPropagator {
 
   ~DeltaPropagator();
 
-  /// \brief Propagates `deltas` at time `now`.
+  /// \brief Propagates `deltas` at time `now`. Scans read the borrowed
+  /// batches in place; a filter directly over a scan copies only the
+  /// entries its predicate keeps. O(|deltas| + touched state).
   ///
   /// Precondition: `now` precedes the cached result's texp (for a patched
   /// difference root, its children_texp). This is what keeps the cached

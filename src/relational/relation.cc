@@ -156,18 +156,19 @@ uint64_t Relation::delta_epoch() const {
   return log != nullptr ? log->epoch : 0;
 }
 
-std::optional<std::vector<Relation::DeltaBatch>> Relation::DeltasSince(
+std::optional<Relation::DeltaRange> Relation::DeltasSince(
     uint64_t since) const {
   const DeltaLog* log = delta_log();
   if (log == nullptr) return std::nullopt;
   // A cursor from the future (or from another relation's clock) or one
   // older than the retained window cannot be served exactly.
   if (since > log->epoch || since < log->floor) return std::nullopt;
-  std::vector<DeltaBatch> out;
-  for (const DeltaBatch& b : log->batches) {
-    if (b.epoch > since) out.push_back(b);
-  }
-  return out;
+  // The ring holds epochs floor+1 .. epoch in order, so epoch since+1
+  // sits at offset since - floor.
+  assert(log->batches.size() == log->epoch - log->floor);
+  const auto first = log->batches.begin() +
+                     static_cast<std::ptrdiff_t>(since - log->floor);
+  return DeltaRange(first, log->batches.end());
 }
 
 void Relation::RecordDeltaInsert(const Tuple& tuple, Timestamp texp) {

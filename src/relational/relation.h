@@ -352,6 +352,10 @@ class Relation {
   // Clear() and attribute renames break the history (consumers must fall
   // back to recomputation). Ring overflow trims the oldest epochs;
   // DeltasSince reports the loss instead of returning a partial stream.
+  //
+  // The ring holds epochs floor+1 .. epoch without gaps (every record
+  // takes the next epoch; trims and breaks only move floor), so the
+  // batches after any cursor are found by arithmetic, not by a walk.
 
   /// One recorded mutation epoch. `deleted` precedes `inserted` when both
   /// are non-empty (a texp change is delete-old-then-insert-new).
@@ -359,6 +363,28 @@ class Relation {
     uint64_t epoch = 0;
     std::vector<Entry> inserted;
     std::vector<Entry> deleted;
+  };
+
+  /// A borrowed, epoch-ordered run of batches inside the delta ring.
+  /// Copying it copies two iterators, not the batches.
+  class DeltaRange {
+   public:
+    using const_iterator = std::deque<DeltaBatch>::const_iterator;
+
+    DeltaRange() = default;
+    DeltaRange(const_iterator first, const_iterator last)
+        : first_(first), last_(last) {}
+
+    const_iterator begin() const { return first_; }
+    const_iterator end() const { return last_; }
+    size_t size() const { return static_cast<size_t>(last_ - first_); }
+    bool empty() const { return first_ == last_; }
+    const DeltaBatch& front() const { return *first_; }
+    const DeltaBatch& operator[](size_t i) const { return first_[i]; }
+
+   private:
+    const_iterator first_{};
+    const_iterator last_{};
   };
 
   static constexpr size_t kDefaultDeltaRingCapacity = 4096;
@@ -387,10 +413,16 @@ class Relation {
   uint64_t delta_epoch() const;
 
   /// \brief The ordered mutation batches recorded in epochs
-  /// (`since`, delta_epoch()]. nullopt when the history is unavailable:
-  /// tracking disabled, the ring trimmed past `since`, the history was
-  /// broken (Clear/rename), or `since` is from another relation's clock.
-  std::optional<std::vector<DeltaBatch>> DeltasSince(uint64_t since) const;
+  /// (`since`, delta_epoch()], found in O(1). nullopt when the history is
+  /// unavailable: tracking disabled, the ring trimmed past `since`, the
+  /// history was broken (Clear/rename), or `since` is from another
+  /// relation's clock.
+  ///
+  /// The range borrows the ring: it stays valid only while the caller
+  /// holds the relation's reader or writer lock (a Snapshot, a WriteGuard
+  /// or the exclusive lock), because the next recorded mutation may trim
+  /// or clear the batches it points into.
+  std::optional<DeltaRange> DeltasSince(uint64_t since) const;
 
   /// \brief Snapshot of the delta clock: the pair a consumer stores when
   /// it materializes a derived result over this base. The base is

@@ -244,7 +244,7 @@ Result<bool> MaterializedView::TryApplyDeltas(const Database& db,
     auto batches = base->DeltasSince(cursor.epoch);
     if (!batches.has_value()) return false;  // ring trimmed / history broken
     if (!batches->empty()) {
-      deltas.push_back({name, std::move(*batches)});
+      deltas.push_back({name, *batches});
     }
   }
   obs::ScopedSpan span("view.delta_apply", &metrics_.delta_latency);

@@ -163,8 +163,7 @@ void CheckOne(uint64_t seed, Layout layout, size_t n,
     ASSERT_FALSE(fast.Contains(tuple)) << what << ": " << tuple.ToString();
   }
 
-  const std::optional<std::vector<Relation::DeltaBatch>> batches =
-      fast.DeltasSince(epoch);
+  const auto batches = fast.DeltasSince(epoch);
   ASSERT_TRUE(batches.has_value()) << what;
   if (removed.empty()) {
     EXPECT_EQ(fast.delta_epoch(), epoch) << what;

@@ -10,15 +10,27 @@
 // whenever it cannot prove a plan incrementalizable; the property holds
 // either way, which is exactly the point: correctness never depends on
 // the delta engine firing.
+//
+// InPlaceScanTest pins the propagator's scan and filter, which read the
+// bases' borrowed delta batches in place: one Apply at a fixed time must
+// patch a captured result into exactly what recomputation and the
+// reference evaluator return, across texp updates, inserts already
+// expired, common subtrees, a constant-false filter and two bases.
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/expression.h"
+#include "plan/delta.h"
+#include "plan/executor.h"
+#include "plan/planner.h"
 #include "testing/workload.h"
+#include "tests/support/reference_eval.h"
 #include "view/materialized_view.h"
 
 namespace expdb {
@@ -226,6 +238,223 @@ TEST_P(DeltaPropertyTest, SupportedPlanExercisesTheDeltaPath) {
   // recomputes), and the forced-recompute twin never did.
   EXPECT_GT(incremental.stats().delta_applies, 0u);
   EXPECT_EQ(recompute.stats().delta_applies, 0u);
+}
+
+/// One Apply at a fixed `kNow`: nothing captured at kNow can have expired
+/// by kNow, so the patched result must equal recomputation entry for
+/// entry, dead entries included — an expired insert the patch let
+/// through would show up as an extra entry.
+class InPlaceScanTest : public ::testing::Test {
+ protected:
+  const Timestamp kNow = Timestamp(20);
+
+  void SetUp() override {
+    Rng rng(4242);
+    testing::RelationSpec spec;
+    spec.num_tuples = 60;
+    spec.arity = 2;
+    spec.value_domain = 8;
+    spec.ttl_min = 5;
+    spec.ttl_max = 60;
+    spec.infinite_fraction = 0.15;
+    ASSERT_TRUE(testing::FillDatabase(&db_, rng, spec, 2).ok());
+    for (const char* name : {"R0", "R1"}) Rel(name)->EnableDeltaTracking();
+  }
+
+  Relation* Rel(const std::string& name) {
+    return db_.GetRelation(name).value();
+  }
+
+  /// Live rows of `name` at kNow, in tuple order.
+  std::vector<Relation::Entry> Live(const std::string& name) {
+    std::vector<Relation::Entry> out;
+    for (const auto& e : SortedEntries(*Rel(name))) {
+      if (e.texp > kNow) out.push_back(e);
+    }
+    return out;
+  }
+
+  /// Plans and captures `expr` at kNow, runs `mutate`, and patches the
+  /// captured result with one Apply over the bases that changed (there
+  /// must be `want_bases` of them). The patch must match a fresh
+  /// execution and the reference evaluator, tuples and texps, and
+  /// texp(e) must match the fresh execution's.
+  void PatchAndCompare(const ExpressionPtr& expr,
+                       const std::function<void()>& mutate,
+                       size_t want_bases) {
+    const std::string context = expr->ToString();
+    auto p = plan::Planner::Plan(expr, db_);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    plan_ = p.value();
+    plan::NodeCapture capture;
+    auto before =
+        plan::ExecutePlan(*plan_, db_, kNow, {}, nullptr, &capture);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    auto prop = plan::DeltaPropagator::Create(plan_, capture, {});
+    ASSERT_NE(prop, nullptr) << context;
+
+    std::map<std::string, uint64_t> epochs;
+    for (const char* name : {"R0", "R1"}) {
+      epochs[name] = Rel(name)->delta_epoch();
+    }
+    mutate();
+    std::vector<plan::BaseDelta> deltas;
+    for (const auto& [name, epoch] : epochs) {
+      auto batches = Rel(name)->DeltasSince(epoch);
+      ASSERT_TRUE(batches.has_value()) << name;
+      if (!batches->empty()) deltas.push_back({name, *batches});
+    }
+    ASSERT_EQ(deltas.size(), want_bases) << context;
+    auto applied = prop->Apply(deltas, kNow);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_GT(applied->ops_in, 0u) << context;
+    Relation patched = std::move(before->relation);
+    plan::DeltaPropagator::ApplyOps(applied->root_ops, &patched);
+
+    auto fresh = plan::ExecutePlan(*plan_, db_, kNow);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    auto ref = testing::ReferenceEval(expr, db_, kNow);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ExpectSameEntries(fresh->relation, patched, context + " (recomputed)");
+    ExpectSameEntries(*ref, patched, context + " (reference)");
+    EXPECT_EQ(applied->texp, fresh->texp) << context;
+  }
+
+  /// True when some node of the last plan satisfies `pred`.
+  bool PlanHas(const std::function<bool(const plan::PlanNode&)>& pred) {
+    std::vector<const plan::PlanNode*> stack = {&plan_->root()};
+    while (!stack.empty()) {
+      const plan::PlanNode* n = stack.back();
+      stack.pop_back();
+      if (pred(*n)) return true;
+      if (n->left != nullptr) stack.push_back(n->left.get());
+      if (n->right != nullptr) stack.push_back(n->right.get());
+    }
+    return false;
+  }
+
+  static Predicate AtLeast(size_t col, int64_t v) {
+    return Predicate::Compare(Operand::Column(col), ComparisonOp::kGe,
+                              Operand::Constant(Value(v)));
+  }
+
+  Database db_;
+  plan::PhysicalPlanPtr plan_;
+};
+
+TEST_F(InPlaceScanTest, FilterOverScanSeesTexpUpdates) {
+  using namespace algebra;  // NOLINT
+  size_t both = 0;
+  PatchAndCompare(
+      Select(Base("R0"), AtLeast(0, 3)),
+      [&] {
+        // Raised, lowered, lowered past kNow, made infinite: each update
+        // is one batch holding a delete and an insert.
+        const Timestamp texps[] = {Timestamp(kNow.ticks() + 70),
+                                   Timestamp(kNow.ticks() + 1), kNow,
+                                   Timestamp::Infinity()};
+        const auto live = Live("R0");
+        for (size_t i = 0; i < live.size() && i < 12; ++i) {
+          const uint64_t epoch = Rel("R0")->delta_epoch();
+          Rel("R0")->InsertUnchecked(live[i].tuple, texps[i % 4]);
+          const auto batches = Rel("R0")->DeltasSince(epoch);
+          if (batches.has_value() && batches->size() == 1 &&
+              batches->front().deleted.size() == 1 &&
+              batches->front().inserted.size() == 1) {
+            ++both;
+          }
+        }
+      },
+      1);
+  EXPECT_GE(both, 8u);
+}
+
+TEST_F(InPlaceScanTest, InsertsExpiredAtNowAreDropped) {
+  using namespace algebra;  // NOLINT
+  int64_t call = 0;
+  auto mutate = [this, &call] {
+    ++call;
+    for (int64_t i = 0; i < 6; ++i) {
+      // Fresh rows: dead at kNow, dead before it, alive after it.
+      const Timestamp texp = i % 3 == 0   ? kNow
+                             : i % 3 == 1 ? Timestamp(kNow.ticks() - 4)
+                                          : Timestamp(kNow.ticks() + 9);
+      ASSERT_TRUE(Rel("R0")->Insert(Tuple{100 * call + i, i}, texp).ok());
+    }
+    // A live row whose texp update lands on kNow: its insert is dead.
+    const auto live = Live("R0");
+    ASSERT_FALSE(live.empty());
+    Rel("R0")->InsertUnchecked(live.front().tuple, kNow);
+  };
+  PatchAndCompare(Select(Base("R0"), AtLeast(0, 0)), mutate, 1);
+  PatchAndCompare(Base("R0"), mutate, 1);
+}
+
+TEST_F(InPlaceScanTest, CommonSubtreeFilteredScan) {
+  using namespace algebra;  // NOLINT
+  int64_t call = 0;
+  auto mutate = [this, &call] {
+    // Each call raises the texps of the same two joinable rows.
+    const int64_t texp = 30 + 10 * ++call;
+    ASSERT_TRUE(Rel("R0")->Insert(Tuple{5, 6}, Timestamp(texp)).ok());
+    ASSERT_TRUE(Rel("R0")->Insert(Tuple{6, 5}, Timestamp(texp + 1)).ok());
+    ASSERT_TRUE(Rel("R0")->Insert(Tuple{7, 7}, kNow).ok());
+    const auto live = Live("R0");
+    ASSERT_GE(live.size(), 2u);
+    Rel("R0")->Erase(live[0].tuple);
+    Rel("R0")->InsertUnchecked(live[1].tuple, Timestamp(kNow.ticks() + 2));
+  };
+  const ExpressionPtr filtered = Select(Base("R0"), AtLeast(0, 2));
+  PatchAndCompare(Join(filtered, filtered, Predicate::ColumnsEqual(1, 2)),
+                  mutate, 1);
+  EXPECT_TRUE(PlanHas([](const plan::PlanNode& n) {
+    return n.op == plan::PlanOp::kFilter && n.cse_id >= 0;
+  })) << "the filtered scan is not a common subtree";
+  PatchAndCompare(Union(filtered, filtered), mutate, 1);
+}
+
+TEST_F(InPlaceScanTest, ConstFalseFilterEmitsNothing) {
+  using namespace algebra;  // NOLINT
+  int64_t call = 0;
+  auto mutate = [this, &call] {
+    ++call;
+    ASSERT_TRUE(Rel("R0")->Insert(Tuple{100 * call, 3}, Timestamp(50)).ok());
+    ASSERT_TRUE(Rel("R1")->Insert(Tuple{100 * call, 4}, Timestamp(50)).ok());
+    const auto live = Live("R0");
+    ASSERT_FALSE(live.empty());
+    Rel("R0")->Erase(live.front().tuple);
+  };
+  PatchAndCompare(Union(Select(Base("R0"), Predicate::Literal(false)),
+                        Select(Base("R1"), AtLeast(1, 2))),
+                  mutate, 2);
+  EXPECT_TRUE(PlanHas([](const plan::PlanNode& n) {
+    return n.op == plan::PlanOp::kFilter && n.const_false;
+  })) << "the false filter was not folded";
+  PatchAndCompare(Select(Base("R0"), Predicate::Literal(false)), mutate, 2);
+}
+
+TEST_F(InPlaceScanTest, TwoBasesInOneApply) {
+  using namespace algebra;  // NOLINT
+  int64_t call = 0;
+  auto mutate = [this, &call] {
+    ++call;
+    for (const char* name : {"R0", "R1"}) {
+      const auto live = Live(name);
+      ASSERT_GE(live.size(), 3u);
+      Rel(name)->Erase(live[0].tuple);
+      Rel(name)->InsertUnchecked(live[1].tuple, Timestamp(kNow.ticks() + 30));
+      Rel(name)->InsertUnchecked(live[2].tuple, kNow);
+      ASSERT_TRUE(
+          Rel(name)->Insert(Tuple{2, 6}, Timestamp(30 + 3 * call)).ok());
+      ASSERT_TRUE(Rel(name)->Insert(Tuple{6, 2}, Timestamp(9 + call)).ok());
+    }
+  };
+  PatchAndCompare(Union(Select(Base("R0"), AtLeast(0, 2)),
+                        Select(Base("R1"), AtLeast(1, 3))),
+                  mutate, 2);
+  PatchAndCompare(Join(Select(Base("R0"), AtLeast(1, 1)), Base("R1"),
+                       Predicate::ColumnsEqual(1, 2)),
+                  mutate, 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(
