@@ -7,7 +7,8 @@
 // exporter fails the build, not the dashboard. It also starts the
 // embedded HTTP observability endpoint on an ephemeral port and fetches
 // /metrics and /healthz over a real socket, so the wire-level surface is
-// gated alongside the in-process exporters.
+// gated alongside the in-process exporters, and requires a view's
+// delta_fallback event to name its reason.
 //
 // Usage: trace_artifacts [output-dir]   (default: current directory)
 
@@ -96,6 +97,10 @@ int main(int argc, char** argv) {
   if (!exec("EXECUTE hot_sensor (5)")) return 1;  // hit
   if (!exec("INSERT INTO readings VALUES (3, 4096) TTL 500")) return 1;
   if (!exec("SELECT v FROM readings WHERE sensor = 3")) return 1;  // patch
+  // The INSERT left the `hot` view stale. Its first stale round has no
+  // propagator yet, so it recomputes and logs a delta_fallback event that
+  // names why.
+  if (!exec("SELECT * FROM hot")) return 1;
 
   // 1c. The live observability endpoint: one telemetry tick to populate
   //     the pressure gauges and health verdict, then fetch /metrics and
@@ -196,6 +201,17 @@ int main(int argc, char** argv) {
   }
   if (!WriteFile(dir + "/events.jsonl", events)) {
     return Fail("cannot write " + dir + "/events.jsonl");
+  }
+  // A view that falls back to a recompute must say why.
+  bool fallback_has_reason = false;
+  for (const obs::LogEvent& e : log.Snapshot()) {
+    if (e.event != "delta_fallback") continue;
+    for (const auto& [key, value] : e.fields) {
+      if (key == "reason" && !value.empty()) fallback_has_reason = true;
+    }
+  }
+  if (!fallback_has_reason) {
+    return Fail("events.jsonl has no delta_fallback event with a reason");
   }
 
   std::printf("trace_artifacts: %zu spans, %zu events -> %s/{trace.json,"

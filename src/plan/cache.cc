@@ -220,30 +220,6 @@ size_t EstimateResultBytes(const Relation& relation) {
   return bytes;
 }
 
-const char* ResultCache::MissReasonName(MissReason reason) {
-  switch (reason) {
-    case MissReason::kAbsent:
-      return "absent";
-    case MissReason::kLapsed:
-      return "lapsed";
-    case MissReason::kBaseGone:
-      return "base_gone";
-    case MissReason::kInstanceChurn:
-      return "instance_churn";
-    case MissReason::kNoPropagator:
-      return "no_propagator";
-    case MissReason::kHistoryTrimmed:
-      return "history_trimmed";
-    case MissReason::kPatchFailed:
-      return "patch_failed";
-    case MissReason::kLapsedAfterPatch:
-      return "lapsed_after_patch";
-    case MissReason::kEvictedByPatch:
-      return "evicted_by_patch";
-  }
-  return "unknown";
-}
-
 ResultCache::ResultCache() {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   hits_total_ = reg.GetCounter(
@@ -365,52 +341,22 @@ std::optional<MaterializedResult> ResultCache::Miss(MissReason reason) {
 
 std::optional<ResultCache::MissReason> ResultCache::Refresh(
     Entry* e, const Database& db, Timestamp now, bool* patched) {
-  if (e->dead.has_value()) return e->dead;
-  auto miss = [e](MissReason reason) {
-    e->dead = reason;
-    return reason;
-  };
-  // Lapsed materialization: Theorem 2's identity window is over, and the
-  // propagator's cached analyses lapse with it.
-  if (!(now < e->result.texp)) return miss(MissReason::kLapsed);
-  std::vector<BaseDelta> deltas;
-  for (auto& [name, cursor] : e->bases) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) return miss(MissReason::kBaseGone);
-    const Relation* base = rel.value();
-    // Instance churn = a different body of data under the name; an epoch
-    // bump with a broken/trimmed history (Clear(), ring overflow) shows
-    // up as DeltasSince -> nullopt below. Either way: never serve stale.
-    if (base->delta_instance_id() == 0 ||
-        base->delta_instance_id() != cursor.instance_id) {
-      return miss(MissReason::kInstanceChurn);
-    }
-    if (base->delta_epoch() == cursor.epoch) continue;
-    if (e->propagator == nullptr) return miss(MissReason::kNoPropagator);
-    auto batches = base->DeltasSince(cursor.epoch);
-    if (!batches.has_value()) return miss(MissReason::kHistoryTrimmed);
-    deltas.push_back({name, *batches});
-  }
-  if (deltas.empty()) return std::nullopt;
-  auto applied = e->propagator->Apply(deltas, now);
-  if (!applied.ok()) return miss(MissReason::kPatchFailed);
-  const int64_t delta_bytes =
-      DeltaPropagator::ApplyOps(applied.value().root_ops, &e->result.relation);
+  Materialization& m = e->materialization;
+  Materialization::Drift drift;
+  if (auto reason = m.Collect(db, now, &drift)) return reason;
+  if (drift.deltas.empty()) return std::nullopt;
+  int64_t delta_bytes = 0;
+  auto applied = m.Patch(drift, now, &delta_bytes);
+  if (!applied.ok()) return MissReason::kPatchFailed;
   e->result_bytes += static_cast<size_t>(delta_bytes);
-  e->result.texp = applied.value().texp;
-  e->result.materialized_at = now;
-  e->result.validity = IntervalSet(now, e->result.texp);
-  e->texp.store(e->result.texp, std::memory_order_relaxed);
-  if (!(now < e->result.texp)) return miss(MissReason::kLapsedAfterPatch);
-  for (auto& [name, cursor] : e->bases) {
-    cursor = db.GetRelation(name).value()->delta_cursor();
-  }
-  e->charge.store(e->result_bytes + e->propagator->EstimateBytes(),
+  e->texp.store(m.result().texp, std::memory_order_relaxed);
+  if (!(now < m.result().texp)) return MissReason::kLapsedAfterPatch;
+  e->charge.store(e->result_bytes + m.propagator()->EstimateBytes(),
                   std::memory_order_relaxed);
   LogCacheEvent("cache_patch",
-                {{"ops", std::to_string(applied.value().ops_out)},
-                 {"ops_total", std::to_string(applied.value().ops_total)},
-                 {"texp", e->result.texp.ToString()}});
+                {{"ops", std::to_string(applied->ops_out)},
+                 {"ops_total", std::to_string(applied->ops_total)},
+                 {"texp", m.result().texp.ToString()}});
   *patched = true;
   return std::nullopt;
 }
@@ -439,9 +385,11 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
   std::optional<MaterializedResult> served;
   {
     std::lock_guard<std::mutex> guard(entry->mu);
-    missed = Refresh(entry.get(), db, now, &patched);
+    missed = entry->dead;
+    if (!missed.has_value()) missed = Refresh(entry.get(), db, now, &patched);
+    entry->dead = missed;
     if (!missed.has_value()) {
-      const MaterializedResult& cached = entry->result;
+      const MaterializedResult& cached = entry->materialization.result();
       MaterializedResult& out = served.emplace();
       out.relation = cached.relation.UnexpiredAt(now);
       out.materialized_at = cached.materialized_at;
@@ -502,27 +450,15 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
   // under the caller's reader locks, and the byte estimate and propagator
   // seeding read only this execution's state.
   auto e = std::make_shared<Entry>();
-  for (const std::string& name : plan->planned_expr()->BaseRelationNames()) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) return;
-    // Without tracking the cursors would never move and the cache would
-    // serve stale data after the first INSERT/DELETE; enabling is
-    // idempotent and metadata-only (allowed through const access).
-    rel.value()->EnableDeltaTracking();
-    e->bases.emplace_back(name, rel.value()->delta_cursor());
-  }
   e->result_bytes = EstimateResultBytes(result.relation);
-  e->bytes = e->result_bytes;
-  if (e->bytes > max_bytes()) return;
-  if (capture != nullptr) {
-    e->propagator =
-        DeltaPropagator::Create(plan, *capture, plan->options().eval);
-    if (e->propagator != nullptr) e->bytes += e->propagator->EstimateBytes();
-    if (e->bytes > max_bytes()) return;
-  }
-  e->charge.store(e->bytes, std::memory_order_relaxed);
+  if (e->result_bytes > max_bytes()) return;
   e->texp.store(result.texp, std::memory_order_relaxed);
-  e->result = std::move(result);
+  e->materialization = Materialization(std::move(result));
+  if (!e->materialization.Seed(plan, capture, db)) return;
+  const DeltaPropagator* p = e->materialization.propagator();
+  e->bytes = e->result_bytes + (p != nullptr ? p->EstimateBytes() : 0);
+  if (e->bytes > max_bytes()) return;
+  e->charge.store(e->bytes, std::memory_order_relaxed);
 
   std::vector<EntryPtr> dropped;  // destroyed after mu_ is released
   std::lock_guard<std::mutex> guard(mu_);
@@ -542,7 +478,7 @@ void ResultCache::InvalidateBase(const std::string& name) {
   std::lock_guard<std::mutex> guard(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     bool reads = false;
-    for (const auto& [base, cursor] : it->second->bases) {
+    for (const auto& [base, cursor] : it->second->materialization.bases()) {
       if (base == name) {
         reads = true;
         break;

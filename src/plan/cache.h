@@ -29,15 +29,14 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/value.h"
 #include "core/materialized_result.h"
 #include "obs/metrics.h"
-#include "plan/delta.h"
 #include "plan/executor.h"
+#include "plan/materialization.h"
 #include "plan/plan.h"
 #include "relational/database.h"
 
@@ -151,9 +150,8 @@ std::string ResultCacheKey(const std::string& fingerprint,
 /// \brief LRU-over-byte-budget cache of materialized query results,
 /// validity-stamped with the paper's computed expiration times.
 ///
-/// Per entry: the MaterializedResult, one Relation::DeltaCursor per base
-/// relation, and (when the plan is incrementalizable) a seeded
-/// DeltaPropagator. Lookup outcomes:
+/// Per entry: one plan::Materialization (result, base cursors and, when
+/// the plan is incrementalizable, a seeded propagator). Lookup outcomes:
 ///
 ///   hit    — every cursor unchanged and now < texp: served verbatim.
 ///   patch  — cursors drifted but the delta streams are available and the
@@ -199,24 +197,12 @@ class ResultCache {
   ResultCache();
 
   /// Why a Lookup fell through to execution. Each reason has its own
-  /// expdb_result_cache_misses_<name>_total counter; together they sum to
-  /// expdb_result_cache_misses_total.
-  enum class MissReason : uint8_t {
-    kAbsent,            ///< no entry under the key
-    kLapsed,            ///< now >= texp(e): Theorem 2's window is over
-    kBaseGone,          ///< a base relation no longer exists
-    kInstanceChurn,     ///< a base is a different body of data (recreated)
-    kNoPropagator,      ///< a base drifted and the plan cannot be patched
-    kHistoryTrimmed,    ///< the base's delta history is gone (Clear, ring)
-    kPatchFailed,       ///< delta propagation reported an error
-    kLapsedAfterPatch,  ///< the patched texp(e) is already <= now
-    kEvictedByPatch,    ///< the patched entry alone exceeds the budget
-  };
-  static constexpr size_t kMissReasons =
-      static_cast<size_t>(MissReason::kEvictedByPatch) + 1;
-  /// \brief The snake_case name of `reason` ("history_trimmed"), as in
-  /// its counter name, CACHE STATS and the cache_miss event.
-  static const char* MissReasonName(MissReason reason);
+  /// expdb_result_cache_misses_<name>_total counter.
+  using MissReason = plan::MissReason;
+  static constexpr size_t kMissReasons = plan::kMissReasons;
+  static const char* MissReasonName(MissReason reason) {
+    return plan::MissReasonName(reason);
+  }
 
   struct Stats {
     uint64_t hits = 0;
@@ -280,14 +266,10 @@ class ResultCache {
 
  private:
   struct Entry {
-    /// Guards the materialization: result, the cursors in bases,
-    /// propagator, result_bytes and dead.
+    /// Guards the materialization (but not its base names, which
+    /// InvalidateBase reads under the cache mutex), result_bytes and dead.
     std::mutex mu;
-    MaterializedResult result;
-    /// The names are fixed when the entry is built (InvalidateBase reads
-    /// them under the cache mutex); the cursors move under `mu`.
-    std::vector<std::pair<std::string, Relation::DeltaCursor>> bases;
-    std::unique_ptr<DeltaPropagator> propagator;
+    Materialization materialization;
     /// EstimateResultBytes(result.relation), kept by each patch.
     size_t result_bytes = 0;
     /// Set by the first miss on the entry: a lookup that pinned it before
@@ -326,10 +308,10 @@ class ResultCache {
   /// Marks the key seen twice, so its next Insert is admitted.
   void Admit(uint64_t hash);
 
-  /// Brings a pinned entry up to date under its mutex (held by the
-  /// caller): lapse and cursor checks, then a delta patch if a base
-  /// drifted. Returns the miss reason, or nullopt when the entry may be
-  /// served; `*patched` reports a patch.
+  /// Brings a live pinned entry up to date under its mutex (held by the
+  /// caller): Materialization::Collect, then Patch if a base drifted.
+  /// Returns the miss reason, or nullopt when the entry may be served;
+  /// `*patched` reports a patch.
   std::optional<MissReason> Refresh(Entry* e, const Database& db,
                                     Timestamp now, bool* patched);
   /// Counts a miss (and logs it when the event log is on).

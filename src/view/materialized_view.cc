@@ -1,5 +1,7 @@
 #include "view/materialized_view.h"
 
+#include <algorithm>
+
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "plan/cache.h"
@@ -104,6 +106,21 @@ Status MaterializedView::Initialize(const Database& db, Timestamp now) {
 }
 
 Status MaterializedView::EnsurePlan(const Database& db) {
+  // A ≥2× base cardinality drift (0 → anything counts) since planning
+  // leaves the build-side and parallelism estimates worth re-deriving.
+  for (const auto& [name, planned_size] : plan_base_sizes_) {
+    auto rel = db.GetRelation(name);
+    const size_t size = rel.ok() ? rel.value()->size() : planned_size;
+    const size_t lo = std::min(size, planned_size);
+    if (size == planned_size || std::max(size, planned_size) < 2 * lo) continue;
+    LogViewEvent(name_, "replan",
+                 {{"base", name},
+                  {"planned_size", std::to_string(planned_size)},
+                  {"current_size", std::to_string(size)}});
+    plan_.reset();
+    metrics_.replans.Increment();
+    break;
+  }
   if (plan_ != nullptr) {
     // Cached-plan execution: planning (and the rewrite pass, when
     // enabled) is skipped entirely on recomputation.
@@ -113,10 +130,9 @@ Status MaterializedView::EnsurePlan(const Database& db) {
   plan::PlannerOptions popts;
   popts.apply_rewrites = options_.rewrite_plan;
   popts.eval = options_.eval;
-  EXPDB_ASSIGN_OR_RETURN(plan_, plan::Planner::Plan(expr_, db, popts));
-  // Snapshot the base cardinalities the estimates were derived from; the
-  // MaybeReplan heuristic compares against them.
   plan_base_sizes_.clear();
+  EXPDB_ASSIGN_OR_RETURN(plan_, plan::Planner::Plan(expr_, db, popts));
+  // Snapshot the base cardinalities the estimates were derived from.
   for (const std::string& name : expr_->BaseRelationNames()) {
     auto rel = db.GetRelation(name);
     if (rel.ok()) plan_base_sizes_[name] = rel.value()->size();
@@ -124,45 +140,12 @@ Status MaterializedView::EnsurePlan(const Database& db) {
   return Status::OK();
 }
 
-void MaterializedView::MaybeReplan(const Database& db) {
-  if (plan_ == nullptr) return;
-  for (const auto& [name, planned_size] : plan_base_sizes_) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) continue;
-    const size_t size = rel.value()->size();
-    if (size == planned_size) continue;
-    const size_t lo = size < planned_size ? size : planned_size;
-    const size_t hi = size < planned_size ? planned_size : size;
-    // ≥2× drift (0 → anything counts): the estimates behind build-side
-    // and parallelism choices are off enough to be worth re-deriving.
-    if (hi >= 2 * lo) {
-      // Logged before the clear below frees `name` and `planned_size`.
-      LogViewEvent(name_, "replan",
-                   {{"base", name},
-                    {"planned_size", std::to_string(planned_size)},
-                    {"current_size", std::to_string(size)}});
-      plan_.reset();
-      plan_base_sizes_.clear();
-      propagator_.reset();
-      base_cursors_.clear();
-      metrics_.replans.Increment();
-      return;
-    }
-  }
-}
-
 Status MaterializedView::Recompute(const Database& db, Timestamp now,
                                    bool count_as_maintenance) {
   obs::ScopedSpan span(
       "view.recompute",
       count_as_maintenance ? &metrics_.recompute_latency : nullptr);
-  MaybeReplan(db);
   EXPDB_RETURN_NOT_OK(EnsurePlan(db));
-  // The recompute invalidates any previously seeded incremental state;
-  // capture the per-node materializations to reseed it when the plan is
-  // incrementalizable.
-  propagator_.reset();
-  base_cursors_.clear();
   // Demand-driven: the capture + seeding cost is only paid once the view
   // has actually seen an explicit update (update_seen_); expiration-only
   // views recompute exactly as cheaply as before the delta engine.
@@ -171,111 +154,36 @@ Status MaterializedView::Recompute(const Database& db, Timestamp now,
       plan::PlanSupportsDelta(*plan_, options_.eval);
   plan::NodeCapture capture;
   plan::NodeCapture* capture_ptr = want_delta ? &capture : nullptr;
+  MaterializedResult fresh;
   if (options_.mode == RefreshMode::kPatchDifference) {
     EXPDB_ASSIGN_OR_RETURN(DifferenceEvalResult diff,
                            plan::ExecutePlanDifferenceRoot(
                                *plan_, db, now, options_.eval,
                                /*profile=*/nullptr, capture_ptr));
-    result_ = std::move(diff.result);
+    fresh = std::move(diff.result);
     helper_ = std::move(diff.helper);
     patch_cursor_ = 0;
     // Patching neutralizes the root's own invalidations (Theorem 3): only
     // argument invalidations remain.
-    result_.texp = diff.children_texp;
+    fresh.texp = diff.children_texp;
   } else {
     EXPDB_ASSIGN_OR_RETURN(
-        result_, plan::ExecutePlan(*plan_, db, now, options_.eval,
-                                   /*profile=*/nullptr, capture_ptr));
+        fresh, plan::ExecutePlan(*plan_, db, now, options_.eval,
+                                 /*profile=*/nullptr, capture_ptr));
   }
-  if (want_delta) SeedPropagator(db, capture);
+  // A fresh materialization: the old one's cursors and propagator go.
+  materialization_ = plan::Materialization(std::move(fresh));
+  if (want_delta) materialization_.Seed(plan_, &capture, db);
   if (count_as_maintenance) {
     metrics_.recomputations.Increment();
-    metrics_.tuples_recomputed.Increment(result_.relation.size());
+    metrics_.tuples_recomputed.Increment(result().relation.size());
   }
   LogViewEvent(name_, "recompute",
-               {{"tuples", std::to_string(result_.relation.size())},
-                {"texp", result_.texp.ToString()},
+               {{"tuples", std::to_string(result().relation.size())},
+                {"texp", texp().ToString()},
                 {"maintenance", count_as_maintenance ? "true" : "false"}});
   UpdateGauges();
   return Status::OK();
-}
-
-void MaterializedView::SeedPropagator(const Database& db,
-                                      const plan::NodeCapture& capture) {
-  propagator_ =
-      plan::DeltaPropagator::Create(plan_, capture, options_.eval);
-  if (propagator_ == nullptr) return;
-  base_cursors_.clear();
-  for (const std::string& name : expr_->BaseRelationNames()) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) {
-      // A base the expression reads is missing; the next execution fails
-      // anyway — stay on the full path.
-      propagator_.reset();
-      base_cursors_.clear();
-      return;
-    }
-    // Turn on delta capture so future explicit mutations are recorded
-    // (idempotent; metadata-only, hence allowed through const access).
-    rel.value()->EnableDeltaTracking();
-    base_cursors_[name] = rel.value()->delta_cursor();
-  }
-}
-
-Result<bool> MaterializedView::TryApplyDeltas(const Database& db,
-                                              Timestamp now) {
-  if (propagator_ == nullptr) return false;
-  // The propagator's cached analyses (aggregate partitions, difference
-  // criticals) are only valid while the materialization is: a lapsed
-  // texp(e) means recompute.
-  if (result_.texp <= now) return false;
-  std::vector<plan::BaseDelta> deltas;
-  for (const auto& [name, cursor] : base_cursors_) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) return false;
-    const Relation* base = rel.value();
-    // An instance-id mismatch means a different body of data now lives
-    // under the name (wholesale replacement, catalog churn): the stream
-    // does not describe our seed state.
-    if (base->delta_instance_id() == 0 ||
-        base->delta_instance_id() != cursor.instance_id) {
-      return false;
-    }
-    auto batches = base->DeltasSince(cursor.epoch);
-    if (!batches.has_value()) return false;  // ring trimmed / history broken
-    if (!batches->empty()) {
-      deltas.push_back({name, *batches});
-    }
-  }
-  obs::ScopedSpan span("view.delta_apply", &metrics_.delta_latency);
-  // Patch mode: bring the materialization up to date with the helper
-  // queue first — the propagator models appeared criticals as present.
-  if (options_.mode == RefreshMode::kPatchDifference) ApplyPatches(now);
-  EXPDB_ASSIGN_OR_RETURN(plan::DeltaPropagator::ApplyResult applied,
-                         propagator_->Apply(deltas, now));
-  plan::DeltaPropagator::ApplyOps(applied.root_ops, &result_.relation);
-  if (options_.mode == RefreshMode::kPatchDifference &&
-      applied.root_is_difference) {
-    helper_ = std::move(applied.helper);
-    patch_cursor_ = 0;
-    result_.texp = applied.children_texp;
-  } else {
-    result_.texp = applied.texp;
-  }
-  result_.materialized_at = now;
-  result_.validity = IntervalSet(now, result_.texp);
-  for (auto& [name, cursor] : base_cursors_) {
-    auto rel = db.GetRelation(name);
-    if (rel.ok()) cursor.epoch = rel.value()->delta_epoch();
-  }
-  metrics_.delta_applies.Increment();
-  metrics_.delta_tuples.Increment(applied.ops_out);
-  LogViewEvent(name_, "delta_apply",
-               {{"tuples", std::to_string(applied.ops_out)},
-                {"ops_total", std::to_string(applied.ops_total)},
-                {"texp", result_.texp.ToString()}});
-  UpdateGauges();
-  return true;
 }
 
 void MaterializedView::ApplyPatches(Timestamp now) {
@@ -287,7 +195,8 @@ void MaterializedView::ApplyPatches(Timestamp now) {
     // is already past its own expiration, the insert would be invisible —
     // skip it.
     if (entry.expires_at > now) {
-      result_.relation.InsertUnchecked(entry.tuple, entry.expires_at);
+      materialization_.result().relation.InsertUnchecked(entry.tuple,
+                                                         entry.expires_at);
       metrics_.patches_applied.Increment();
     }
   }
@@ -298,7 +207,7 @@ void MaterializedView::UpdateGauges() {
   metrics_.pending_patches.Set(
       static_cast<int64_t>(helper_.size() - patch_cursor_));
   metrics_.materialized_tuples.Set(
-      static_cast<int64_t>(result_.relation.size()));
+      static_cast<int64_t>(result().relation.size()));
 }
 
 Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
@@ -308,31 +217,45 @@ Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
   }
   last_advance_ = now;
   if (stale_) {
-    // An explicit base update invalidated the expiration-only contract.
-    // Preferred path: pull the recorded base deltas and push them through
-    // the cached plan — O(|delta|). Anything the incremental machinery
-    // cannot prove falls back to the full rebuild (sound by
-    // construction).
-    // If a base cardinality drifted ≥2× from its plan-time snapshot the
-    // plan's performance annotations are stale: drop it (which also
-    // drops the propagator) and let the recompute below re-derive both.
-    MaybeReplan(db);
-    bool applied = false;
-    if (options_.incremental) {
-      auto incremental = TryApplyDeltas(db, now);
-      if (incremental.ok()) {
-        applied = incremental.value();
+    // An explicit base update: patch from the recorded base deltas, or
+    // recompute (always sound). An unseeded one has no cursors to check.
+    plan::Materialization::Drift drift;
+    std::optional<plan::MissReason> fallback =
+        materialization_.propagator() == nullptr
+            ? plan::MissReason::kNoPropagator
+            : materialization_.Collect(db, now, &drift);
+    if (!fallback.has_value()) {
+      obs::ScopedSpan span("view.delta_apply", &metrics_.delta_latency);
+      // Patch mode: bring the materialization up to date with the helper
+      // queue first — the propagator models appeared criticals as present.
+      if (options_.mode == RefreshMode::kPatchDifference) ApplyPatches(now);
+      auto applied =
+          materialization_.Patch(drift, now, /*bytes_delta=*/nullptr);
+      if (applied.ok()) {
+        MaterializedResult& result = materialization_.result();
+        if (options_.mode == RefreshMode::kPatchDifference &&
+            applied->root_is_difference) {
+          helper_ = std::move(applied->helper);
+          patch_cursor_ = 0;
+          result.texp = applied->children_texp;
+          result.validity = IntervalSet(now, result.texp);
+        }
+        metrics_.delta_applies.Increment();
+        metrics_.delta_tuples.Increment(applied->ops_out);
+        LogViewEvent(name_, "delta_apply",
+                     {{"tuples", std::to_string(applied->ops_out)},
+                      {"ops_total", std::to_string(applied->ops_total)},
+                      {"texp", result.texp.ToString()}});
+        UpdateGauges();
       } else {
-        // The propagator's state may be mid-update; discard it. The
-        // recompute below reseeds.
-        propagator_.reset();
-        base_cursors_.clear();
+        fallback = plan::MissReason::kPatchFailed;
       }
     }
-    if (!applied) {
+    if (fallback.has_value()) {
       metrics_.delta_fallbacks.Increment();
       LogViewEvent(name_, "delta_fallback",
-                   {{"texp", result_.texp.ToString()}});
+                   {{"reason", plan::MissReasonName(*fallback)},
+                    {"texp", texp().ToString()}});
       EXPDB_RETURN_NOT_OK(Recompute(db, now));
     }
     stale_ = false;
@@ -341,8 +264,8 @@ Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
     case RefreshMode::kEagerRecompute: {
       // Recompute at every invalidation instant. Each recomputation's
       // texp is strictly in its future, so this terminates.
-      while (result_.texp <= now) {
-        EXPDB_RETURN_NOT_OK(Recompute(db, result_.texp));
+      while (texp() <= now) {
+        EXPDB_RETURN_NOT_OK(Recompute(db, texp()));
       }
       return Status::OK();
     }
@@ -354,8 +277,8 @@ Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
       ApplyPatches(now);
       // Argument invalidation (only possible with non-monotonic
       // arguments) still forces a rebuild.
-      while (result_.texp <= now) {
-        EXPDB_RETURN_NOT_OK(Recompute(db, result_.texp));
+      while (texp() <= now) {
+        EXPDB_RETURN_NOT_OK(Recompute(db, texp()));
         ApplyPatches(now);
       }
       return Status::OK();
@@ -380,46 +303,46 @@ Result<Relation> MaterializedView::Read(const Database& db, Timestamp now,
       if (metrics_.recomputations.value() == recomputes_before) {
         metrics_.reads_from_materialization.Increment();
       }
-      return result_.relation.UnexpiredAt(now);
+      return result().relation.UnexpiredAt(now);
 
     case RefreshMode::kLazyRecompute:
-      if (result_.texp <= now) {
+      if (texp() <= now) {
         EXPDB_RETURN_NOT_OK(Recompute(db, now));
       } else {
         metrics_.reads_from_materialization.Increment();
       }
-      return result_.relation.UnexpiredAt(now);
+      return result().relation.UnexpiredAt(now);
 
     case RefreshMode::kSchrodinger: {
-      if (result_.validity.Contains(now)) {
+      if (validity().Contains(now)) {
         metrics_.reads_from_materialization.Increment();
-        return result_.relation.UnexpiredAt(now);
+        return result().relation.UnexpiredAt(now);
       }
       switch (options_.move_policy) {
         case MovePolicy::kRecompute:
           EXPDB_RETURN_NOT_OK(Recompute(db, now));
-          return result_.relation.UnexpiredAt(now);
+          return result().relation.UnexpiredAt(now);
         case MovePolicy::kMoveBackward: {
-          auto t = result_.validity.LastValidBefore(now);
+          auto t = validity().LastValidBefore(now);
           if (!t.has_value()) {
             EXPDB_RETURN_NOT_OK(Recompute(db, now));
-            return result_.relation.UnexpiredAt(now);
+            return result().relation.UnexpiredAt(now);
           }
           metrics_.reads_moved_backward.Increment();
           metrics_.reads_from_materialization.Increment();
           if (served_at != nullptr) *served_at = *t;
-          return result_.relation.UnexpiredAt(*t);
+          return result().relation.UnexpiredAt(*t);
         }
         case MovePolicy::kMoveForward: {
-          auto t = result_.validity.FirstValidAtOrAfter(now);
+          auto t = validity().FirstValidAtOrAfter(now);
           if (!t.has_value() || t->IsInfinite()) {
             EXPDB_RETURN_NOT_OK(Recompute(db, now));
-            return result_.relation.UnexpiredAt(now);
+            return result().relation.UnexpiredAt(now);
           }
           metrics_.reads_moved_forward.Increment();
           metrics_.reads_from_materialization.Increment();
           if (served_at != nullptr) *served_at = *t;
-          return result_.relation.UnexpiredAt(*t);
+          return result().relation.UnexpiredAt(*t);
         }
       }
       return Status::Internal("unknown move policy");

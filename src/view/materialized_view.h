@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,7 @@
 #include "core/expression.h"
 #include "core/materialized_result.h"
 #include "obs/metrics.h"
-#include "plan/delta.h"
+#include "plan/materialization.h"
 #include "plan/plan.h"
 
 namespace expdb {
@@ -110,16 +109,12 @@ class MaterializedView {
     /// once per view, not once per recomputation.
     bool rewrite_plan = false;
     /// Maintain the view incrementally when a base relation reports an
-    /// explicit update: instead of recomputing, pull the base's recorded
-    /// delta stream (Relation::DeltasSince) and push it through the
-    /// cached plan (plan::DeltaPropagator) — O(|delta|) instead of
-    /// O(|base|). Falls back to recomputation whenever the plan has an
-    /// unsupported operator, the base was mutated through an untracked
-    /// path, the delta ring overflowed, or texp(e) has already passed;
-    /// correctness never depends on the incremental path
-    /// (docs/PERFORMANCE.md §6). Seeding is demand-driven: the first
-    /// explicit update's maintenance round recomputes and seeds, so
-    /// expiration-only views never pay the capture/seeding overhead.
+    /// explicit update: patch the materialization from the recorded base
+    /// deltas (plan::Materialization) in O(|delta|), and recompute only
+    /// for the plan::MissReason that rules a patch out; correctness never
+    /// depends on the incremental path (docs/PERFORMANCE.md §6). Seeding
+    /// is demand-driven: the first explicit update's maintenance round
+    /// recomputes and seeds, so expiration-only views never pay for it.
     bool incremental = true;
   };
 
@@ -165,14 +160,16 @@ class MaterializedView {
                         Timestamp* served_at = nullptr);
 
   /// \brief Current expression expiration time (∞ = never invalid).
-  Timestamp texp() const { return result_.texp; }
+  Timestamp texp() const { return result().texp; }
 
   /// \brief Validity intervals (meaningful under kSchrodinger).
-  const IntervalSet& validity() const { return result_.validity; }
+  const IntervalSet& validity() const { return result().validity; }
 
   /// \brief Stored result (tuples may include expired ones not yet
   /// filtered; Read applies expτ).
-  const MaterializedResult& result() const { return result_; }
+  const MaterializedResult& result() const {
+    return materialization_.result();
+  }
 
   /// \brief Patch-mode: helper entries not yet applied.
   size_t pending_patches() const { return helper_.size() - patch_cursor_; }
@@ -182,16 +179,11 @@ class MaterializedView {
   /// \brief Marks the materialization stale because a base relation was
   /// explicitly updated (insert/delete outside expiration — the paper's
   /// no-update assumption, lifted incrementally in DESIGN.md §6): the
-  /// next maintenance point applies the recorded base deltas through the
-  /// cached plan, or recomputes when the incremental path is unavailable.
-  /// Transitions to stale bump `expdb_view_marked_stale_total`.
-  ///
-  /// The cached plan is kept: its cardinality estimates only steer
-  /// performance decisions (build sides, parallel annotations), and
-  /// dropping it on every update would defeat both the plan cache and
-  /// the delta path. The next maintenance re-plans only when a base
-  /// cardinality drifted ≥2× from its plan-time snapshot (MaybeReplan,
-  /// `expdb_view_replans_total`).
+  /// next maintenance point patches it from the recorded base deltas, or
+  /// recomputes. Transitions to stale bump `expdb_view_marked_stale_total`.
+  /// The cached plan is kept: its estimates only steer performance
+  /// decisions, so only a recompute re-plans, and only after a ≥2× base
+  /// cardinality drift (EnsurePlan, `expdb_view_replans_total`).
   void MarkStale() {
     if (!stale_) metrics_.marked_stale.Increment();
     stale_ = true;
@@ -205,24 +197,13 @@ class MaterializedView {
   const plan::PhysicalPlanPtr& plan() const { return plan_; }
 
  private:
-  /// Per-base delta cursor: the (instance id, epoch) of a tracked base
-  /// relation at the instant the current materialization was produced.
-  using BaseCursor = Relation::DeltaCursor;
-
+  /// Plans the view unless its cached plan stands: a base cardinality
+  /// that drifted ≥2× from the plan-time snapshot drops it first (stale
+  /// estimates steer build sides and parallel annotations; small drifts
+  /// don't change the decisions).
   Status EnsurePlan(const Database& db);
-  /// Drops the cached plan when a base cardinality drifted ≥2× from its
-  /// plan-time snapshot (stale estimates steer build sides and parallel
-  /// annotations; small drifts don't change the decisions).
-  void MaybeReplan(const Database& db);
   Status Recompute(const Database& db, Timestamp now,
                    bool count_as_maintenance = true);
-  /// Seeds the delta propagator and base cursors from a recompute's
-  /// NodeCapture (no-op when the plan is not incrementalizable).
-  void SeedPropagator(const Database& db, const plan::NodeCapture& capture);
-  /// The incremental stale path: pulls the base delta streams and pushes
-  /// them through the cached plan. Returns true when the view was
-  /// maintained incrementally, false when the caller must recompute.
-  Result<bool> TryApplyDeltas(const Database& db, Timestamp now);
   void ApplyPatches(Timestamp now);
   void UpdateGauges();
 
@@ -230,30 +211,23 @@ class MaterializedView {
   Options options_;
   std::string name_ = "(anonymous)";
   plan::PhysicalPlanPtr plan_;
-  /// Plan-time base cardinalities backing the MaybeReplan heuristic.
+  /// Plan-time base cardinalities backing the EnsurePlan re-plan check.
   std::map<std::string, size_t> plan_base_sizes_;
-  MaterializedResult result_;
+  plan::Materialization materialization_;  ///< replaced by each recompute
   // kPatchDifference: Theorem 3 helper entries sorted by appears_at; a
   // cursor replaces pops (delta application regenerates the queue; base
   // updates otherwise force recomputation).
   std::vector<DifferencePatchEntry> helper_;
   size_t patch_cursor_ = 0;
-  // Incremental maintenance state: null when the plan is not
-  // incrementalizable (or Options::incremental is off).
-  std::unique_ptr<plan::DeltaPropagator> propagator_;
-  std::map<std::string, BaseCursor> base_cursors_;
   Timestamp last_advance_;
   ViewMetrics metrics_;
   bool initialized_ = false;
   bool stale_ = false;
-  /// True once MarkStale has ever been called. Incremental state is
-  /// seeded on demand: a view that only ever ages by expiration
-  /// (the paper's no-update world) never pays for the per-node capture
-  /// and propagator seeding — its recomputes stay exactly as cheap as
-  /// before the delta engine existed. The price is that the first stale
-  /// maintenance round always recomputes (the mutations preceding it
-  /// were never recorded); every later one is eligible for the
-  /// O(|delta|) path.
+  /// True once MarkStale has ever been called: only then do recomputes
+  /// capture and seed the propagator, so a view that only ages by
+  /// expiration (the paper's no-update world) never pays for it. The
+  /// first stale round therefore always recomputes (the mutations before
+  /// it were never recorded); every later one may patch in O(|delta|).
   bool update_seen_ = false;
 };
 

@@ -104,14 +104,17 @@ TEST_F(PlanCacheTest, MarkStaleReplansOnlyOnCardinalityDrift) {
   const uint64_t plans0 = Metric("expdb_plan_plans_total");
   const uint64_t replans0 = Metric("expdb_view_replans_total");
 
-  MaterializedView view(ViewExpr(), {});
+  // Without the delta path every stale round recomputes, and only a
+  // recompute re-plans (a delta apply keeps the plan whatever the drift).
+  MaterializedView::Options opts;
+  opts.incremental = false;
+  MaterializedView view(ViewExpr(), opts);
   ASSERT_TRUE(view.Initialize(db_, T(0)).ok());
   EXPECT_EQ(Metric("expdb_plan_plans_total") - plans0, 1u);
 
   // A stale round without cardinality drift keeps the cached plan: the
   // estimates behind the performance annotations are still within 2× of
-  // the planned snapshot, and dropping the plan would also discard the
-  // delta-propagation state for no benefit.
+  // the planned snapshot.
   view.MarkStale();
   EXPECT_NE(view.plan(), nullptr);
   ASSERT_TRUE(view.AdvanceTo(db_, T(1)).ok());

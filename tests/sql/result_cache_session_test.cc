@@ -152,8 +152,8 @@ TEST(ResultCacheSessionTest, InsertAndDeletePatchTheCachedResult) {
 // recompute.
 TEST(ResultCacheSessionTest, DeleteWiderThanTheDeltaRingStillPatches) {
   Session s;
-  // Removes more rows than the ring holds batches, but under half of the
-  // table, so the view keeps its plan (a 2x size drift replans it).
+  // Removes more rows than the ring holds batches, from a table twice as
+  // large.
   const int wide = static_cast<int>(Relation::kDefaultDeltaRingCapacity) + 500;
   const int n = 2 * wide;
   MustExec(s, "CREATE TABLE t (x INT)");
@@ -197,6 +197,41 @@ TEST(ResultCacheSessionTest, DeleteWiderThanTheDeltaRingStillPatches) {
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), left);
   EXPECT_EQ(Metric("expdb_view_delta_applies_total") - applies0, 1u);
   EXPECT_EQ(Metric("expdb_view_delta_fallbacks_total"), fallbacks0);
+}
+
+// Only a recompute re-plans a view. A DELETE of most of a table is a 2x
+// size drift from the view's plan-time snapshot, but it is one delta batch:
+// the view delta-applies it in O(|delta|) and keeps its plan and
+// propagator.
+TEST(ResultCacheSessionTest, DeleteOfMostOfATableDeltaAppliesWithoutReplan) {
+  Session s;
+  const int n = 1000;
+  MustExec(s, "CREATE TABLE t (x INT)");
+  std::string values;
+  for (int x = 0; x < n; ++x) {
+    values += std::string(x == 0 ? "" : ", ") + "(" + std::to_string(x) + ")";
+  }
+  MustExec(s, "INSERT INTO t VALUES " + values);
+  MustExec(s, "CREATE VIEW v AS SELECT x FROM t WHERE x >= 0");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), static_cast<size_t>(n));
+  MustExec(s, "INSERT INTO t VALUES (" + std::to_string(n) + ")");
+  // Seeds the view's propagator.
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")),
+            static_cast<size_t>(n) + 1);
+
+  const uint64_t applies0 = Metric("expdb_view_delta_applies_total");
+  const uint64_t fallbacks0 = Metric("expdb_view_delta_fallbacks_total");
+  const uint64_t replans0 = Metric("expdb_view_replans_total");
+  const int gone = n - 100;  // 900 of 1 001 rows
+  auto del = MustExec(s, "DELETE FROM t WHERE x < " + std::to_string(gone));
+  EXPECT_NE(del.message.find(std::to_string(gone) + " rows"),
+            std::string::npos)
+      << del.message;
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")),
+            static_cast<size_t>(n - gone) + 1);
+  EXPECT_EQ(Metric("expdb_view_delta_applies_total") - applies0, 1u);
+  EXPECT_EQ(Metric("expdb_view_delta_fallbacks_total"), fallbacks0);
+  EXPECT_EQ(Metric("expdb_view_replans_total"), replans0);
 }
 
 TEST(ResultCacheSessionTest, TimePassingComputedExpiryRecomputes) {
@@ -330,11 +365,12 @@ TEST(ResultCacheSessionTest, DdlInvalidatesCachedPlansAndResults) {
   EXPECT_EQ(r.relation->schema().attribute(0).name, "name");
 }
 
-// Issue satellite: cached-vs-fresh set identity. A cached session and a
-// cache-disabled session replay the same script; every SELECT must agree
-// exactly — tuples and texps (Relation::EqualAt) — across operators,
-// mutations, time advancing past computed expiries, and a final phase
-// under a tiny byte budget that forces LRU eviction mid-sweep.
+// Cached-vs-fresh set identity. A cached session and a cache-disabled
+// session replay the same script; every SELECT, and a view over each one
+// in the cached session, must agree exactly — tuples and texps
+// (Relation::EqualAt) — across operators, mutations, time advancing past
+// computed expiries, and a final phase under a tiny byte budget that
+// forces LRU eviction mid-sweep.
 TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
   Session cached;
   Session fresh;
@@ -363,7 +399,8 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
       "SELECT * FROM r WHERE 1 = 2",
   };
   auto sweep = [&](const std::string& where) {
-    for (const std::string& q : queries) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string& q = queries[i];
       auto c = MustExec(cached, q);
       auto f = MustExec(fresh, q);
       ASSERT_TRUE(c.relation.has_value() && f.relation.has_value());
@@ -371,6 +408,12 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
       EXPECT_TRUE(
           Relation::EqualAt(*c.relation, *f.relation, c.served_at))
           << where << ": " << q;
+      auto v = MustExec(cached, "SELECT * FROM qv" + std::to_string(i));
+      ASSERT_TRUE(v.relation.has_value());
+      EXPECT_EQ(v.served_at, f.served_at) << where << ": view " << q;
+      EXPECT_TRUE(Relation::EqualAt(*v.relation, *f.relation, v.served_at))
+          << where << ": view " << q << "\n  view:  "
+          << v.relation->ToString() << "\n  fresh: " << f.relation->ToString();
     }
   };
 
@@ -380,6 +423,13 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
   both("INSERT INTO r VALUES (2, 'z'), (3, 'w') EXPIRE NEVER");
   both("INSERT INTO s VALUES (1) TTL 6");
   both("INSERT INTO s VALUES (3), (5) EXPIRE NEVER");
+  // Every query is also a view qv<i> of the cached session, read next to
+  // it by the sweep: both consumers of a materialization, cache entries
+  // and views, are held to the fresh session.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    MustExec(cached,
+             "CREATE VIEW qv" + std::to_string(i) + " AS " + queries[i]);
+  }
   sweep("initial");
   sweep("admit");  // second sighting: the cached side stores its results
   const uint64_t hits0 = Metric("expdb_result_cache_hits_total");

@@ -7,8 +7,12 @@
 // paths is swept in delta_property_test.cc; these tests pin the
 // staleness protocol itself.
 
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "obs/log.h"
 #include "sql/session.h"
 #include "view/view_manager.h"
 
@@ -18,6 +22,33 @@ namespace {
 using namespace algebra;  // NOLINT
 
 Timestamp T(int64_t t) { return Timestamp(t); }
+
+/// Marks `view` stale and advances it to `now` with the event log on.
+/// Returns the `reason` of the delta_fallback event the round logged, or
+/// "" when it delta-applied. `status`, when non-null, receives the
+/// advance's status instead of it being required to be OK.
+std::string FallbackReason(MaterializedView& view, const Database& db,
+                           Timestamp now, Status* status = nullptr) {
+  obs::EventLog& log = obs::EventLog::Global();
+  const bool was_enabled = log.enabled();
+  log.Clear();
+  log.set_enabled(true);
+  view.MarkStale();
+  const Status advanced = view.AdvanceTo(db, now);
+  log.set_enabled(was_enabled);
+  if (status != nullptr) {
+    *status = advanced;
+  } else {
+    EXPECT_TRUE(advanced.ok()) << advanced.ToString();
+  }
+  for (const obs::LogEvent& e : log.Snapshot()) {
+    if (e.event != "delta_fallback") continue;
+    for (const auto& [key, value] : e.fields) {
+      if (key == "reason") return value;
+    }
+  }
+  return "";
+}
 
 TEST(StalenessTest, MarkStaleForcesRecomputeOnNextRead) {
   Database db;
@@ -117,6 +148,55 @@ TEST(StalenessTest, StalePatchViewRebuildsHelper) {
   EXPECT_EQ(view.pending_patches(), 1u);  // helper rebuilt with <2>
   auto at12 = view.Read(db, T(12)).MoveValue();
   EXPECT_EQ(at12.size(), 2u);  // <2> patched back in
+}
+
+// Each reason a stale view can fall back to a recompute for, as its
+// delta_fallback event names it (plan::MissReasonName).
+TEST(StalenessTest, DeltaFallbackNamesItsReason) {
+  // R = {1, 2} forever, S = {1 until 5}: R −exp S = {2}, texp(e) = 5.
+  Database db;
+  const Schema schema({{"x", ValueType::kInt64}});
+  Relation* r = db.CreateRelation("R", schema).value();
+  ASSERT_TRUE(r->Insert(Tuple{1}, Timestamp::Infinity()).ok());
+  ASSERT_TRUE(r->Insert(Tuple{2}, Timestamp::Infinity()).ok());
+  Relation* s = db.CreateRelation("S", schema).value();
+  ASSERT_TRUE(s->Insert(Tuple{1}, T(5)).ok());
+  // A view past its first stale round, which recomputes for want of a
+  // propagator and seeds one: the next round delta-applies.
+  auto seeded_view = [&](Timestamp now) {
+    auto view = std::make_unique<MaterializedView>(
+        Difference(Base("R"), Base("S")), MaterializedView::Options{});
+    EXPECT_TRUE(view->Initialize(db, now).ok());
+    EXPECT_EQ(FallbackReason(*view, db, now), "no_propagator");
+    EXPECT_EQ(FallbackReason(*view, db, now), "");
+    return view;
+  };
+
+  auto lapsing = seeded_view(T(0));
+  ASSERT_TRUE(r->Insert(Tuple{3}, Timestamp::Infinity()).ok());
+  EXPECT_EQ(FallbackReason(*lapsing, db, T(6)), "lapsed");
+
+  auto trimmed = seeded_view(T(10));
+  for (size_t i = 0; i <= Relation::kDefaultDeltaRingCapacity; ++i) {
+    ASSERT_TRUE(r->Insert(Tuple{static_cast<int64_t>(100 + i)},
+                          Timestamp::Infinity())
+                    .ok());
+  }
+  EXPECT_EQ(FallbackReason(*trimmed, db, T(10)), "history_trimmed");
+
+  // S replaced under its name: a new, untracked body of data.
+  auto churned = seeded_view(T(10));
+  ASSERT_TRUE(db.DropRelation("S").ok());
+  ASSERT_TRUE(db.CreateRelation("S", schema).ok());
+  EXPECT_EQ(FallbackReason(*churned, db, T(10)), "instance_churn");
+
+  // S dropped: the recompute the fallback runs fails too.
+  auto orphaned = seeded_view(T(10));
+  ASSERT_TRUE(db.DropRelation("S").ok());
+  Status status;
+  EXPECT_EQ(FallbackReason(*orphaned, db, T(10), &status), "base_gone");
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(orphaned->stats().delta_fallbacks, 2u);
 }
 
 }  // namespace
