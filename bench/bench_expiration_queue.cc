@@ -21,8 +21,11 @@ Schema TwoInt() {
 }
 
 /// Insert n tuples with uniform TTLs, then advance tick-by-tick through
-/// the full horizon so every tuple expires.
-void RunChurn(benchmark::State& state, RemovalPolicy policy) {
+/// the full horizon so every tuple expires. `tracked` enables delta
+/// tracking on the relation, as every SQL table has, so each eager drain
+/// also records its removed tuples as one delete batch.
+void RunChurn(benchmark::State& state, RemovalPolicy policy,
+              bool tracked = false) {
   const int64_t n = state.range(0);
   const int64_t horizon = 128;
   for (auto _ : state) {
@@ -32,6 +35,7 @@ void RunChurn(benchmark::State& state, RemovalPolicy policy) {
     opts.lazy_compaction_threshold = 0.5;
     ExpirationManager em(opts);
     (void)em.CreateRelation("t", TwoInt());
+    if (tracked) em.db().GetRelation("t").value()->EnableDeltaTracking();
     Rng rng(7);
     state.ResumeTiming();
 
@@ -57,17 +61,24 @@ void RunChurn(benchmark::State& state, RemovalPolicy policy) {
   state.counters["tuples_per_s"] = benchmark::Counter(
       static_cast<double>(n) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(std::string(RemovalPolicyToString(policy)));
+  state.SetLabel(std::string(RemovalPolicyToString(policy)) +
+                 (tracked ? " tracked" : ""));
 }
 
 void BM_ChurnEager(benchmark::State& state) {
   RunChurn(state, RemovalPolicy::kEager);
+}
+void BM_ChurnEagerTracked(benchmark::State& state) {
+  RunChurn(state, RemovalPolicy::kEager, /*tracked=*/true);
 }
 void BM_ChurnLazy(benchmark::State& state) {
   RunChurn(state, RemovalPolicy::kLazy);
 }
 
 BENCHMARK(BM_ChurnEager)
+    ->Range(1 << 10, 1 << 17)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ChurnEagerTracked)
     ->Range(1 << 10, 1 << 17)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ChurnLazy)->Range(1 << 10, 1 << 17)->Unit(benchmark::kMillisecond);

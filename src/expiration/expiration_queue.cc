@@ -96,15 +96,13 @@ Status ExpirationManager::Advance(int64_t ticks) {
 void ExpirationManager::MaybeAutoCompact() {
   if (options_.lazy_compaction_threshold <= 0) return;
   const Timestamp now = clock_.Now();
-  if (now < next_lazy_check_) return;
-  next_lazy_check_ = now + std::max<int64_t>(1, options_.lazy_check_interval);
   std::vector<std::string> due;
   for (const std::string& name : db_.RelationNames()) {
-    Relation* rel = db_.GetRelation(name).value();
+    const Relation* rel = db_.GetRelation(name).value();
     if (rel->empty()) continue;
-    const size_t live = rel->CountUnexpiredAt(now);
     const double expired_fraction =
-        1.0 - static_cast<double>(live) / static_cast<double>(rel->size());
+        static_cast<double>(rel->OccupancyAt(now).expired_tuples) /
+        static_cast<double>(rel->size());
     if (expired_fraction > options_.lazy_compaction_threshold) {
       due.push_back(name);
     }
@@ -132,21 +130,18 @@ Relation::DropResult ExpirationManager::Drain(
     // results and views shed the tuples; lazy compaction stays invisible.
     const bool record = eager && rel->delta_tracking();
     Relation::DropResult drained;
-    if (!triggers && !record) {
-      // Nobody needs the removed tuples: let the storage layer drop fully
-      // expired segments whole instead of enumerating them.
-      drained = rel->DropExpired(now);
-    } else {
+    if (triggers) {
       const size_t segments = rel->SegmentCount();
       std::vector<std::pair<Tuple, Timestamp>> removed =
           rel->RemoveExpired(now, record);
-      drained.tuples = removed.size();
-      drained.segments = segments - rel->SegmentCount();
-      if (triggers) {
-        for (auto& [tuple, texp] : removed) {
-          events.push_back({name, std::move(tuple), texp, eager ? texp : now});
-        }
+      drained = {removed.size(), segments - rel->SegmentCount()};
+      for (auto& [tuple, texp] : removed) {
+        events.push_back({name, std::move(tuple), texp, eager ? texp : now});
       }
+    } else {
+      // Nobody reads the removed tuples: fully expired segments drop whole,
+      // or move into the delta ring when `record`.
+      drained = rel->DropExpired(now, record);
     }
     if (drained.tuples == 0) continue;
     total.tuples += drained.tuples;

@@ -43,12 +43,10 @@ std::string_view RemovalPolicyToString(RemovalPolicy policy);
 struct ExpirationManagerOptions {
   RemovalPolicy policy = RemovalPolicy::kEager;
   /// Lazy only: compact a relation when (expired tuples)/(stored tuples)
-  /// exceeds this fraction. <= 0 disables automatic compaction.
+  /// exceeds this fraction. <= 0 disables automatic compaction. Checked
+  /// at every advance: Relation::OccupancyAt counts the expired tuples
+  /// from segment bounds, scanning only segments that straddle now.
   double lazy_compaction_threshold = 0.5;
-  /// Lazy only: evaluate the threshold at most once per this many ticks —
-  /// the liveness scan is O(n), so checking every tick would forfeit the
-  /// batching advantage lazy removal exists for.
-  int64_t lazy_check_interval = 16;
 };
 
 /// Operational counters (benchmark C4 reports these). Since the obs
@@ -122,10 +120,11 @@ class ExpirationManager {
   void AddTrigger(ExpirationTrigger trigger);
 
   /// \brief True when at least one expiration trigger is registered.
-  /// Removal enumerates removed tuples (the slow path) only then, or when
-  /// an eager drain must tell a delta-tracked relation's consumers;
-  /// otherwise it uses Relation::DropExpired, which drops fully-expired
-  /// segments in O(1) each without materializing tuples.
+  /// Removal returns the removed tuples (Relation::RemoveExpired) only
+  /// then; otherwise it uses Relation::DropExpired, which drops
+  /// fully-expired segments in O(1) each, or moves their tuples into the
+  /// delta ring when an eager drain must tell a tracked relation's
+  /// consumers.
   bool HasTriggers() const {
     std::lock_guard<std::mutex> guard(triggers_mu_);
     return !triggers_.empty();
@@ -147,8 +146,9 @@ class ExpirationManager {
   size_t Compact();
 
  private:
-  /// Removes every tuple with texp <= now from the relations `names`,
-  /// then fires triggers for them in (texp, relation, tuple) order —
+  /// Removes every tuple with texp <= now from the relations `names` —
+  /// one RemoveExpired (triggers registered) or DropExpired call each —
+  /// then fires triggers for them in (texp, relation, tuple) order;
   /// removed_at is the tuple's texp when `eager`, else now. An eager
   /// drain records each delta-tracked relation's removals as one delete
   /// batch; a lazy one records nothing. Returns the totals removed.
@@ -163,8 +163,6 @@ class ExpirationManager {
   mutable std::mutex triggers_mu_;
   std::vector<ExpirationTrigger> triggers_;
   ExpirationMetrics metrics_;
-  /// Lazy: next time at which the compaction threshold is evaluated.
-  Timestamp next_lazy_check_;
 };
 
 }  // namespace expdb

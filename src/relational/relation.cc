@@ -687,133 +687,48 @@ bool Relation::Erase(const Tuple& tuple) {
   return true;
 }
 
-// --- bulk expiration ------------------------------------------------------
+// --- removal by rule ------------------------------------------------------
 
-Relation::DropResult Relation::DropExpired(Timestamp tau) {
-  DropResult out;
-  for (size_t i = 0; i < segments_.size();) {
-    Segment* seg = segments_[i].get();
-    if (seg->entries.empty()) {
-      ++i;
-      continue;
-    }
-    if (seg->max_texp <= tau) {
-      // Fully expired: drop the whole segment in O(1) — retire its id and
-      // unlink it. Its index slots become stale handles, recognized lazily
-      // on probe and purged wholesale at the next rehash; counting them as
-      // tombstones keeps the load-factor math honest.
-      const size_t n = seg->entries.size();
-      out.tuples += n;
-      out.segments += 1;
-      // A deferred index has no slots to go stale.
-      if (!slots_.empty()) tombstones_ += n;
-      total_entries_ -= n;
-      DropSegmentAt(i);
-      continue;  // the next segment shifted into position i
-    }
-    if (seg->min_texp > tau) {
-      // Fully live: nothing to do, and no need to scan it.
-      ++i;
-      continue;
-    }
-    // Straddling τ: per-tuple swap-erase of expired entries, then re-derive
-    // exact bounds from the survivors. The swap-erases patch index slots,
-    // so a deferred index must materialize first.
-    EnsureSlots();
-    Timestamp new_min = Timestamp::Infinity();
-    Timestamp new_max = Timestamp::Zero();
-    for (size_t off = 0; off < seg->entries.size();) {
-      const Entry& e = seg->entries[off];
-      if (e.texp <= tau) {
-        const size_t slot =
-            FindSlotByHandle(e.tuple, MakeHandle(seg->id, off));
-        assert(slot != kNotFound);
-        ++out.tuples;
-        EraseWithinSegment(seg, off, slot);
-      } else {
-        new_min = Timestamp::Min(new_min, e.texp);
-        new_max = Timestamp::Max(new_max, e.texp);
-        ++off;
-      }
-    }
-    if (seg->entries.empty()) {
-      DropSegmentAt(i);
-      continue;
-    }
-    seg->min_texp = new_min;
-    seg->max_texp = new_max;
-    ++i;
+void Relation::FinishRemoval(std::vector<Entry> removed, bool record_delta,
+                             std::vector<Entry>* out) {
+  if (total_entries_ == 0) ResetStorage();
+  if (removed.empty()) return;
+  std::sort(removed.begin(), removed.end(),
+            [](const Entry& a, const Entry& b) {
+              if (a.texp != b.texp) return a.texp < b.texp;
+              return a.tuple < b.tuple;
+            });
+  if (!record_delta) {
+    *out = std::move(removed);
+    return;
   }
-  if (total_entries_ == 0 && out.tuples > 0) ResetStorage();
-  return out;
+  if (out != nullptr) *out = removed;  // the caller and the ring keep them
+  RecordDeltaDrain(std::move(removed));
+}
+
+Relation::DropResult Relation::RemoveExpiredEntries(Timestamp tau,
+                                                    bool record_delta,
+                                                    std::vector<Entry>* out) {
+  return RemoveMatching(
+      [tau](const SegmentView& s) {
+        if (s.max_texp <= tau) return SegmentAction::kDropWhole;
+        return s.min_texp > tau ? SegmentAction::kSkip : SegmentAction::kTest;
+      },
+      [tau](const Entry& e) { return e.texp <= tau; }, record_delta, out);
+}
+
+Relation::DropResult Relation::DropExpired(Timestamp tau, bool record_delta) {
+  return RemoveExpiredEntries(tau, record_delta, nullptr);
 }
 
 std::vector<std::pair<Tuple, Timestamp>> Relation::RemoveExpired(
     Timestamp tau, bool record_delta) {
-  std::vector<std::pair<Tuple, Timestamp>> removed;
-  for (size_t i = 0; i < segments_.size();) {
-    Segment* seg = segments_[i].get();
-    if (seg->entries.empty()) {
-      ++i;
-      continue;
-    }
-    if (seg->min_texp > tau) {
-      ++i;
-      continue;
-    }
-    if (seg->max_texp <= tau) {
-      // Fully expired, but the caller needs the tuples (trigger firing):
-      // move them out, then drop the segment without per-entry swaps.
-      const size_t n = seg->entries.size();
-      for (Entry& e : seg->entries) {
-        removed.emplace_back(std::move(e.tuple), e.texp);
-      }
-      if (!slots_.empty()) tombstones_ += n;
-      total_entries_ -= n;
-      DropSegmentAt(i);
-      continue;
-    }
-    EnsureSlots();
-    Timestamp new_min = Timestamp::Infinity();
-    Timestamp new_max = Timestamp::Zero();
-    for (size_t off = 0; off < seg->entries.size();) {
-      Entry& e = seg->entries[off];
-      if (e.texp <= tau) {
-        const size_t slot =
-            FindSlotByHandle(e.tuple, MakeHandle(seg->id, off));
-        assert(slot != kNotFound);
-        removed.emplace_back(std::move(e.tuple), e.texp);
-        EraseWithinSegment(seg, off, slot);
-      } else {
-        new_min = Timestamp::Min(new_min, e.texp);
-        new_max = Timestamp::Max(new_max, e.texp);
-        ++off;
-      }
-    }
-    if (seg->entries.empty()) {
-      DropSegmentAt(i);
-      continue;
-    }
-    seg->min_texp = new_min;
-    seg->max_texp = new_max;
-    ++i;
-  }
-  if (removed.empty()) return removed;
-  if (total_entries_ == 0) ResetStorage();
-  std::sort(removed.begin(), removed.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  if (record_delta && delta_tracking()) {
-    std::vector<Entry> deleted;
-    deleted.reserve(removed.size());
-    for (const auto& [tuple, texp] : removed) {
-      deleted.push_back(Entry{tuple, texp});
-    }
-    RecordDeltaDrain(std::move(deleted));
-  }
-  return removed;
+  std::vector<Entry> removed;
+  RemoveExpiredEntries(tau, record_delta, &removed);
+  std::vector<std::pair<Tuple, Timestamp>> out;
+  out.reserve(removed.size());
+  for (Entry& e : removed) out.emplace_back(std::move(e.tuple), e.texp);
+  return out;
 }
 
 // --- lookups and scans ----------------------------------------------------

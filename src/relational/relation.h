@@ -28,6 +28,12 @@
 //    "organize storage by expiration time" principle). Base relations in
 //    a Database use this mode.
 //
+//    Every physical removal by rule — DropExpired, RemoveExpired and
+//    EraseWhere — is one segment walk (RemoveMatching): per segment it
+//    skips, drops whole, or swap-erases the matching entries, then
+//    re-derives the texp bounds from the survivors, unlinks emptied
+//    segments, and sorts and records the removed entries once.
+//
 //    Each segment also carries conservative per-column [lo, hi] value
 //    bounds. Under a TTL stream texp ≈ arrival + ttl, so a texp segment
 //    is an arrival-time cluster too, and a filtered scan skips every
@@ -51,6 +57,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -127,8 +134,11 @@ class Relation {
 
   /// What a bulk expiration pass removed (see DropExpired).
   struct DropResult {
-    size_t tuples = 0;    ///< entries physically removed
-    size_t segments = 0;  ///< whole segments dropped in O(1)
+    size_t tuples = 0;  ///< entries physically removed
+    /// Segments the pass unlinked from the directory: those dropped whole
+    /// in O(1) plus straddling ones whose every entry it erased — exactly
+    /// the drop in SegmentCount().
+    size_t segments = 0;
   };
 
   Relation() = default;
@@ -191,11 +201,13 @@ class Relation {
   /// per-tuple swap, no survivor movement, no index rebuild; their index
   /// slots are lazily recycled), fully-live segments are skipped without
   /// being scanned, and only segments straddling tau pay a per-tuple
-  /// swap-erase. Does not enumerate the removed tuples — callers that
-  /// must fire per-tuple expiration triggers use RemoveExpired instead —
-  /// and records nothing in the delta ring (removing tuples with
-  /// texp <= τ never changes expτ' for any τ' >= τ).
-  DropResult DropExpired(Timestamp tau);
+  /// swap-erase. Does not return the removed tuples — callers that must
+  /// fire per-tuple expiration triggers use RemoveExpired instead. With
+  /// `record_delta`, a tracked relation records them as one delete batch
+  /// (one epoch), moved into the ring rather than copied; without it
+  /// nothing is recorded (removing tuples with texp <= τ never changes
+  /// expτ' for any τ' >= τ).
+  DropResult DropExpired(Timestamp tau, bool record_delta = false);
 
   /// \brief Pre-sizes the dense array and the hash index for `n` tuples.
   void Reserve(size_t n);
@@ -236,9 +248,11 @@ class Relation {
   /// segments with the scan's classification: segments with
   /// max_texp <= τ and segments whose column bounds `pred` cannot match
   /// (Predicate::MayMatchWithin) are skipped unread; the rest evaluate
-  /// `pred` on their entries in place. A tracked relation records the
-  /// removed tuples as one delete batch (one epoch), ordered by
-  /// (texp, tuple) like an eager drain; nothing when nothing matched.
+  /// `pred` on their entries in place, and their texp bounds are
+  /// re-derived from the survivors (expired ones included). A tracked
+  /// relation records the removed tuples as one delete batch (one epoch),
+  /// ordered by (texp, tuple) like an eager drain; nothing when nothing
+  /// matched.
   /// Defined in core/erase_where.cc, next to Predicate.
   /// \return the number of tuples removed.
   size_t EraseWhere(const Predicate* pred, Timestamp tau);
@@ -273,7 +287,8 @@ class Relation {
   size_t CountUnexpiredAt(Timestamp tau) const;
 
   /// \brief Occupancy of the storage at time τ, per segment class —
-  /// the telemetry layer's expiration-pressure source. `expired_tuples`
+  /// the telemetry layer's expiration-pressure source and lazy removal's
+  /// compaction trigger. `expired_tuples`
   /// is the backlog awaiting physical drain (lazy removal keeps them
   /// stored; queries never see them). One sweep: fully-live and
   /// fully-expired segments are classified from their bounds without a
@@ -291,10 +306,11 @@ class Relation {
   /// \return the removed tuples with their expiration times, sorted by
   /// (texp, tuple) — the order in which they expired. This is the
   /// trigger-feeding slow path; use DropExpired when the removed tuples
-  /// are not needed. Also tightens segment bounds from the surviving
-  /// entries of straddling segments. With `record_delta`, a tracked
+  /// are not needed. The same walk as DropExpired, so it leaves the same
+  /// entries, segments and bounds. With `record_delta`, a tracked
   /// relation records the removed tuples as one delete batch (one epoch),
-  /// so delta consumers can shed them too.
+  /// so delta consumers can shed them too. The batch is then a copy of
+  /// the returned tuples, since both the caller and the ring keep them.
   std::vector<std::pair<Tuple, Timestamp>> RemoveExpired(
       Timestamp tau, bool record_delta = false);
 
@@ -309,10 +325,10 @@ class Relation {
 
   /// \brief An upper bound on the expiration time of every stored tuple:
   /// texp_R(r) <= texp_upper_bound() for all r ∈ R. Derived from the live
-  /// segments' max_texp bounds, so it *tightens* when expired segments
-  /// are dropped (DropExpired) and when RemoveExpired re-derives the
-  /// bounds of straddling segments from their survivors — point erases
-  /// may still leave it an overestimate, which is the safe direction.
+  /// segments' max_texp bounds, so it *tightens* when a removal walk
+  /// drops expired segments or re-derives the bounds of the segments it
+  /// tested from their survivors — point erases may still leave it an
+  /// overestimate, which is the safe direction.
   /// The planner uses it to prune whole subtrees whose every input is
   /// already expired at τ: if texp_upper_bound() <= τ then expτ(R) = ∅.
   Timestamp texp_upper_bound() const {
@@ -338,11 +354,11 @@ class Relation {
   //    change on duplicate  -> {epoch, inserted=[t@new],   deleted=[t@old]}
   //  * an erase             -> {epoch, inserted=[],        deleted=[t@old]}
   //
-  // Physical expiration (RemoveExpired and the segment bulk path
-  // DropExpired) is not recorded by default: removing tuples with
-  // texp <= τ never changes expτ' for any τ' >= τ, so consumers that
-  // always read through expτ see no difference. Eager removal opts in
-  // (RemoveExpired's `record_delta`) so consumers also free the memory:
+  // Physical expiration (RemoveExpired and DropExpired) is not recorded
+  // by default: removing tuples with texp <= τ never changes expτ' for
+  // any τ' >= τ, so consumers that always read through expτ see no
+  // difference. Eager removal opts in (`record_delta`) so consumers also
+  // free the memory:
   //
   //  * an eager expiry drain -> {epoch, inserted=[], deleted=[t1@e1, ...]}
   //
@@ -581,6 +597,33 @@ class Relation {
   /// Retires the id of segments_[i] and unlinks it; its remaining index
   /// slots (if any) turn stale.
   void DropSegmentAt(size_t i);
+
+  /// What the removal walk does with one non-empty segment.
+  enum class SegmentAction {
+    kSkip,       ///< no entry matches: leave it unread
+    kDropWhole,  ///< every entry matches: unlink it in O(1)
+    kTest,       ///< test each entry, swap-erasing the matches
+  };
+  /// \brief The one physical-removal walk behind DropExpired,
+  /// RemoveExpired and EraseWhere. `classify(const SegmentView&)` picks a
+  /// SegmentAction per non-empty segment; `match(const Entry&)` tests the
+  /// entries of kTest segments. Both are inlined: no indirect call per
+  /// entry. A tested segment's texp bounds are re-derived from its
+  /// survivors; emptied segments are unlinked. The removed entries,
+  /// sorted by (texp, tuple), go to `*out` (when non-null) and, with
+  /// `record_delta` on a tracked relation, into the ring as one delete
+  /// batch; when neither wants them they are never collected.
+  template <typename Classify, typename Match>
+  DropResult RemoveMatching(const Classify& classify, const Match& match,
+                            bool record_delta, std::vector<Entry>* out);
+  /// The walk's tail after it removed `removed` (empty unless collected):
+  /// resets an emptied relation, sorts, and hands the entries to `*out`
+  /// and/or the ring — moved when only one of them takes them.
+  void FinishRemoval(std::vector<Entry> removed, bool record_delta,
+                     std::vector<Entry>* out);
+  /// RemoveMatching with the expiration classification at `tau`.
+  DropResult RemoveExpiredEntries(Timestamp tau, bool record_delta,
+                                  std::vector<Entry>* out);
   /// Releases every segment and the index of a relation that holds no
   /// entries, so repeated fill/drain cycles do not accrete state.
   void ResetStorage();
@@ -651,6 +694,74 @@ class Relation {
   /// racing other readers publishes safely (see EnableDeltaTracking).
   mutable std::atomic<DeltaLog*> delta_{nullptr};
 };
+
+template <typename Classify, typename Match>
+Relation::DropResult Relation::RemoveMatching(const Classify& classify,
+                                              const Match& match,
+                                              bool record_delta,
+                                              std::vector<Entry>* out) {
+  record_delta = record_delta && delta_tracking();
+  const bool collect = record_delta || out != nullptr;
+  std::vector<Entry> removed;
+  DropResult result;
+  for (size_t i = 0; i < segments_.size();) {
+    Segment* seg = segments_[i].get();
+    const SegmentAction action = seg->entries.empty()
+                                     ? SegmentAction::kSkip
+                                     : classify(GetSegment(i));
+    if (action == SegmentAction::kSkip) {
+      ++i;
+      continue;
+    }
+    if (action == SegmentAction::kDropWhole) {
+      // The segment's index slots become stale handles, recognized lazily
+      // on probe and purged wholesale at the next rehash; counting them as
+      // tombstones keeps the load-factor math honest. A deferred index
+      // has no slots to go stale.
+      const size_t n = seg->entries.size();
+      if (collect) {
+        removed.insert(removed.end(),
+                       std::make_move_iterator(seg->entries.begin()),
+                       std::make_move_iterator(seg->entries.end()));
+      }
+      if (!slots_.empty()) tombstones_ += n;
+      total_entries_ -= n;
+      result.tuples += n;
+    } else {
+      // The swap-erases patch index slots, so a deferred index must
+      // materialize first.
+      EnsureSlots();
+      Timestamp new_min = Timestamp::Infinity();
+      Timestamp new_max = Timestamp::Zero();
+      for (size_t off = 0; off < seg->entries.size();) {
+        Entry& e = seg->entries[off];
+        if (!match(e)) {
+          new_min = Timestamp::Min(new_min, e.texp);
+          new_max = Timestamp::Max(new_max, e.texp);
+          ++off;
+          continue;
+        }
+        const size_t slot =
+            FindSlotByHandle(e.tuple, MakeHandle(seg->id, off));
+        assert(slot != kNotFound);
+        ++result.tuples;
+        if (collect) removed.push_back(std::move(e));
+        // Swap-with-last: the unvisited last entry now sits at `off`.
+        EraseWithinSegment(seg, off, slot);
+      }
+      if (!seg->entries.empty()) {
+        seg->min_texp = new_min;
+        seg->max_texp = new_max;
+        ++i;
+        continue;
+      }
+    }
+    ++result.segments;
+    DropSegmentAt(i);  // the next segment shifts into position i
+  }
+  if (result.tuples > 0) FinishRemoval(std::move(removed), record_delta, out);
+  return result;
+}
 
 }  // namespace expdb
 

@@ -122,17 +122,12 @@ Session::Session(std::shared_ptr<engine::Engine> engine)
 
 Session::Session(std::shared_ptr<engine::Engine> engine, Options options)
     : engine_(std::move(engine)),
-      eval_options_(options.eval),
-      rewrite_views_(options.rewrite_views) {
+      eval_options_(options.eval) {
   obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
   statements_metric_ = r.GetCounter("expdb_sql_statements_total");
   errors_metric_ = r.GetCounter("expdb_sql_errors_total");
   slow_queries_metric_ = r.GetCounter("expdb_sql_slow_queries_total");
   statement_latency_ = r.GetHistogram("expdb_sql_statement_latency_ns");
-  // A session is an interactive endpoint: keep the span ring buffer warm
-  // so EXPLAIN STATS has recent spans to show. (Bounded cost — the
-  // recorder is a fixed-size ring; see docs/OBSERVABILITY.md.)
-  obs::TraceRecorder::Global().set_enabled(true);
 }
 
 Result<ExecResult> Session::ExecuteCounted(const Statement& stmt) {
@@ -700,12 +695,9 @@ Result<ExecResult> Session::ExecuteCreateView(
     const CreateViewStatement& stmt) {
   engine::Engine::ExclusiveGuard lock = engine_->LockExclusive();
   EXPDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(stmt.select, db()));
-  if (rewrite_views_) {
-    // Sec. 3.1: push selections below non-monotonic operators so the
-    // materialization stays independently maintainable longer.
-    EXPDB_ASSIGN_OR_RETURN(bound.expr,
-                           RewriteForIndependence(bound.expr, db()));
-  }
+  // Sec. 3.1: push selections below non-monotonic operators so the
+  // materialization stays independently maintainable longer.
+  EXPDB_ASSIGN_OR_RETURN(bound.expr, RewriteForIndependence(bound.expr, db()));
   EXPDB_ASSIGN_OR_RETURN(MaterializedView::Options options,
                          ViewOptionsFrom(stmt.options, eval_options_));
   EXPDB_ASSIGN_OR_RETURN(

@@ -58,9 +58,6 @@ class Session {
   struct Options {
     ExpirationManagerOptions expiration;
     EvalOptions eval;
-    /// Apply the Sec. 3.1 independence-extending rewrites to every view
-    /// definition (never changes results; can only delay recomputation).
-    bool rewrite_views = true;
   };
 
   Session() : Session(Options{}) {}
@@ -142,7 +139,6 @@ class Session {
   /// for the Options ctor; shared between sessions for the engine ctor.
   std::shared_ptr<engine::Engine> engine_;
   EvalOptions eval_options_;
-  bool rewrite_views_ = true;
   // Process-wide SQL metrics (registry-owned; see docs/OBSERVABILITY.md).
   obs::Counter* statements_metric_;
   obs::Counter* errors_metric_;

@@ -60,6 +60,20 @@ TEST(ExpirationManagerTest, LazyAutoCompactsPastThreshold) {
   ASSERT_TRUE(em.AdvanceTo(T(5)).ok());
   EXPECT_EQ(em.db().GetRelation("t").value()->size(), 5u);
   EXPECT_GE(em.stats().compactions, 1u);
+
+  // Below the threshold at one advance (30% expired at time 10), past it
+  // three ticks later (50% at 13): the threshold is checked at every
+  // advance, so the second one compacts.
+  ASSERT_TRUE(em.CreateRelation("u", OneInt()).ok());
+  for (int i = 0; i < 10; ++i) {
+    const Timestamp texp = T(i < 3 ? 10 : i < 5 ? 13 : 100);
+    ASSERT_TRUE(em.Insert("u", Tuple{i}, texp).ok());
+  }
+  const Relation* u = em.db().GetRelation("u").value();
+  ASSERT_TRUE(em.AdvanceTo(T(10)).ok());
+  EXPECT_EQ(u->size(), 10u);
+  ASSERT_TRUE(em.AdvanceTo(T(13)).ok());
+  EXPECT_EQ(u->size(), 5u);
 }
 
 TEST(ExpirationManagerTest, TriggersFireInExpirationOrder) {
@@ -198,6 +212,34 @@ TEST(ExpirationManagerTest, EagerDrainIsOneDeltaBatch) {
   // An advance that expires nothing records nothing.
   ASSERT_TRUE(em.AdvanceTo(T(20)).ok());
   EXPECT_EQ(rel->delta_epoch(), epoch + 1);
+}
+
+// With a trigger registered, the drain both fires and records: the fired
+// (texp, tuple) sequence is exactly the batch's `deleted` sequence.
+TEST(ExpirationManagerTest, EagerDrainWithTriggerFiresTheDeltaBatch) {
+  ExpirationManager em;
+  ASSERT_TRUE(em.CreateRelation("t", OneInt()).ok());
+  Relation* rel = em.db().GetRelation("t").value();
+  rel->EnableDeltaTracking();
+  std::vector<Relation::Entry> fired;
+  em.AddTrigger(
+      [&](const ExpirationEvent& e) { fired.push_back({e.tuple, e.texp}); });
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(em.Insert("t", Tuple{(i * 7) % 40}, T(1 + i % 25)).ok());
+  }
+  const uint64_t epoch = rel->delta_epoch();
+  ASSERT_TRUE(em.AdvanceTo(T(12)).ok());
+  auto batches = rel->DeltasSince(epoch);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_EQ(batches->size(), 1u);
+  const std::vector<Relation::Entry>& deleted = batches->front().deleted;
+  ASSERT_EQ(fired.size(), deleted.size());
+  ASSERT_FALSE(fired.empty());
+  for (size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i].texp, deleted[i].texp) << i;
+    EXPECT_EQ(fired[i].tuple, deleted[i].tuple) << i;
+  }
+  EXPECT_EQ(rel->size(), 40u - fired.size());
 }
 
 using Fired = std::tuple<Timestamp, std::string, Tuple, Timestamp>;

@@ -27,6 +27,49 @@ Schema TwoInts() {
   return Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}});
 }
 
+/// Both removal entry points run one walk: on tracked twins of `rel`,
+/// DropExpired(τ, true) and RemoveExpired(τ, true) leave the same entries
+/// (in the same segment order), segment bounds and single delete batch,
+/// and RemoveExpired returns exactly that batch's tuples.
+void ExpectTrackedDrainsAgree(const Relation& rel, Timestamp tau) {
+  Relation dropped = rel;
+  Relation removed = rel;
+  dropped.EnableDeltaTracking();
+  removed.EnableDeltaTracking();
+  dropped.DropExpired(tau, /*record_delta=*/true);
+  const std::vector<std::pair<Tuple, Timestamp>> out =
+      removed.RemoveExpired(tau, /*record_delta=*/true);
+  ASSERT_EQ(dropped.SegmentCount(), removed.SegmentCount());
+  for (size_t i = 0; i < dropped.SegmentCount(); ++i) {
+    const Relation::SegmentView a = dropped.GetSegment(i);
+    const Relation::SegmentView b = removed.GetSegment(i);
+    ASSERT_EQ(a.size, b.size) << "segment " << i;
+    EXPECT_EQ(a.min_texp, b.min_texp) << "segment " << i;
+    EXPECT_EQ(a.max_texp, b.max_texp) << "segment " << i;
+    for (size_t j = 0; j < a.size; ++j) {
+      EXPECT_EQ(a.data[j].tuple, b.data[j].tuple) << "segment " << i;
+      EXPECT_EQ(a.data[j].texp, b.data[j].texp) << "segment " << i;
+    }
+  }
+  ASSERT_EQ(dropped.delta_epoch(), removed.delta_epoch());
+  const auto a = dropped.DeltasSince(0);
+  const auto b = removed.DeltasSince(0);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  ASSERT_EQ(a->size(), out.empty() ? 0u : 1u);
+  ASSERT_EQ(b->size(), a->size());
+  if (out.empty()) return;
+  const std::vector<Relation::Entry>& da = a->front().deleted;
+  const std::vector<Relation::Entry>& db = b->front().deleted;
+  ASSERT_EQ(da.size(), out.size());
+  ASSERT_EQ(db.size(), out.size());
+  for (size_t k = 0; k < out.size(); ++k) {
+    EXPECT_EQ(da[k].tuple, out[k].first) << k;
+    EXPECT_EQ(da[k].texp, out[k].second) << k;
+    EXPECT_EQ(db[k].tuple, out[k].first) << k;
+    EXPECT_EQ(db[k].texp, out[k].second) << k;
+  }
+}
+
 /// Applies the same random operation stream to both relations and checks
 /// exact (tuple, texp) identity after every step.
 struct StorageSweepConfig {
@@ -102,6 +145,7 @@ TEST_P(SegmentStorageSweep, MirrorsFlatStorage) {
         break;
       }
       case 8: {  // bulk physical expiration
+        ExpectTrackedDrainsAgree(seg, tau);
         const size_t expired = seg.size() - seg.CountUnexpiredAt(tau);
         ASSERT_EQ(seg.DropExpired(tau).tuples, expired);
         ASSERT_EQ(flat.DropExpired(tau).tuples, expired);

@@ -509,6 +509,7 @@ TEST(SessionStatsTest, StatsPrometheusAndJsonExporters) {
 
 TEST(SessionStatsTest, ExplainStatsIncludesSpans) {
   Session s;
+  MustExec(s, "TRACE ON");
   MustExec(s, "CREATE TABLE t (x INT)");
   MustExec(s, "INSERT INTO t VALUES (1) TTL 5");
   MustExec(s, "SELECT * FROM t");
@@ -517,9 +518,9 @@ TEST(SessionStatsTest, ExplainStatsIncludesSpans) {
   EXPECT_NE(r.message.find("expdb_eval_evaluations_total"),
             std::string::npos);
   EXPECT_NE(r.message.find("recent spans"), std::string::npos);
-  // The session keeps the global recorder enabled, so the statements
-  // above produced sql.statement spans.
+  // Tracing is on, so the statements above produced sql.statement spans.
   EXPECT_NE(r.message.find("sql.statement"), std::string::npos);
+  MustExec(s, "TRACE OFF");
 }
 
 TEST(SessionStatsTest, StatsResetZeroesAndErrorsAreCounted) {
@@ -568,6 +569,7 @@ TEST(SessionSetTest, SlowQueryEmitsEventWhenLogEnabled) {
   obs::EventLog& log = obs::EventLog::Global();
   const bool was_enabled = log.enabled();
   log.Clear();
+  MustExec(s, "TRACE ON");
   MustExec(s, "SET event_log = on");
   MustExec(s, "SET slow_query_ns = 0");
   MustExec(s, "CREATE TABLE t (x INT)");
@@ -580,6 +582,7 @@ TEST(SessionSetTest, SlowQueryEmitsEventWhenLogEnabled) {
     }
   }
   EXPECT_TRUE(saw);
+  MustExec(s, "TRACE OFF");
   log.set_enabled(was_enabled);
   log.Clear();
 }
@@ -675,11 +678,11 @@ TEST(SessionTraceTest, TraceShowRendersMostRecentCompletedTrace) {
   EXPECT_NE(r.message.find("sql.statement"), std::string::npos);
   MustExec(s, "TRACE OFF");
   EXPECT_FALSE(obs::TraceRecorder::Global().enabled());
-  MustExec(s, "TRACE ON");  // leave it as the Session constructor set it
 }
 
 TEST(SessionTraceTest, TraceExportWritesValidChromeTraceJson) {
   Session s;
+  MustExec(s, "TRACE ON");
   MustExec(s, "CREATE TABLE t (x INT)");
   MustExec(s, "INSERT INTO t VALUES (1), (2)");
   MustExec(s, "SELECT * FROM t");
@@ -696,6 +699,7 @@ TEST(SessionTraceTest, TraceExportWritesValidChromeTraceJson) {
   EXPECT_NE(contents.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(contents.find("sql.statement"), std::string::npos);
   std::remove(path.c_str());
+  MustExec(s, "TRACE OFF");
 }
 
 TEST(SessionTraceTest, TraceExportToUnwritablePathFails) {
@@ -705,11 +709,13 @@ TEST(SessionTraceTest, TraceExportToUnwritablePathFails) {
 
 TEST(SessionTraceTest, ExplainAnalyzeAggregatesTracedOperatorSpans) {
   Session s;
+  MustExec(s, "TRACE ON");
   MustExec(s, "CREATE TABLE t (x INT)");
   MustExec(s, "INSERT INTO t VALUES (1), (2), (3)");
   auto r = MustExec(s, "EXPLAIN ANALYZE SELECT * FROM t WHERE x = 2");
   EXPECT_NE(r.message.find("traced operator spans"), std::string::npos);
   EXPECT_NE(r.message.find("node #"), std::string::npos);
+  MustExec(s, "TRACE OFF");
 }
 
 }  // namespace
