@@ -107,4 +107,18 @@ DifferenceAnalysis AnalyzeDifference(const Relation& left,
   return out;
 }
 
+size_t ApplyDifferencePatches(const std::vector<DifferencePatchEntry>& helper,
+                              size_t* cursor, Timestamp now,
+                              Relation* result) {
+  size_t applied = 0;
+  while (*cursor < helper.size() && helper[*cursor].appears_at <= now) {
+    const DifferencePatchEntry& entry = helper[(*cursor)++];
+    if (entry.expires_at > now) {
+      result->InsertUnchecked(entry.tuple, entry.expires_at);
+      ++applied;
+    }
+  }
+  return applied;
+}
+
 }  // namespace expdb

@@ -80,6 +80,15 @@ DifferenceAnalysis AnalyzeDifference(const Relation& left,
                                      size_t workers = 1,
                                      size_t min_morsel = 1024);
 
+/// \brief Theorem 3 patching: advances `*cursor` over the `helper`
+/// entries (sorted by appears_at) with appears_at <= `now` and inserts
+/// each one still alive at `now` into `result`, expiring at texp_R(t).
+/// At texp_S(t) the helper tuple expires from S and belongs in the
+/// difference; one already past texp_R(t) would be invisible, so it is
+/// skipped. \return the number of tuples inserted.
+size_t ApplyDifferencePatches(const std::vector<DifferencePatchEntry>& helper,
+                              size_t* cursor, Timestamp now, Relation* result);
+
 }  // namespace expdb
 
 #endif  // EXPDB_CORE_DIFFERENCE_H_

@@ -66,9 +66,10 @@ Engine::Snapshot Engine::OpenSnapshot(const std::set<std::string>& relations) {
   // other or a writer (writers take exactly one relation lock).
   snap.relation_locks_.reserve(relations.size());
   for (const std::string& name : relations) {
-    snap.relation_locks_.emplace_back(db().relation_lock(name));
+    if (std::shared_mutex* mu = db().relation_lock(name)) {
+      snap.relation_locks_.emplace_back(*mu);
+    }
   }
-  snap.epoch_ = db().epoch();
   snapshots_.Increment();
   return snap;
 }
@@ -82,9 +83,8 @@ Engine::Snapshot Engine::OpenSnapshotAll() {
   const std::vector<std::string> names = db().RelationNames();
   snap.relation_locks_.reserve(names.size());
   for (const std::string& name : names) {  // RelationNames() is sorted
-    snap.relation_locks_.emplace_back(db().relation_lock(name));
+    snap.relation_locks_.emplace_back(*db().relation_lock(name));
   }
-  snap.epoch_ = db().epoch();
   snapshots_.Increment();
   return snap;
 }
@@ -92,13 +92,14 @@ Engine::Snapshot Engine::OpenSnapshotAll() {
 Engine::WriteGuard Engine::LockWrite(const std::string& relation) {
   WriteGuard guard;
   guard.engine_lock_ = std::shared_lock<std::shared_mutex>(engine_mu_);
-  std::shared_mutex& mu = db().relation_lock(relation);
-  guard.relation_lock_ = std::unique_lock<std::shared_mutex>(mu, std::defer_lock);
+  std::shared_mutex* mu = db().relation_lock(relation);
+  if (mu == nullptr) return guard;  // the statement fails with NotFound
+  guard.relation_lock_ =
+      std::unique_lock<std::shared_mutex>(*mu, std::defer_lock);
   if (!guard.relation_lock_.try_lock()) {
     write_waits_.Increment();
     guard.relation_lock_.lock();
   }
-  guard.db_ = WriteGuard::NullOnMove(&db());
   return guard;
 }
 
@@ -128,23 +129,13 @@ size_t Engine::prepared_count() const {
   return prepared_.size();
 }
 
-void Engine::SetViewColumns(const std::string& view,
-                            std::vector<std::string> names) {
-  std::lock_guard<std::mutex> guard(registry_mu_);
-  view_columns_[view] = std::move(names);
-}
-
 std::optional<std::vector<std::string>> Engine::GetViewColumns(
     const std::string& view) const {
-  std::lock_guard<std::mutex> guard(registry_mu_);
-  auto it = view_columns_.find(view);
-  if (it == view_columns_.end()) return std::nullopt;
-  return it->second;
-}
-
-void Engine::EraseViewColumns(const std::string& view) {
-  std::lock_guard<std::mutex> guard(registry_mu_);
-  view_columns_.erase(view);
+  auto found = views_.GetView(view);
+  if (!found.ok() || found.value()->column_names().empty()) {
+    return std::nullopt;
+  }
+  return found.value()->column_names();
 }
 
 void Engine::InvalidateCachesFor(const std::string& table) {

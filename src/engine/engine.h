@@ -6,14 +6,17 @@
 // the background MaintenanceService — so many sql::Sessions can execute
 // against one database concurrently.
 //
-// Concurrency scheme (epoch-versioned reader/writer locking):
+// Concurrency scheme (reader/writer locking):
 //
 //   readers   Snapshot        engine shared + per-relation shared locks
-//                             (sorted), pinned to the catalog epoch
-//   DML       WriteGuard      engine shared + one relation exclusive
-//                             lock; bumps the epoch on release
+//                             (sorted)
+//   DML       WriteGuard      engine shared + one relation exclusive lock
 //   DDL etc.  ExclusiveGuard  engine exclusive (CREATE/DROP, ADVANCE
 //                             TIME, view reads, maintenance passes)
+//
+// Each relation's lock lives in its Database catalog entry. CREATE and
+// DROP run under the engine's exclusive lock, so no relation guard is
+// alive across them.
 //
 // Lock order: engine lock -> relation locks (sorted by name) ->
 // component-internal leaf mutexes (ViewManager, caches, expiration
@@ -108,56 +111,34 @@ class Engine {
   // --- locking primitives ---------------------------------------------
 
   /// \brief A consistent read view: the engine's shared lock plus the
-  /// shared locks of every named relation (acquired in sorted order),
-  /// pinned to the catalog epoch observed at open. While a Snapshot is
-  /// held no writer can mutate the covered relations and no exclusive
-  /// operation (DDL, ADVANCE TIME, maintenance) can run at all.
+  /// shared locks of every named relation (acquired in sorted order).
+  /// While a Snapshot is held no writer can mutate the covered relations
+  /// and no exclusive operation (DDL, ADVANCE TIME, maintenance) can run
+  /// at all.
   class Snapshot {
    public:
     Snapshot() = default;
     Snapshot(Snapshot&&) = default;
     Snapshot& operator=(Snapshot&&) = default;
 
-    /// The catalog epoch observed under the locks. Two snapshots with
-    /// equal epochs saw the identical database.
-    uint64_t epoch() const { return epoch_; }
-
    private:
     friend class Engine;
     std::shared_lock<std::shared_mutex> engine_lock_;
     std::vector<std::shared_lock<std::shared_mutex>> relation_locks_;
-    uint64_t epoch_ = 0;
   };
 
   /// \brief A DML write ticket: the engine's shared lock plus one
-  /// relation's exclusive lock. Destroying the guard bumps the catalog
-  /// epoch (the mutation, if any, is published to snapshot validators).
+  /// relation's exclusive lock.
   class WriteGuard {
    public:
     WriteGuard() = default;
     WriteGuard(WriteGuard&&) = default;
     WriteGuard& operator=(WriteGuard&&) = default;
-    ~WriteGuard() {
-      if (db_.ptr != nullptr) db_.ptr->BumpEpoch();
-    }
 
    private:
     friend class Engine;
     std::shared_lock<std::shared_mutex> engine_lock_;
     std::unique_lock<std::shared_mutex> relation_lock_;
-    struct NullOnMove {
-      Database* ptr = nullptr;
-      NullOnMove() = default;
-      explicit NullOnMove(Database* p) : ptr(p) {}
-      NullOnMove(NullOnMove&& o) noexcept : ptr(o.ptr) { o.ptr = nullptr; }
-      NullOnMove& operator=(NullOnMove&& o) noexcept {
-        ptr = o.ptr;
-        o.ptr = nullptr;
-        return *this;
-      }
-      operator Database*() const { return ptr; }
-    };
-    NullOnMove db_;
   };
 
   /// \brief The engine's exclusive lock: total isolation. DDL, ADVANCE
@@ -173,15 +154,16 @@ class Engine {
     std::unique_lock<std::shared_mutex> engine_lock_;
   };
 
-  /// \brief Opens a read snapshot over `relations` (names not in the
-  /// catalog get a lock anyway — harmless, and it keeps a concurrent
-  /// CREATE of that name out while the snapshot reads).
+  /// \brief Opens a read snapshot over `relations`. Names not in the
+  /// catalog are skipped: the engine's shared lock already keeps a
+  /// CREATE of that name out while the snapshot reads.
   Snapshot OpenSnapshot(const std::set<std::string>& relations);
 
   /// \brief Snapshot over every relation currently in the catalog.
   Snapshot OpenSnapshotAll();
 
-  /// \brief Takes the write locks for one relation. Blocks behind
+  /// \brief Takes the write locks for one relation (only the engine's
+  /// shared lock when no such relation exists). Blocks behind
   /// readers/writers of the same relation; contended acquisitions count
   /// toward expdb_engine_write_waits_total.
   WriteGuard LockWrite(const std::string& relation);
@@ -201,12 +183,11 @@ class Engine {
 
   size_t prepared_count() const;
 
-  // --- view presentation metadata --------------------------------------
-
-  void SetViewColumns(const std::string& view, std::vector<std::string> names);
+  /// \brief The named view's SQL output column names, or nullopt for
+  /// an unknown view or one created without them. Caller holds the
+  /// engine's exclusive lock (view bodies are read under it).
   std::optional<std::vector<std::string>> GetViewColumns(
       const std::string& view) const;
-  void EraseViewColumns(const std::string& view);
 
   /// \brief DDL on `table`: drops dependent entries from both cache
   /// tiers and every prepared statement reading it.
@@ -225,10 +206,9 @@ class Engine {
   /// The engine-wide reader/writer lock (see file header).
   std::shared_mutex engine_mu_;
 
-  /// Guards prepared_ and view_columns_. Leaf lock.
+  /// Guards prepared_ and http_. Leaf lock.
   mutable std::mutex registry_mu_;
   std::map<std::string, plan::PreparedPlan> prepared_;
-  std::map<std::string, std::vector<std::string>> view_columns_;
 
   // Instance counters parented into the process-wide expdb_engine_*
   // metrics.

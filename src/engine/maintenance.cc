@@ -1,7 +1,5 @@
 #include "engine/maintenance.h"
 
-#include <chrono>
-
 #include "engine/engine.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -21,53 +19,24 @@ void LogMaintenanceEvent(const char* event,
 }  // namespace
 
 MaintenanceService::MaintenanceService(Engine* engine, int64_t interval_ms)
-    : engine_(engine), interval_ms_(interval_ms > 0 ? interval_ms : 100) {
+    : engine_(engine),
+      runner_(interval_ms > 0 ? interval_ms : 100, [this] {
+        if (!paused()) RunOnce();
+      }) {
   obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
   runs_.SetParent(r.GetCounter("expdb_engine_maintenance_runs_total"));
   removed_.SetParent(r.GetCounter("expdb_engine_maintenance_removed_total"));
   pass_latency_ = r.GetHistogram("expdb_engine_maintenance_latency_ns");
 }
 
-MaintenanceService::~MaintenanceService() { Stop(); }
-
-void MaintenanceService::Start() {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (thread_running_) return;
-  stop_ = false;
-  thread_ = std::thread(&MaintenanceService::Loop, this);
-  thread_running_ = true;
-}
-
-void MaintenanceService::Stop() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!thread_running_) return;
-    stop_ = true;
-    thread_running_ = false;
-    to_join = std::move(thread_);
-  }
-  cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-}
-
 void MaintenanceService::Pause() {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (paused_) return;
-    paused_ = true;
-  }
-  cv_.notify_all();
+  if (paused_.exchange(true)) return;
   LogMaintenanceEvent("maintenance_pause", {});
 }
 
 void MaintenanceService::Resume() {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    paused_ = false;
-  }
-  Start();
-  cv_.notify_all();
+  paused_.store(false);
+  runner_.Start();
   LogMaintenanceEvent("maintenance_resume", {});
 }
 
@@ -93,8 +62,6 @@ size_t MaintenanceService::RunOnce() {
     segments_dropped =
         engine_->expiration().metrics().segments_dropped.value() -
         segs_before;
-    // A removal is a physical mutation; publish it to epoch observers.
-    if (removed > 0) engine_->db().BumpEpoch();
     // Refresh views that explicit updates marked stale, on the
     // background thread instead of some future reader's critical path.
     view_status = engine_->views().AdvanceAllTo(now);
@@ -111,58 +78,11 @@ size_t MaintenanceService::RunOnce() {
   return removed;
 }
 
-void MaintenanceService::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                 [this] { return stop_; });
-    if (stop_) break;
-    if (paused_) continue;
-    // Run the pass without holding mu_ (RunOnce takes the engine lock;
-    // keeping mu_ out of that nesting keeps mu_ a leaf).
-    lock.unlock();
-    RunOnce();
-    lock.lock();
-  }
-}
-
-void MaintenanceService::set_interval_ms(int64_t ms) {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    interval_ms_ = ms > 0 ? ms : 1;
-  }
-  Start();
-  cv_.notify_all();
-}
-
-int64_t MaintenanceService::interval_ms() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return interval_ms_;
-}
-
-bool MaintenanceService::running() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return thread_running_ && !stop_;
-}
-
-bool MaintenanceService::paused() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return paused_;
-}
-
 std::string MaintenanceService::StatusString() const {
-  std::string state;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!thread_running_ || stop_) {
-      state = "stopped";
-    } else if (paused_) {
-      state = "paused";
-    } else {
-      state = "running";
-    }
-    state += ", interval " + std::to_string(interval_ms_) + "ms";
-  }
+  std::string state = !running() ? "stopped"
+                      : paused() ? "paused"
+                                 : "running";
+  state += ", interval " + std::to_string(interval_ms()) + "ms";
   return "maintenance: " + state + ", " + std::to_string(runs()) +
          " runs, " + std::to_string(tuples_removed()) + " tuples removed";
 }

@@ -12,12 +12,10 @@
 #define EXPDB_ENGINE_MAINTENANCE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 
+#include "common/periodic_thread.h"
 #include "obs/metrics.h"
 
 namespace expdb {
@@ -34,16 +32,15 @@ class Engine;
 class MaintenanceService {
  public:
   MaintenanceService(Engine* engine, int64_t interval_ms);
-  ~MaintenanceService();
 
   MaintenanceService(const MaintenanceService&) = delete;
   MaintenanceService& operator=(const MaintenanceService&) = delete;
 
   /// \brief Starts the background thread (idempotent).
-  void Start();
+  void Start() { runner_.Start(); }
 
   /// \brief Stops and joins the background thread (idempotent).
-  void Stop();
+  void Stop() { runner_.Stop(); }
 
   /// \brief Keeps the thread alive but skips passes until Resume.
   void Pause();
@@ -59,11 +56,11 @@ class MaintenanceService {
   /// \brief Sets the cadence and wakes the thread so the new interval
   /// takes effect immediately. Starts the thread if it never ran —
   /// configuring a cadence means asking for background maintenance.
-  void set_interval_ms(int64_t ms);
-  int64_t interval_ms() const;
+  void set_interval_ms(int64_t ms) { runner_.set_interval_ms(ms); }
+  int64_t interval_ms() const { return runner_.interval_ms(); }
 
-  bool running() const;
-  bool paused() const;
+  bool running() const { return runner_.running(); }
+  bool paused() const { return paused_.load(); }
   uint64_t runs() const { return runs_.value(); }
   uint64_t tuples_removed() const { return removed_.value(); }
 
@@ -78,16 +75,10 @@ class MaintenanceService {
   std::string StatusString() const;
 
  private:
-  void Loop();
-
   Engine* engine_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool thread_running_ = false;  // guarded by mu_
-  bool stop_ = false;            // guarded by mu_
-  bool paused_ = false;          // guarded by mu_
-  int64_t interval_ms_;          // guarded by mu_
+  /// Checked by each tick: a paused service keeps its thread but skips
+  /// the pass.
+  std::atomic<bool> paused_{false};
   std::atomic<int64_t> last_run_ns_{0};
 
   // Instance counters parented into the process-wide expdb_engine_*
@@ -95,6 +86,9 @@ class MaintenanceService {
   obs::Counter runs_;
   obs::Counter removed_;
   obs::Histogram* pass_latency_;
+
+  /// Declared last: its thread runs passes that use the members above.
+  PeriodicThread runner_;
 };
 
 }  // namespace engine

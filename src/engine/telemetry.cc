@@ -1,7 +1,6 @@
 #include "engine/telemetry.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "engine/engine.h"
 #include "engine/maintenance.h"
@@ -63,8 +62,8 @@ std::string HealthReport::ToJson() const {
 TelemetryService::TelemetryService(Engine* engine, int64_t interval_ms,
                                    size_t ring_capacity)
     : engine_(engine),
-      interval_ms_(interval_ms > 0 ? interval_ms : 1000),
-      series_(ring_capacity) {
+      series_(ring_capacity),
+      runner_(interval_ms > 0 ? interval_ms : 1000, [this] { SampleOnce(); }) {
   obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
   ticks_.SetParent(r.GetCounter("expdb_telemetry_ticks_total",
                                 "Telemetry sampling ticks"));
@@ -93,43 +92,6 @@ TelemetryService::TelemetryService(Engine* engine, int64_t interval_ms,
   health_gauge_ = r.GetGauge(
       "expdb_telemetry_health",
       "Health verdict: 0 healthy, 1 degraded, 2 unhealthy");
-}
-
-TelemetryService::~TelemetryService() { Stop(); }
-
-void TelemetryService::Start() {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (thread_running_) return;
-  stop_ = false;
-  thread_ = std::thread(&TelemetryService::Loop, this);
-  thread_running_ = true;
-}
-
-void TelemetryService::Stop() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!thread_running_) return;
-    stop_ = true;
-    thread_running_ = false;
-    to_join = std::move(thread_);
-  }
-  cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-}
-
-void TelemetryService::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                 [this] { return stop_; });
-    if (stop_) break;
-    // Tick without holding mu_ (SampleOnce takes engine locks; mu_
-    // stays a leaf, exactly like the MaintenanceService's loop).
-    lock.unlock();
-    SampleOnce();
-    lock.lock();
-  }
 }
 
 void TelemetryService::SampleOnce() {
@@ -304,32 +266,9 @@ void TelemetryService::set_thresholds(const HealthThresholds& t) {
   thresholds_ = t;
 }
 
-void TelemetryService::set_interval_ms(int64_t ms) {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    interval_ms_ = ms > 0 ? ms : 1;
-  }
-  Start();
-  cv_.notify_all();
-}
-
-int64_t TelemetryService::interval_ms() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return interval_ms_;
-}
-
-bool TelemetryService::running() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return thread_running_ && !stop_;
-}
-
 std::string TelemetryService::StatusString() {
-  std::string state;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    state = thread_running_ && !stop_ ? "running" : "stopped";
-    state += ", interval " + std::to_string(interval_ms_) + "ms";
-  }
+  std::string state = running() ? "running" : "stopped";
+  state += ", interval " + std::to_string(interval_ms()) + "ms";
   std::string out = "telemetry: " + state + ", " + std::to_string(ticks()) +
                     " ticks, " + std::to_string(series_.series_count()) +
                     " series (ring capacity " +

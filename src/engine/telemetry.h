@@ -1,6 +1,6 @@
 // TelemetryService: the engine's background observer thread
 // (docs/OBSERVABILITY.md §9) — the MaintenanceService's read-only
-// sibling, same start/stop discipline.
+// sibling, ticking on the same PeriodicThread.
 //
 // On a configurable cadence each tick:
 //  1. computes the expiration-pressure gauges from the segmented
@@ -23,14 +23,13 @@
 #ifndef EXPDB_ENGINE_TELEMETRY_H_
 #define EXPDB_ENGINE_TELEMETRY_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/periodic_thread.h"
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -87,16 +86,15 @@ class TelemetryService {
  public:
   TelemetryService(Engine* engine, int64_t interval_ms,
                    size_t ring_capacity = obs::TimeSeriesStore::kDefaultCapacity);
-  ~TelemetryService();
 
   TelemetryService(const TelemetryService&) = delete;
   TelemetryService& operator=(const TelemetryService&) = delete;
 
   /// \brief Starts the sampling thread (idempotent).
-  void Start();
+  void Start() { runner_.Start(); }
 
   /// \brief Stops and joins the sampling thread (idempotent).
-  void Stop();
+  void Stop() { runner_.Stop(); }
 
   /// \brief One synchronous tick on the calling thread: pressure
   /// gauges, registry sample, health evaluation. Takes a read snapshot
@@ -105,10 +103,10 @@ class TelemetryService {
 
   /// \brief Sets the cadence and wakes the thread; starts it if it
   /// never ran (configuring a cadence means asking for telemetry).
-  void set_interval_ms(int64_t ms);
-  int64_t interval_ms() const;
+  void set_interval_ms(int64_t ms) { runner_.set_interval_ms(ms); }
+  int64_t interval_ms() const { return runner_.interval_ms(); }
 
-  bool running() const;
+  bool running() const { return runner_.running(); }
   uint64_t ticks() const { return ticks_.value(); }
 
   /// \brief The latest health verdict. When no tick has ever run (the
@@ -138,23 +136,16 @@ class TelemetryService {
   obs::HttpResponse HandleHttp(const obs::HttpRequest& request);
 
  private:
-  void Loop();
   /// Evaluates the rules against the just-computed gauges. Called by
   /// SampleOnce after the gauges update; takes health_mu_.
   HealthReport EvaluateHealth(uint64_t backlog, int64_t lag_ms);
 
   Engine* engine_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool thread_running_ = false;  // guarded by mu_
-  bool stop_ = false;            // guarded by mu_
-  int64_t interval_ms_;          // guarded by mu_
 
   obs::TimeSeriesStore series_;
 
   /// Guards the health model's state. Leaf lock (never held across
-  /// engine locks or mu_).
+  /// engine locks).
   mutable std::mutex health_mu_;
   HealthThresholds thresholds_;           // guarded by health_mu_
   HealthReport last_report_;              // guarded by health_mu_
@@ -172,6 +163,9 @@ class TelemetryService {
   obs::Gauge* maintenance_lag_gauge_;
   obs::Gauge* cache_stale_gauge_;
   obs::Gauge* health_gauge_;
+
+  /// Declared last: its thread runs ticks that use the members above.
+  PeriodicThread runner_;
 };
 
 }  // namespace engine

@@ -8,7 +8,7 @@ Result<Relation*> Database::CreateRelation(const std::string& name,
     return Status::InvalidArgument("relation name must not be empty");
   }
   auto [it, inserted] = relations_.try_emplace(
-      name, std::make_unique<Relation>(std::move(schema)));
+      name, std::make_unique<Entry>(Relation(std::move(schema))));
   if (!inserted) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }
@@ -17,9 +17,8 @@ Result<Relation*> Database::CreateRelation(const std::string& name,
   // the maintenance pass iterate. Derived/scratch relations registered via
   // PutRelation stay flat — they are short-lived materializations whose
   // entries() the parallel evaluator chunks directly.
-  it->second->SetSegmented();
-  BumpEpoch();
-  return it->second.get();
+  it->second->relation.SetSegmented();
+  return &it->second->relation;
 }
 
 Status Database::PutRelation(const std::string& name, Relation relation) {
@@ -27,11 +26,10 @@ Status Database::PutRelation(const std::string& name, Relation relation) {
     return Status::InvalidArgument("relation name must not be empty");
   }
   auto [it, inserted] = relations_.try_emplace(
-      name, std::make_unique<Relation>(std::move(relation)));
+      name, std::make_unique<Entry>(std::move(relation)));
   if (!inserted) {
     return Status::AlreadyExists("relation '" + name + "' already exists");
   }
-  BumpEpoch();
   return Status::OK();
 }
 
@@ -40,7 +38,7 @@ Result<Relation*> Database::GetRelation(const std::string& name) {
   if (it == relations_.end()) {
     return Status::NotFound("no relation named '" + name + "'");
   }
-  return it->second.get();
+  return &it->second->relation;
 }
 
 Result<const Relation*> Database::GetRelation(const std::string& name) const {
@@ -48,29 +46,24 @@ Result<const Relation*> Database::GetRelation(const std::string& name) const {
   if (it == relations_.end()) {
     return Status::NotFound("no relation named '" + name + "'");
   }
-  return static_cast<const Relation*>(it->second.get());
+  return static_cast<const Relation*>(&it->second->relation);
 }
 
 Status Database::Insert(const std::string& name, Tuple tuple,
                         Timestamp texp) {
   EXPDB_ASSIGN_OR_RETURN(Relation * rel, GetRelation(name));
-  EXPDB_RETURN_NOT_OK(rel->Insert(std::move(tuple), texp));
-  BumpEpoch();
-  return Status::OK();
+  return rel->Insert(std::move(tuple), texp);
 }
 
 Result<bool> Database::Erase(const std::string& name, const Tuple& tuple) {
   EXPDB_ASSIGN_OR_RETURN(Relation * rel, GetRelation(name));
-  const bool erased = rel->Erase(tuple);
-  if (erased) BumpEpoch();
-  return erased;
+  return rel->Erase(tuple);
 }
 
 Status Database::DropRelation(const std::string& name) {
   if (relations_.erase(name) == 0) {
     return Status::NotFound("no relation named '" + name + "'");
   }
-  BumpEpoch();
   return Status::OK();
 }
 

@@ -8,11 +8,9 @@
 #ifndef EXPDB_RELATIONAL_DATABASE_H_
 #define EXPDB_RELATIONAL_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -29,23 +27,11 @@ class Database {
 
   // Movable, not copyable: relations may be large and accidental catalog
   // copies are almost always bugs. Moves are single-threaded operations
-  // (nobody may hold locks from relation_lock() across a move); the
-  // moved-from database is left empty with a fresh lock table.
+  // (nobody may hold a relation_lock() across a move).
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
-  Database(Database&& other) noexcept
-      : relations_(std::move(other.relations_)),
-        locks_(std::move(other.locks_)),
-        epoch_(other.epoch_.load(std::memory_order_relaxed)) {}
-  Database& operator=(Database&& other) noexcept {
-    if (this != &other) {
-      relations_ = std::move(other.relations_);
-      locks_ = std::move(other.locks_);
-      epoch_.store(other.epoch_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    }
-    return *this;
-  }
+  Database(Database&&) = default;
+  Database& operator=(Database&&) = default;
 
   /// \brief Creates an empty relation under `name`.
   /// \return the new relation, or AlreadyExists.
@@ -89,44 +75,27 @@ class Database {
 
   size_t relation_count() const { return relations_.size(); }
 
-  // --- concurrency plumbing (engine layer; docs/CONCURRENCY.md) -----------
-  //
-  // The database itself stays a passive catalog: it does not lock around
-  // its own mutators. Instead it supplies the two primitives the engine's
-  // epoch-versioned scheme is built from — a per-relation reader/writer
-  // lock and a catalog-wide mutation epoch — and the engine (or any other
-  // coordinator) enforces the locking protocol.
-
-  /// \brief The reader/writer lock guarding the named relation's body.
-  /// Created on first request and never discarded (locks must outlive
-  /// DROP so a guard held across a drop stays valid); the lock table is
-  /// internally synchronized and safe to call from any thread.
-  std::shared_mutex& relation_lock(const std::string& name) const {
-    std::lock_guard<std::mutex> guard(locks_mu_);
-    auto [it, inserted] = locks_.try_emplace(name, nullptr);
-    if (inserted) it->second = std::make_unique<std::shared_mutex>();
-    return *it->second;
+  /// \brief The reader/writer lock guarding the named relation's body,
+  /// or nullptr when no such relation exists. The lock lives in the
+  /// relation's catalog entry and is destroyed with it: the database does
+  /// not lock around its own mutators, the engine (docs/CONCURRENCY.md)
+  /// takes these locks and keeps CREATE/DROP out while any is held.
+  std::shared_mutex* relation_lock(const std::string& name) const {
+    auto it = relations_.find(name);
+    return it != relations_.end() ? &it->second->lock : nullptr;
   }
 
-  /// \brief Monotone catalog version: bumped by every Database-level
-  /// mutator and by writers releasing an engine write guard. Snapshot
-  /// readers record it; an unchanged epoch means "no write completed in
-  /// between".
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// \brief Advances the epoch (writers call this after mutating).
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
-
  private:
+  /// One catalog entry: a relation and the lock guarding it, created and
+  /// dropped together.
+  struct Entry {
+    explicit Entry(Relation r) : relation(std::move(r)) {}
+    Relation relation;
+    mutable std::shared_mutex lock;
+  };
   // std::map keeps iteration deterministic; unique_ptr keeps Relation*
-  // handles stable across catalog growth.
-  std::map<std::string, std::unique_ptr<Relation>> relations_;
-  /// Per-relation locks; unique_ptr keeps shared_mutex addresses stable
-  /// across map growth. Guarded by locks_mu_ (the mutexes themselves are
-  /// of course used unguarded).
-  mutable std::map<std::string, std::unique_ptr<std::shared_mutex>> locks_;
-  mutable std::mutex locks_mu_;
-  std::atomic<uint64_t> epoch_{0};
+  // handles and lock addresses stable across catalog growth.
+  std::map<std::string, std::unique_ptr<Entry>> relations_;
 };
 
 }  // namespace expdb

@@ -21,6 +21,14 @@ uint64_t NextDeltaInstanceId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// A one-entry batch side, built without the extra copy that a braced
+/// initializer list would make.
+std::vector<Relation::Entry> One(Relation::Entry e) {
+  std::vector<Relation::Entry> v;
+  v.push_back(std::move(e));
+  return v;
+}
+
 }  // namespace
 
 const std::vector<Relation::Entry>& Relation::EmptyEntries() {
@@ -171,44 +179,14 @@ std::optional<Relation::DeltaRange> Relation::DeltasSince(
   return DeltaRange(first, log->batches.end());
 }
 
-void Relation::RecordDeltaInsert(const Tuple& tuple, Timestamp texp) {
+void Relation::RecordDelta(std::vector<Entry> deleted,
+                           std::vector<Entry> inserted) {
   DeltaLog* log = delta_log();
   if (log == nullptr) return;
   DeltaBatch b;
   b.epoch = ++log->epoch;
-  b.inserted.push_back(Entry{tuple, texp});
-  log->batches.push_back(std::move(b));
-  TrimDeltaRing();
-}
-
-void Relation::RecordDeltaUpdate(const Tuple& tuple, Timestamp old_texp,
-                                 Timestamp new_texp) {
-  DeltaLog* log = delta_log();
-  if (log == nullptr) return;
-  DeltaBatch b;
-  b.epoch = ++log->epoch;
-  b.deleted.push_back(Entry{tuple, old_texp});
-  b.inserted.push_back(Entry{tuple, new_texp});
-  log->batches.push_back(std::move(b));
-  TrimDeltaRing();
-}
-
-void Relation::RecordDeltaErase(const Tuple& tuple, Timestamp old_texp) {
-  DeltaLog* log = delta_log();
-  if (log == nullptr) return;
-  DeltaBatch b;
-  b.epoch = ++log->epoch;
-  b.deleted.push_back(Entry{tuple, old_texp});
-  log->batches.push_back(std::move(b));
-  TrimDeltaRing();
-}
-
-void Relation::RecordDeltaDrain(std::vector<Entry> removed) {
-  DeltaLog* log = delta_log();
-  if (log == nullptr) return;
-  DeltaBatch b;
-  b.epoch = ++log->epoch;
-  b.deleted = std::move(removed);
+  b.deleted = std::move(deleted);
+  b.inserted = std::move(inserted);
   log->batches.push_back(std::move(b));
   TrimDeltaRing();
 }
@@ -648,12 +626,12 @@ Status Relation::InsertWithTtl(Tuple tuple, Timestamp now, int64_t ttl) {
 void Relation::InsertUnchecked(Tuple tuple, Timestamp texp) {
   InsertPos pos = InsertEntry(std::move(tuple), texp);
   if (pos.inserted) {
-    RecordDeltaInsert(pos.seg->entries[pos.off].tuple, texp);
+    if (delta_tracking()) RecordDelta({}, One(pos.seg->entries[pos.off]));
   } else {
     const Timestamp old = pos.seg->entries[pos.off].texp;
     if (old != texp) {
       Entry* e = SetTexpAt(pos, texp);
-      RecordDeltaUpdate(e->tuple, old, texp);
+      if (delta_tracking()) RecordDelta(One({e->tuple, old}), One(*e));
     }
   }
   MaybeRebucket();
@@ -662,13 +640,13 @@ void Relation::InsertUnchecked(Tuple tuple, Timestamp texp) {
 void Relation::MergeMaxUnchecked(Tuple tuple, Timestamp texp) {
   InsertPos pos = InsertEntry(std::move(tuple), texp);
   if (pos.inserted) {
-    RecordDeltaInsert(pos.seg->entries[pos.off].tuple, texp);
+    if (delta_tracking()) RecordDelta({}, One(pos.seg->entries[pos.off]));
   } else {
     const Timestamp old = pos.seg->entries[pos.off].texp;
     const Timestamp merged = Timestamp::Max(old, texp);
     if (merged != old) {
       Entry* e = SetTexpAt(pos, merged);
-      RecordDeltaUpdate(e->tuple, old, merged);
+      if (delta_tracking()) RecordDelta(One({e->tuple, old}), One(*e));
     }
   }
   MaybeRebucket();
@@ -681,7 +659,7 @@ bool Relation::Erase(const Tuple& tuple) {
   size_t off = 0;
   Entry* e = ResolveHandle(slots_[slot], &seg, &off);
   assert(e != nullptr);
-  RecordDeltaErase(e->tuple, e->texp);
+  if (delta_tracking()) RecordDelta(One(*e), {});
   EraseWithinSegment(seg, off, slot);
   ShrinkAfterErase(seg);
   return true;
@@ -703,7 +681,7 @@ void Relation::FinishRemoval(std::vector<Entry> removed, bool record_delta,
     return;
   }
   if (out != nullptr) *out = removed;  // the caller and the ring keep them
-  RecordDeltaDrain(std::move(removed));
+  RecordDelta(std::move(removed), {});
 }
 
 Relation::DropResult Relation::RemoveExpiredEntries(Timestamp tau,

@@ -643,12 +643,10 @@ class Relation {
     size_t capacity = kDefaultDeltaRingCapacity;
     std::deque<DeltaBatch> batches;
   };
-  void RecordDeltaInsert(const Tuple& tuple, Timestamp texp);
-  void RecordDeltaUpdate(const Tuple& tuple, Timestamp old_texp,
-                         Timestamp new_texp);
-  void RecordDeltaErase(const Tuple& tuple, Timestamp old_texp);
-  /// Records `removed` (non-empty) as one delete batch.
-  void RecordDeltaDrain(std::vector<Entry> removed);
+  /// Records one batch: `deleted` entries left, `inserted` ones arrived
+  /// (an update is both). Callers on per-row paths check delta_tracking()
+  /// first so an untracked relation copies no tuple.
+  void RecordDelta(std::vector<Entry> deleted, std::vector<Entry> inserted);
   void TrimDeltaRing();
   /// Invalidates all outstanding cursors (wholesale change happened).
   void BreakDeltaHistory();

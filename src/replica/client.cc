@@ -1,5 +1,6 @@
 #include "replica/client.h"
 
+#include "core/difference.h"
 #include "obs/log.h"
 
 namespace expdb {
@@ -77,14 +78,8 @@ Status ReplicationClient::Subscribe(const std::string& name, Timestamp now) {
 }
 
 void ReplicationClient::ApplyPatches(Subscription* sub, Timestamp now) {
-  while (sub->patch_cursor < sub->helper.size() &&
-         sub->helper[sub->patch_cursor].appears_at <= now) {
-    const DifferencePatchEntry& entry = sub->helper[sub->patch_cursor++];
-    if (entry.expires_at > now) {
-      sub->result.relation.InsertUnchecked(entry.tuple, entry.expires_at);
-      metrics_.patches_applied.Increment();
-    }
-  }
+  metrics_.patches_applied.Increment(ApplyDifferencePatches(
+      sub->helper, &sub->patch_cursor, now, &sub->result.relation));
 }
 
 Result<Relation> ReplicationClient::Read(const std::string& name,

@@ -131,6 +131,13 @@ Session::Session(std::shared_ptr<engine::Engine> engine, Options options)
 }
 
 Result<ExecResult> Session::ExecuteCounted(const Statement& stmt) {
+  // With span recording off, a statement still gets a trace id of its own
+  // while the event log is on, so the events it emits can be told apart.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  std::optional<obs::TraceContextScope> event_trace;
+  if (!recorder.enabled() && obs::EventLog::Global().enabled()) {
+    event_trace.emplace(obs::TraceContext{recorder.NextId(), 0});
+  }
   obs::ScopedSpan span("sql.statement", statement_latency_);
   statements_metric_->Increment();
   Result<ExecResult> r = ExecuteStatement(stmt);
@@ -659,7 +666,7 @@ Result<ExecResult> Session::ExecuteCreateTable(
 Result<ExecResult> Session::ExecuteInsert(const InsertStatement& stmt) {
   // Writer protocol: engine shared + the target relation exclusive.
   // Readers of other relations and writers to other relations proceed
-  // concurrently; releasing the guard bumps the catalog epoch.
+  // concurrently.
   engine::Engine::WriteGuard guard = engine_->LockWrite(stmt.table);
   const Timestamp now = Now();
   Timestamp texp = Timestamp::Infinity();
@@ -703,7 +710,7 @@ Result<ExecResult> Session::ExecuteCreateView(
   EXPDB_ASSIGN_OR_RETURN(
       MaterializedView * view,
       engine_->views().CreateView(stmt.name, bound.expr, options, Now()));
-  engine_->SetViewColumns(stmt.name, bound.column_names);
+  view->set_column_names(bound.column_names);
   std::string monotonic =
       bound.expr->IsMonotonic()
           ? "monotonic: maintenance-free"
@@ -719,17 +726,14 @@ Result<ExecResult> Session::ExecuteDrop(const DropStatement& stmt) {
   ViewManager& views = engine_->views();
   if (stmt.is_view) {
     EXPDB_RETURN_NOT_OK(views.DropView(stmt.name));
-    engine_->EraseViewColumns(stmt.name);
     return ExecResult{"view " + stmt.name + " dropped", std::nullopt, Now()};
   }
   // A table with dependent views cannot be dropped out from under them.
-  for (const std::string& vname : views.ViewNames()) {
-    MaterializedView* view = views.GetView(vname).value();
-    if (view->expression()->BaseRelationNames().count(stmt.name) > 0) {
-      return Status::InvalidArgument("table " + stmt.name +
-                                     " is used by view " + vname +
-                                     "; drop the view first");
-    }
+  const std::vector<std::string> dependents = views.DependentViews(stmt.name);
+  if (!dependents.empty()) {
+    return Status::InvalidArgument("table " + stmt.name +
+                                   " is used by view " + dependents.front() +
+                                   "; drop the view first");
   }
   EXPDB_RETURN_NOT_OK(db().DropRelation(stmt.name));
   engine_->InvalidateCachesFor(stmt.name);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/difference.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "plan/cache.h"
@@ -187,19 +188,8 @@ Status MaterializedView::Recompute(const Database& db, Timestamp now,
 }
 
 void MaterializedView::ApplyPatches(Timestamp now) {
-  while (patch_cursor_ < helper_.size() &&
-         helper_[patch_cursor_].appears_at <= now) {
-    const DifferencePatchEntry& entry = helper_[patch_cursor_++];
-    // Theorem 3: at texp_S(t) the helper tuple expires and is inserted
-    // into the materialized difference with expiration texp_R(t). If it
-    // is already past its own expiration, the insert would be invisible —
-    // skip it.
-    if (entry.expires_at > now) {
-      materialization_.result().relation.InsertUnchecked(entry.tuple,
-                                                         entry.expires_at);
-      metrics_.patches_applied.Increment();
-    }
-  }
+  metrics_.patches_applied.Increment(ApplyDifferencePatches(
+      helper_, &patch_cursor_, now, &materialization_.result().relation));
   UpdateGauges();
 }
 

@@ -128,6 +128,15 @@ class MaterializedView {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
+  /// \brief The SQL output column names the view presents (empty when it
+  /// was created without a SELECT list to name them).
+  const std::vector<std::string>& column_names() const {
+    return column_names_;
+  }
+  void set_column_names(std::vector<std::string> names) {
+    column_names_ = std::move(names);
+  }
+
   /// \brief Snapshot of the maintenance counters (thin view over the
   /// per-view metrics; see ViewMetrics).
   ViewStats stats() const {
@@ -210,6 +219,7 @@ class MaterializedView {
   ExpressionPtr expr_;
   Options options_;
   std::string name_ = "(anonymous)";
+  std::vector<std::string> column_names_;
   plan::PhysicalPlanPtr plan_;
   /// Plan-time base cardinalities backing the EnsurePlan re-plan check.
   std::map<std::string, size_t> plan_base_sizes_;

@@ -36,12 +36,13 @@ Result<MaterializedView*> ViewManager::CreateView(
   return it->second.get();
 }
 
-Result<MaterializedView*> ViewManager::GetView(const std::string& name) {
+Result<MaterializedView*> ViewManager::GetView(const std::string& name) const {
   std::lock_guard<std::mutex> guard(mu_);
   return GetViewLocked(name);
 }
 
-Result<MaterializedView*> ViewManager::GetViewLocked(const std::string& name) {
+Result<MaterializedView*> ViewManager::GetViewLocked(
+    const std::string& name) const {
   auto it = views_.find(name);
   if (it == views_.end()) {
     return Status::NotFound("no view named '" + name + "'");

@@ -44,7 +44,7 @@ class ViewManager {
                                        MaterializedView::Options options,
                                        Timestamp now);
 
-  Result<MaterializedView*> GetView(const std::string& name);
+  Result<MaterializedView*> GetView(const std::string& name) const;
 
   Status DropView(const std::string& name);
 
@@ -90,7 +90,7 @@ class ViewManager {
 
  private:
   /// Unlocked body of GetView, for internal use while mu_ is held.
-  Result<MaterializedView*> GetViewLocked(const std::string& name);
+  Result<MaterializedView*> GetViewLocked(const std::string& name) const;
 
   const Database* db_;
   /// Guards views_, views_by_relation_, and stale-marking. A leaf in the

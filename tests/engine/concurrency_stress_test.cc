@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -185,6 +186,70 @@ TEST(ConcurrencyStressTest, ResultCacheNeverServesTornReads) {
   auto check = manager.OpenSession();
   EXPECT_EQ(SortedValues(MustExec(*check, "SELECT x FROM t")).size(),
             static_cast<size_t>(kRows));
+}
+
+// One name dropped and recreated while other sessions keep using it: each
+// incarnation of `c` brings its own lock and takes it away again. Writers
+// and readers of `c`, and a reader of a name that never exists, may only
+// ever fail with NotFound, and nothing may crash or hang.
+TEST(ConcurrencyStressTest, DropAndRecreateUnderLoad) {
+  // The churn runs at least kCycles drop/create pairs and until the other
+  // sessions have run kStatements statements between them.
+  constexpr int kCycles = 100;
+  constexpr int kStatements = 1000;
+
+  auto eng = std::make_shared<Engine>();
+  SessionManager manager(eng);
+  {
+    auto setup = manager.OpenSession();
+    MustExec(*setup, "CREATE TABLE c (x INT)");
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> statements{0};
+  std::atomic<int> not_found{0};
+  auto run = [&](const std::string& stmt) {
+    auto s = manager.OpenSession();
+    while (!stop.load(std::memory_order_acquire)) {
+      auto r = s->Execute(stmt);
+      if (!r.ok()) {
+        EXPECT_EQ(r.status().code(), StatusCode::kNotFound)
+            << stmt << " -> " << r.status().ToString();
+        not_found.fetch_add(1, std::memory_order_relaxed);
+      }
+      statements.fetch_add(1, std::memory_order_relaxed);
+      // The engine lock prefers readers (docs/CONCURRENCY.md): a short
+      // pause lets the churner's exclusive DDL in between statements.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back(run, "INSERT INTO c VALUES (" + std::to_string(w) +
+                                  ")");
+  }
+  for (int r = 0; r < 2; ++r) threads.emplace_back(run, "SELECT * FROM c");
+  threads.emplace_back(run, "SELECT * FROM never_created");
+
+  {
+    auto churn = manager.OpenSession();
+    for (int i = 0; i < kCycles || statements.load() < kStatements; ++i) {
+      MustExec(*churn, "DROP TABLE c");
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      MustExec(*churn, "CREATE TABLE c (x INT)");
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+
+  EXPECT_GT(not_found.load(), 0);  // the absent name always fails
+  EXPECT_EQ(eng->db().relation_lock("never_created"), nullptr);
+  auto check = manager.OpenSession();
+  const sql::ExecResult last = MustExec(*check, "SELECT * FROM c");
+  ASSERT_TRUE(last.relation.has_value());
+  EXPECT_LE(last.relation->size(), 2u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Engine facade tests: epoch-versioned snapshots, shared caches and
+// Engine facade tests: snapshots and relation locks, shared caches and
 // prepared statements across sessions, write-wait accounting, and the
 // SessionManager (docs/CONCURRENCY.md).
 
@@ -30,17 +30,6 @@ size_t RowsAt(const sql::ExecResult& r) {
                                 : 0;
 }
 
-TEST(EngineTest, DmlBumpsTheCatalogEpoch) {
-  sql::Session s;
-  MustExec(s, "CREATE TABLE t (x INT)");
-  const uint64_t before = s.db().epoch();
-  MustExec(s, "INSERT INTO t VALUES (1)");
-  const uint64_t after_insert = s.db().epoch();
-  EXPECT_GT(after_insert, before);
-  MustExec(s, "DELETE FROM t WHERE x = 1");
-  EXPECT_GT(s.db().epoch(), after_insert);
-}
-
 TEST(EngineTest, SnapshotPinsTheObservedEpoch) {
   auto eng = std::make_shared<Engine>();
   sql::Session s(eng);
@@ -48,8 +37,40 @@ TEST(EngineTest, SnapshotPinsTheObservedEpoch) {
   MustExec(s, "INSERT INTO t VALUES (1)");
 
   Engine::Snapshot snap = eng->OpenSnapshot({"t"});
-  EXPECT_EQ(snap.epoch(), eng->db().epoch());
   EXPECT_GE(eng->snapshots_opened(), 1u);
+}
+
+TEST(EngineTest, RelationLocksLiveInTheCatalogEntry) {
+  auto eng = std::make_shared<Engine>();
+  sql::Session s(eng);
+  // A statement naming an absent relation fails without leaving a lock.
+  EXPECT_FALSE(s.Execute("SELECT * FROM nowhere").ok());
+  EXPECT_FALSE(s.Execute("INSERT INTO nowhere VALUES (1)").ok());
+  EXPECT_EQ(eng->db().relation_lock("nowhere"), nullptr);
+  { Engine::Snapshot snap = eng->OpenSnapshot({"nowhere"}); }
+  { Engine::WriteGuard guard = eng->LockWrite("nowhere"); }
+  EXPECT_EQ(eng->db().relation_lock("nowhere"), nullptr);
+
+  MustExec(s, "CREATE TABLE t (x INT)");
+  EXPECT_NE(eng->db().relation_lock("t"), nullptr);
+  MustExec(s, "DROP TABLE t");
+  EXPECT_EQ(eng->db().relation_lock("t"), nullptr);
+}
+
+TEST(EngineTest, ViewColumnsLiveOnTheView) {
+  auto eng = std::make_shared<Engine>();
+  sql::Session s(eng);
+  MustExec(s, "CREATE TABLE t (x INT, y INT)");
+  MustExec(s, "CREATE VIEW v AS SELECT x AS a, y FROM t");
+  {
+    Engine::ExclusiveGuard lock = eng->LockExclusive();
+    auto names = eng->GetViewColumns("v");
+    ASSERT_TRUE(names.has_value());
+    EXPECT_EQ(*names, (std::vector<std::string>{"a", "y"}));
+  }
+  MustExec(s, "DROP VIEW v");
+  Engine::ExclusiveGuard lock = eng->LockExclusive();
+  EXPECT_FALSE(eng->GetViewColumns("v").has_value());
 }
 
 TEST(EngineTest, SessionsShareOneDatabase) {

@@ -587,6 +587,30 @@ TEST(SessionSetTest, SlowQueryEmitsEventWhenLogEnabled) {
   log.Clear();
 }
 
+TEST(SessionSetTest, EventsCarryATraceIdWithTracingOff) {
+  Session s;
+  obs::EventLog& log = obs::EventLog::Global();
+  const bool was_enabled = log.enabled();
+  MustExec(s, "TRACE OFF");
+  MustExec(s, "SET slow_query_ns = 0");
+  MustExec(s, "SET event_log = on");
+  log.Clear();
+  MustExec(s, "CREATE TABLE t (x INT)");
+  MustExec(s, "INSERT INTO t VALUES (1)");
+  std::vector<uint64_t> ids;
+  for (const auto& e : log.Snapshot()) {
+    if (e.component == "sql" && e.event == "slow_query") {
+      ids.push_back(e.trace_id);
+    }
+  }
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_NE(ids[0], 0u);
+  EXPECT_NE(ids[1], 0u);
+  EXPECT_NE(ids[0], ids[1]);
+  log.set_enabled(was_enabled);
+  log.Clear();
+}
+
 TEST(SessionSetTest, SetValidationErrors) {
   Session s;
   MustExec(s, "SET parallelism = 4");
