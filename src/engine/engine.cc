@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "engine/maintenance.h"
@@ -8,6 +9,19 @@
 
 namespace expdb {
 namespace engine {
+
+namespace {
+
+constexpr int64_t kExclusiveGraceNs =
+    std::chrono::nanoseconds(Engine::kExclusiveGrace).count();
+
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
 
 Engine::Engine(EngineOptions options)
     : expiration_(options.expiration), views_(&expiration_.db()) {
@@ -60,7 +74,7 @@ int Engine::http_port() const {
 
 Engine::Snapshot Engine::OpenSnapshot(const std::set<std::string>& relations) {
   Snapshot snap;
-  snap.engine_lock_ = std::shared_lock<std::shared_mutex>(engine_mu_);
+  snap.engine_lock_ = LockShared();
   // std::set iterates in sorted order — every snapshot acquires relation
   // locks in the same global order, so snapshots can never deadlock each
   // other or a writer (writers take exactly one relation lock).
@@ -79,7 +93,7 @@ Engine::Snapshot Engine::OpenSnapshotAll() {
   // is exclusive), so the name list read under it stays accurate while
   // the relation locks are collected.
   Snapshot snap;
-  snap.engine_lock_ = std::shared_lock<std::shared_mutex>(engine_mu_);
+  snap.engine_lock_ = LockShared();
   const std::vector<std::string> names = db().RelationNames();
   snap.relation_locks_.reserve(names.size());
   for (const std::string& name : names) {  // RelationNames() is sorted
@@ -91,7 +105,7 @@ Engine::Snapshot Engine::OpenSnapshotAll() {
 
 Engine::WriteGuard Engine::LockWrite(const std::string& relation) {
   WriteGuard guard;
-  guard.engine_lock_ = std::shared_lock<std::shared_mutex>(engine_mu_);
+  guard.engine_lock_ = LockShared();
   std::shared_mutex* mu = db().relation_lock(relation);
   if (mu == nullptr) return guard;  // the statement fails with NotFound
   guard.relation_lock_ =
@@ -103,9 +117,25 @@ Engine::WriteGuard Engine::LockWrite(const std::string& relation) {
   return guard;
 }
 
+std::shared_lock<std::shared_mutex> Engine::LockShared() {
+  const int64_t since = exclusive_since_ns_.load(std::memory_order_acquire);
+  if (since != 0 && SteadyNowNs() - since > kExclusiveGraceNs) {
+    // Wait out the exclusive acquirer ahead of this one.
+    std::lock_guard<std::mutex> turn(exclusive_turn_);
+  }
+  return std::shared_lock<std::shared_mutex>(engine_mu_);
+}
+
 Engine::ExclusiveGuard Engine::LockExclusive() {
   ExclusiveGuard guard;
-  guard.engine_lock_ = std::unique_lock<std::shared_mutex>(engine_mu_);
+  std::lock_guard<std::mutex> turn(exclusive_turn_);
+  guard.engine_lock_ =
+      std::unique_lock<std::shared_mutex>(engine_mu_, std::try_to_lock);
+  if (!guard.engine_lock_.owns_lock()) {
+    exclusive_since_ns_.store(SteadyNowNs());
+    guard.engine_lock_.lock();
+    exclusive_since_ns_.store(0);
+  }
   return guard;
 }
 

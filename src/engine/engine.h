@@ -18,6 +18,13 @@
 // DROP run under the engine's exclusive lock, so no relation guard is
 // alive across them.
 //
+// The engine lock bounds how long shared holders can starve its
+// exclusive side: once an ExclusiveGuard has waited kExclusiveGrace, new
+// Snapshots and WriteGuards queue behind it instead of overlapping the
+// holders it waits for (glibc's reader-preferring rwlock alone lets
+// overlapping shared holders starve it indefinitely). No thread may take
+// the engine's shared lock twice.
+//
 // Lock order: engine lock -> relation locks (sorted by name) ->
 // component-internal leaf mutexes (ViewManager, caches, expiration
 // triggers, prepared registry). Writers hold at most one relation lock,
@@ -26,6 +33,8 @@
 #ifndef EXPDB_ENGINE_ENGINE_H_
 #define EXPDB_ENGINE_ENGINE_H_
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -168,8 +177,12 @@ class Engine {
   /// toward expdb_engine_write_waits_total.
   WriteGuard LockWrite(const std::string& relation);
 
-  /// \brief Takes the engine exclusively.
+  /// \brief Takes the engine exclusively. Once it has waited
+  /// kExclusiveGrace, new Snapshots and WriteGuards wait behind it.
   ExclusiveGuard LockExclusive();
+
+  /// How long an exclusive acquirer lets new shared holders in.
+  static constexpr std::chrono::microseconds kExclusiveGrace{500};
 
   // --- prepared statements (shared across sessions) --------------------
 
@@ -195,6 +208,8 @@ class Engine {
 
   uint64_t snapshots_opened() const { return snapshots_.value(); }
   uint64_t write_waits() const { return write_waits_.value(); }
+  /// True while an exclusive acquirer waits for the engine lock.
+  bool exclusive_waiting() const { return exclusive_since_ns_.load() != 0; }
 
  private:
   ExpirationManager expiration_;
@@ -203,8 +218,17 @@ class Engine {
   plan::StatementCache stmt_cache_;
   plan::ResultCache result_cache_;
 
+  /// The engine's shared lock, taken after any exclusive waiter.
+  std::shared_lock<std::shared_mutex> LockShared();
+
   /// The engine-wide reader/writer lock (see file header).
   std::shared_mutex engine_mu_;
+  /// Held by an exclusive acquirer until it holds engine_mu_. While it
+  /// waits, exclusive_since_ns_ holds when it started (steady clock, 0 =
+  /// none), and a shared acquirer that finds it waiting longer than
+  /// kExclusiveGrace passes through the mutex first.
+  std::mutex exclusive_turn_;
+  std::atomic<int64_t> exclusive_since_ns_{0};
 
   /// Guards prepared_ and http_. Leaf lock.
   mutable std::mutex registry_mu_;

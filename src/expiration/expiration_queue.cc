@@ -40,14 +40,23 @@ Result<Relation*> ExpirationManager::CreateRelation(const std::string& name,
 
 Status ExpirationManager::Insert(const std::string& relation, Tuple tuple,
                                  Timestamp texp) {
+  std::vector<Tuple> one;
+  one.push_back(std::move(tuple));
+  return InsertAll(relation, std::move(one), texp);
+}
+
+Status ExpirationManager::InsertAll(const std::string& relation,
+                                    std::vector<Tuple> tuples,
+                                    Timestamp texp) {
   if (texp <= clock_.Now()) {
     return Status::InvalidArgument(
         "expiration time " + texp.ToString() +
         " is not in the future (now = " + clock_.Now().ToString() + ")");
   }
   EXPDB_ASSIGN_OR_RETURN(Relation * rel, db_.GetRelation(relation));
-  EXPDB_RETURN_NOT_OK(rel->Insert(std::move(tuple), texp));
-  metrics_.inserted.Increment();
+  const size_t n = tuples.size();
+  EXPDB_RETURN_NOT_OK(rel->InsertAll(std::move(tuples), texp));
+  metrics_.inserted.Increment(n);
   return Status::OK();
 }
 

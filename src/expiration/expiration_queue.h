@@ -113,6 +113,11 @@ class ExpirationManager {
   /// \brief Inserts a tuple expiring at `texp` into `relation`.
   Status Insert(const std::string& relation, Tuple tuple, Timestamp texp);
 
+  /// \brief Inserts `tuples` into `relation`, all expiring at `texp`, as
+  /// one change (Relation::InsertAll): all or none of them.
+  Status InsertAll(const std::string& relation, std::vector<Tuple> tuples,
+                   Timestamp texp);
+
   /// \brief Inserts with a time-to-live relative to the current time.
   Status InsertWithTtl(const std::string& relation, Tuple tuple, int64_t ttl);
 

@@ -187,14 +187,17 @@ void Relation::RecordDelta(std::vector<Entry> deleted,
   b.epoch = ++log->epoch;
   b.deleted = std::move(deleted);
   b.inserted = std::move(inserted);
+  log->entries += b.deleted.size() + b.inserted.size();
   log->batches.push_back(std::move(b));
   TrimDeltaRing();
 }
 
 void Relation::TrimDeltaRing() {
   DeltaLog* log = delta_log();
-  while (log->batches.size() > log->capacity) {
-    log->floor = log->batches.front().epoch;
+  while (log->batches.size() > 1 && log->entries > log->capacity) {
+    const DeltaBatch& oldest = log->batches.front();
+    log->entries -= oldest.deleted.size() + oldest.inserted.size();
+    log->floor = oldest.epoch;
     log->batches.pop_front();
   }
 }
@@ -203,6 +206,7 @@ void Relation::BreakDeltaHistory() {
   DeltaLog* log = delta_log();
   if (log == nullptr) return;
   log->batches.clear();
+  log->entries = 0;
   log->floor = ++log->epoch;
 }
 
@@ -637,19 +641,46 @@ void Relation::InsertUnchecked(Tuple tuple, Timestamp texp) {
   MaybeRebucket();
 }
 
+Status Relation::InsertAll(std::vector<Tuple> tuples, Timestamp texp) {
+  for (Tuple& tuple : tuples) EXPDB_RETURN_NOT_OK(CheckAndCoerce(&tuple));
+  std::vector<Entry> deleted;
+  std::vector<Entry> inserted;
+  for (Tuple& tuple : tuples) {
+    MergeMaxEntry(std::move(tuple), texp, &deleted, &inserted);
+  }
+  // One texp: every tuple lands in the same segment.
+  MaybeRebucket();
+  // A tuple repeated within `tuples` is a no-op after its first
+  // occurrence, so each tuple shows at most once per side, and reading
+  // the deletes before the inserts replays the batch exactly.
+  if (!inserted.empty()) RecordDelta(std::move(deleted), std::move(inserted));
+  return Status::OK();
+}
+
 void Relation::MergeMaxUnchecked(Tuple tuple, Timestamp texp) {
+  std::vector<Entry> deleted;
+  std::vector<Entry> inserted;
+  MergeMaxEntry(std::move(tuple), texp, &deleted, &inserted);
+  if (!inserted.empty()) RecordDelta(std::move(deleted), std::move(inserted));
+  MaybeRebucket();
+}
+
+void Relation::MergeMaxEntry(Tuple tuple, Timestamp texp,
+                             std::vector<Entry>* deleted,
+                             std::vector<Entry>* inserted) {
   InsertPos pos = InsertEntry(std::move(tuple), texp);
   if (pos.inserted) {
-    if (delta_tracking()) RecordDelta({}, One(pos.seg->entries[pos.off]));
-  } else {
-    const Timestamp old = pos.seg->entries[pos.off].texp;
-    const Timestamp merged = Timestamp::Max(old, texp);
-    if (merged != old) {
-      Entry* e = SetTexpAt(pos, merged);
-      if (delta_tracking()) RecordDelta(One({e->tuple, old}), One(*e));
-    }
+    if (delta_tracking()) inserted->push_back(pos.seg->entries[pos.off]);
+    return;
   }
-  MaybeRebucket();
+  const Timestamp old = pos.seg->entries[pos.off].texp;
+  const Timestamp merged = Timestamp::Max(old, texp);
+  if (merged == old) return;
+  Entry* e = SetTexpAt(pos, merged);
+  if (delta_tracking()) {
+    deleted->push_back({e->tuple, old});
+    inserted->push_back(*e);
+  }
 }
 
 bool Relation::Erase(const Tuple& tuple) {

@@ -227,6 +227,14 @@ class Relation {
   /// into Double attributes. On duplicate, keeps max(old texp, new texp).
   Status Insert(Tuple tuple, Timestamp texp = Timestamp::Infinity());
 
+  /// \brief Inserts every tuple of `tuples` expiring at `texp`, with
+  /// Insert's checks and duplicate rule, as one change: every tuple is
+  /// checked before any is inserted, and a tracked relation records one
+  /// delta batch (one epoch) for all of them, the prior versions of the
+  /// tuples whose texp rose as its deletes and the new and raised
+  /// entries as its inserts; nothing when nothing changed.
+  Status InsertAll(std::vector<Tuple> tuples, Timestamp texp);
+
   /// \brief Inserts with a time-to-live relative to `now`.
   Status InsertWithTtl(Tuple tuple, Timestamp now, int64_t ttl);
 
@@ -366,8 +374,11 @@ class Relation {
   // batch per statement, however many rows it removes.
   //
   // Clear() and attribute renames break the history (consumers must fall
-  // back to recomputation). Ring overflow trims the oldest epochs;
-  // DeltasSince reports the loss instead of returning a partial stream.
+  // back to recomputation). The ring's capacity counts entries (deleted
+  // plus inserted tuples), not batches, so its memory does not depend on
+  // how many rows a statement touches. Overflow trims the oldest epochs,
+  // but never the newest batch; DeltasSince reports the loss instead of
+  // returning a partial stream.
   //
   // The ring holds epochs floor+1 .. epoch without gaps (every record
   // takes the next epoch; trims and breaks only move floor), so the
@@ -403,6 +414,8 @@ class Relation {
     const_iterator last_{};
   };
 
+  /// Entries the delta ring keeps across its batches (its newest batch is
+  /// kept whatever its size).
   static constexpr size_t kDefaultDeltaRingCapacity = 4096;
 
   /// \brief Starts recording per-epoch deltas (idempotent; an existing log
@@ -587,6 +600,11 @@ class Relation {
   /// bucket segment when the new texp moves it; returns the entry at its
   /// final location.
   Entry* SetTexpAt(const InsertPos& pos, Timestamp texp);
+  /// Inserts under the max-texp duplicate rule, without rebucketing. On
+  /// a tracked relation, appends the prior version of a raised entry to
+  /// `deleted` and the new or raised entry to `inserted`.
+  void MergeMaxEntry(Tuple tuple, Timestamp texp, std::vector<Entry>* deleted,
+                     std::vector<Entry>* inserted);
   /// Removes the entry at (seg, off) by swap-with-last within its
   /// segment, patching the moved entry's slot. `slot` is the erased
   /// entry's slot (tombstoned). Does not drop an emptied segment.
@@ -640,7 +658,8 @@ class Relation {
     uint64_t instance_id = 0;
     uint64_t epoch = 0;  ///< epoch of the newest recorded batch
     uint64_t floor = 0;  ///< history is complete for cursors >= floor
-    size_t capacity = kDefaultDeltaRingCapacity;
+    size_t capacity = kDefaultDeltaRingCapacity;  ///< in entries
+    size_t entries = 0;  ///< deleted plus inserted entries in `batches`
     std::deque<DeltaBatch> batches;
   };
   /// Records one batch: `deleted` entries left, `inserted` ones arrived

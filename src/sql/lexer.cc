@@ -1,7 +1,8 @@
 #include "sql/lexer.h"
 
 #include <array>
-#include <cctype>
+#include <iterator>
+#include <optional>
 
 #include "common/str_util.h"
 
@@ -28,178 +29,215 @@ std::string_view TokenTypeToString(TokenType type) {
   return "?";
 }
 
-std::string Token::ToString() const {
-  if (type == TokenType::kEnd) return "<end>";
-  return std::string(TokenTypeToString(type)) + " '" + text + "'";
-}
-
 namespace {
 
-constexpr std::array kKeywords = {
-    "SELECT",  "FROM",   "WHERE",     "GROUP",   "BY",      "AND",
-    "OR",      "NOT",    "AS",        "CREATE",  "TABLE",   "VIEW",
-    "MATERIALIZED",      "INSERT",    "INTO",    "VALUES",  "EXPIRE",
-    "AT",      "TTL",    "UNION",     "INTERSECT",          "EXCEPT",
-    "DROP",    "SHOW",   "TABLES",    "VIEWS",   "TIME",    "ADVANCE",
-    "DELETE",  "MIN",    "MAX",       "SUM",     "COUNT",   "AVG",
-    "INT",     "DOUBLE", "STRING",    "WITH",    "NEVER",   "TRIGGERS",
-    "DISTINCT",          "STATS",     "EXPLAIN", "RESET",   "SET",
-    "TRACE",   "PREPARE", "EXECUTE",  "CACHE",   "MAINTENANCE",
-    "MONITOR"};
+constexpr std::string_view kKeywordNames[] = {
+    "",
+#define EXPDB_SQL_KEYWORD_NAME(name, spelling) spelling,
+    EXPDB_SQL_KEYWORDS(EXPDB_SQL_KEYWORD_NAME)
+#undef EXPDB_SQL_KEYWORD_NAME
+};
+constexpr size_t kNumKeywords = std::size(kKeywordNames) - 1;
+
+/// The keywords grouped by first letter: those starting with the i-th
+/// letter are by_letter[begin[i] .. begin[i + 1]).
+struct KeywordIndex {
+  std::array<uint8_t, 27> begin{};
+  std::array<Keyword, kNumKeywords> by_letter{};
+};
+
+constexpr KeywordIndex BuildKeywordIndex() {
+  KeywordIndex index;
+  size_t n = 0;
+  for (size_t letter = 0; letter < 26; ++letter) {
+    index.begin[letter] = static_cast<uint8_t>(n);
+    for (size_t k = 1; k <= kNumKeywords; ++k) {
+      if (kKeywordNames[k][0] == static_cast<char>('A' + letter)) {
+        index.by_letter[n++] = static_cast<Keyword>(k);
+      }
+    }
+  }
+  index.begin[26] = static_cast<uint8_t>(n);
+  return index;
+}
+
+constexpr KeywordIndex kKeywordIndex = BuildKeywordIndex();
+static_assert(kKeywordIndex.begin[26] == kNumKeywords,
+              "every keyword must start with an upper-case letter");
+
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsLetter(char c) {
+  return static_cast<unsigned char>((c | 0x20) - 'a') < 26;
+}
+constexpr bool IsIdentifierStart(char c) { return IsLetter(c) || c == '_'; }
+constexpr bool IsIdentifierChar(char c) {
+  return IsIdentifierStart(c) || IsDigit(c);
+}
+constexpr bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
 
 }  // namespace
 
-bool IsReservedKeyword(const std::string& upper) {
-  for (const char* kw : kKeywords) {
-    if (upper == kw) return true;
-  }
-  return false;
+std::string_view KeywordName(Keyword kw) {
+  return kKeywordNames[static_cast<size_t>(kw)];
 }
 
-Result<std::vector<Token>> Lex(const std::string& input) {
-  std::vector<Token> out;
-  size_t i = 0;
-  const size_t n = input.size();
-
-  auto peek = [&](size_t k = 0) -> char {
-    return i + k < n ? input[i + k] : '\0';
-  };
-
-  while (i < n) {
-    const char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
+Keyword LookupKeyword(std::string_view word) {
+  if (word.empty() || !IsLetter(word[0])) return Keyword::kNone;
+  const size_t letter = static_cast<size_t>((word[0] | 0x20) - 'a');
+  for (size_t i = kKeywordIndex.begin[letter];
+       i < kKeywordIndex.begin[letter + 1]; ++i) {
+    const Keyword kw = kKeywordIndex.by_letter[i];
+    const std::string_view name = KeywordName(kw);
+    if (name.size() != word.size()) continue;
+    // Clearing bit 5 upper-cases a letter; no other character maps onto
+    // one, and the bucket already matched the first letter.
+    size_t j = 1;
+    while (j < name.size() && static_cast<char>(word[j] & ~0x20) == name[j]) {
+      ++j;
     }
-    // Comments: -- to end of line.
-    if (c == '-' && peek(1) == '-') {
-      while (i < n && input[i] != '\n') ++i;
-      continue;
-    }
-    const size_t start = i;
+    if (j == name.size()) return kw;
+  }
+  return Keyword::kNone;
+}
 
-    // Numbers (integers and doubles), including a leading '-' when it
-    // cannot be a binary operator (we only use '-' in literals).
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
-      size_t j = i + (c == '-' ? 1 : 0);
-      bool is_double = false;
-      while (j < n && (std::isdigit(static_cast<unsigned char>(input[j])) ||
-                       input[j] == '.')) {
-        if (input[j] == '.') {
-          if (is_double) break;  // second dot terminates the number
-          is_double = true;
-        }
-        ++j;
+std::string Token::StringValue() const {
+  if (!escaped) return std::string(text);
+  std::string out;
+  out.reserve(text.size());
+  for (size_t i = 0; i < text.size(); ++i) {
+    out += text[i];
+    if (text[i] == '\'') ++i;  // the body holds each quote doubled
+  }
+  return out;
+}
+
+std::string Token::ToString() const {
+  switch (type) {
+    case TokenType::kEnd:
+      return "<end>";
+    case TokenType::kKeyword:
+      return "keyword '" + std::string(KeywordName(keyword)) + "'";
+    case TokenType::kString:
+      return "string '" + StringValue() + "'";
+    default:
+      return std::string(TokenTypeToString(type)) + " '" + std::string(text) +
+             "'";
+  }
+}
+
+Token Lexer::Fail(size_t start, std::string message) {
+  status_ = Status::ParseError(std::move(message) + " at offset " +
+                               std::to_string(start));
+  pos_ = input_.size();
+  Token t;
+  t.position = start;
+  return t;
+}
+
+Token Lexer::Next() {
+  const size_t n = input_.size();
+  // Whitespace, and comments from -- to end of line.
+  while (pos_ < n) {
+    if (IsSpace(input_[pos_])) {
+      ++pos_;
+    } else if (input_[pos_] == '-' && pos_ + 1 < n && input_[pos_ + 1] == '-') {
+      pos_ = input_.find('\n', pos_);
+      if (pos_ == std::string_view::npos) pos_ = n;
+    } else {
+      break;
+    }
+  }
+  Token t;
+  const size_t start = pos_;
+  t.position = start;
+  if (start == n) return t;
+  const char c = input_[start];
+  const char next = start + 1 < n ? input_[start + 1] : '\0';
+
+  // Numbers (integers and doubles), including a leading '-': the grammar
+  // has no binary minus, so '-' before a digit is always a sign.
+  if (IsDigit(c) || (c == '-' && IsDigit(next))) {
+    size_t j = start + 1;
+    bool is_double = false;
+    while (j < n && (IsDigit(input_[j]) || input_[j] == '.')) {
+      if (input_[j] == '.') {
+        if (is_double) break;  // a second dot ends the number
+        is_double = true;
       }
-      std::string text = input.substr(i, j - i);
-      Token t;
-      t.position = start;
-      t.text = text;
-      if (is_double) {
-        auto v = ParseDouble(text);
-        if (!v) {
-          return Status::ParseError("malformed number '" + text + "'");
-        }
-        t.type = TokenType::kDouble;
-        t.double_value = *v;
-      } else {
-        auto v = ParseInt64(text);
-        if (!v) {
-          return Status::ParseError("malformed integer '" + text + "'");
-        }
-        t.type = TokenType::kInteger;
-        t.int_value = *v;
-      }
-      out.push_back(std::move(t));
-      i = j;
-      continue;
+      ++j;
     }
-
-    // Identifiers and keywords.
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t j = i;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(input[j])) ||
-                       input[j] == '_')) {
-        ++j;
+    pos_ = j;
+    t.text = input_.substr(start, j - start);
+    if (is_double) {
+      t.type = TokenType::kDouble;
+      const std::optional<double> v = ParseDouble(t.text);
+      if (!v) {
+        return Fail(start, "malformed number '" + std::string(t.text) + "'");
       }
-      std::string word = input.substr(i, j - i);
-      std::string upper = AsciiToUpper(word);
-      Token t;
-      t.position = start;
-      if (IsReservedKeyword(upper)) {
-        t.type = TokenType::kKeyword;
-        t.text = std::move(upper);
-      } else {
-        t.type = TokenType::kIdentifier;
-        t.text = std::move(word);
+      t.double_value = *v;
+    } else {
+      t.type = TokenType::kInteger;
+      const std::optional<int64_t> v = ParseInt64(t.text);
+      if (!v) {
+        return Fail(start, "malformed integer '" + std::string(t.text) + "'");
       }
-      out.push_back(std::move(t));
-      i = j;
-      continue;
+      t.int_value = *v;
     }
-
-    // String literals.
-    if (c == '\'') {
-      std::string text;
-      size_t j = i + 1;
-      bool closed = false;
-      while (j < n) {
-        if (input[j] == '\'' && j + 1 < n && input[j + 1] == '\'') {
-          text += '\'';  // '' escapes a quote
-          j += 2;
-          continue;
-        }
-        if (input[j] == '\'') {
-          closed = true;
-          ++j;
-          break;
-        }
-        text += input[j++];
-      }
-      if (!closed) {
-        return Status::ParseError("unterminated string literal at offset " +
-                                  std::to_string(start));
-      }
-      Token t;
-      t.position = start;
-      t.type = TokenType::kString;
-      t.text = std::move(text);
-      out.push_back(std::move(t));
-      i = j;
-      continue;
-    }
-
-    // Multi-character operators first.
-    auto two = input.substr(i, 2);
-    if (two == "!=" || two == "<=" || two == ">=" || two == "<>") {
-      Token t;
-      t.position = start;
-      t.type = TokenType::kSymbol;
-      t.text = (two == "<>") ? "!=" : two;
-      out.push_back(std::move(t));
-      i += 2;
-      continue;
-    }
-    if (std::string_view("(),;.*=<>$").find(c) != std::string_view::npos) {
-      Token t;
-      t.position = start;
-      t.type = TokenType::kSymbol;
-      t.text = std::string(1, c);
-      out.push_back(std::move(t));
-      ++i;
-      continue;
-    }
-
-    return Status::ParseError("unexpected character '" + std::string(1, c) +
-                              "' at offset " + std::to_string(start));
+    return t;
   }
 
-  Token end;
-  end.type = TokenType::kEnd;
-  end.position = n;
-  out.push_back(std::move(end));
-  return out;
+  // Identifiers and keywords.
+  if (IsIdentifierStart(c)) {
+    size_t j = start + 1;
+    while (j < n && IsIdentifierChar(input_[j])) ++j;
+    pos_ = j;
+    t.text = input_.substr(start, j - start);
+    t.keyword = LookupKeyword(t.text);
+    t.type = t.keyword == Keyword::kNone ? TokenType::kIdentifier
+                                         : TokenType::kKeyword;
+    return t;
+  }
+
+  // String literals; '' inside one escapes a quote.
+  if (c == '\'') {
+    size_t j = start + 1;
+    while (true) {
+      const size_t quote = input_.find('\'', j);
+      if (quote == std::string_view::npos) {
+        return Fail(start, "unterminated string literal");
+      }
+      if (quote + 1 < n && input_[quote + 1] == '\'') {
+        t.escaped = true;
+        j = quote + 2;
+        continue;
+      }
+      pos_ = quote + 1;
+      t.type = TokenType::kString;
+      t.text = input_.substr(start + 1, quote - start - 1);
+      return t;
+    }
+  }
+
+  // Symbols, two-character operators first.
+  t.type = TokenType::kSymbol;
+  if (c == '<' && next == '>') {
+    pos_ = start + 2;
+    t.text = "!=";
+    return t;
+  }
+  if ((c == '!' || c == '<' || c == '>') && next == '=') {
+    pos_ = start + 2;
+    t.text = input_.substr(start, 2);
+    return t;
+  }
+  if (std::string_view("(),;.*=<>$").find(c) != std::string_view::npos) {
+    pos_ = start + 1;
+    t.text = input_.substr(start, 1);
+    return t;
+  }
+  return Fail(start, "unexpected character '" + std::string(1, c) + "'");
 }
 
 }  // namespace sql

@@ -4,21 +4,36 @@
 #define EXPDB_SQL_LEXER_H_
 
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "common/result.h"
+#include "common/status.h"
 #include "sql/token.h"
 
 namespace expdb {
 namespace sql {
 
-/// \brief Tokenizes a statement. The returned vector always ends with a
-/// kEnd token. Keywords are case-insensitive and normalized to upper case;
-/// identifiers keep their case. `--` starts a comment to end of line.
-Result<std::vector<Token>> Lex(const std::string& input);
+/// \brief Streams the tokens of `input`, one per Next(), without
+/// allocating: tokens view `input`, which must outlive them. Keywords are
+/// case-insensitive; identifiers keep their case. `--` starts a comment
+/// to end of line.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view input) : input_(input) {}
 
-/// \brief True iff `word` (upper-cased) is a reserved ExpSQL keyword.
-bool IsReservedKeyword(const std::string& upper);
+  /// \brief The next token. At the end of the input, and from the first
+  /// lexical error on, a kEnd token; status() tells the two apart.
+  Token Next();
+
+  /// \brief OK, or the ParseError that stopped the stream.
+  const Status& status() const { return status_; }
+
+ private:
+  Token Fail(size_t start, std::string message);
+
+  std::string_view input_;
+  size_t pos_ = 0;
+  Status status_;
+};
 
 }  // namespace sql
 }  // namespace expdb

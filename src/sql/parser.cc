@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <optional>
+#include <string_view>
+
 #include "common/str_util.h"
 #include "sql/lexer.h"
 
@@ -8,47 +11,119 @@ namespace sql {
 
 namespace {
 
-/// Token-stream cursor with convenience accept/expect helpers.
+std::optional<AggregateKind> AggregateOf(Keyword kw) {
+  switch (kw) {
+    case Keyword::kMin:
+      return AggregateKind::kMin;
+    case Keyword::kMax:
+      return AggregateKind::kMax;
+    case Keyword::kSum:
+      return AggregateKind::kSum;
+    case Keyword::kCount:
+      return AggregateKind::kCount;
+    case Keyword::kAvg:
+      return AggregateKind::kAvg;
+    default:
+      return std::nullopt;
+  }
+}
+
+/// Recursive descent over a streaming Lexer, with the two tokens of
+/// lookahead that `COUNT (` needs. Tokens view the input, so identifiers
+/// and literals are copied only into the AST fields that keep them.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view input)
+      : lexer_(input), tok_(lexer_.Next()) {}
 
+  /// One statement, optionally ';'-terminated, and nothing after it.
   Result<Statement> ParseOne() {
-    EXPDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatementInner());
-    AcceptSymbol(";");
-    if (!AtEnd()) {
-      return Status::ParseError("trailing input after statement: " +
-                                Peek().ToString());
+    Statement stmt;
+    Status status = ParseStatementInner(&stmt);
+    if (status.ok()) {
+      AcceptSymbol(";");
+      if (!AtEnd()) status = TrailingInput();
     }
+    EXPDB_RETURN_NOT_OK(Finish(std::move(status)));
     return stmt;
   }
 
- private:
-  const Token& Peek(size_t k = 0) const {
-    const size_t i = pos_ + k;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  bool AtEnd() const { return Peek().type == TokenType::kEnd; }
-  const Token& Advance() { return tokens_[pos_++]; }
-
-  bool AcceptKeyword(std::string_view kw) {
-    if (Peek().IsKeyword(kw)) {
-      ++pos_;
-      return true;
+  /// Statements separated by ';' tokens; empty statements are skipped.
+  Result<std::vector<Statement>> ParseAll() {
+    std::vector<Statement> out;
+    Status status;
+    while (status.ok()) {
+      while (AcceptSymbol(";")) {
+      }
+      if (AtEnd()) break;
+      status = ParseStatementInner(&out.emplace_back());
+      if (status.ok() && !AtEnd() && !Peek().IsSymbol(";")) {
+        status = TrailingInput();
+      }
     }
-    return false;
+    EXPDB_RETURN_NOT_OK(Finish(std::move(status)));
+    return out;
+  }
+
+ private:
+  Status TrailingInput() const {
+    return Status::ParseError("trailing input after statement: " +
+                              Peek().ToString());
+  }
+
+  /// A lexical error anywhere in the input outranks a parse error, which
+  /// may only be the lexer's kEnd standing in for the bad character.
+  Status Finish(Status status) {
+    if (!status.ok()) {
+      while (!AtEnd()) Advance();
+    }
+    if (!lexer_.status().ok()) return lexer_.status();
+    return status;
+  }
+
+  const Token& Peek() const { return tok_; }
+  const Token& PeekSecond() {
+    if (!has_second_) {
+      second_ = lexer_.Next();
+      has_second_ = true;
+    }
+    return second_;
+  }
+  bool AtEnd() const { return tok_.type == TokenType::kEnd; }
+  Token Advance() {
+    Token old = tok_;
+    if (has_second_) {
+      tok_ = second_;
+      has_second_ = false;
+    } else {
+      tok_ = lexer_.Next();
+    }
+    return old;
+  }
+
+  bool AcceptKeyword(Keyword kw) {
+    if (!tok_.Is(kw)) return false;
+    Advance();
+    return true;
   }
   bool AcceptSymbol(std::string_view s) {
-    if (Peek().IsSymbol(s)) {
-      ++pos_;
-      return true;
-    }
-    return false;
+    if (!tok_.IsSymbol(s)) return false;
+    Advance();
+    return true;
   }
-  Status ExpectKeyword(std::string_view kw) {
+  /// Accepts an unreserved word (an identifier), case-insensitively.
+  bool AcceptWord(std::string_view word) {
+    if (tok_.type != TokenType::kIdentifier ||
+        !AsciiEqualsIgnoreCase(tok_.text, word)) {
+      return false;
+    }
+    Advance();
+    return true;
+  }
+  Status ExpectKeyword(Keyword kw) {
     if (!AcceptKeyword(kw)) {
-      return Status::ParseError("expected " + std::string(kw) + ", got " +
-                                Peek().ToString());
+      return Status::ParseError("expected " + std::string(KeywordName(kw)) +
+                                ", got " + Peek().ToString());
     }
     return Status::OK();
   }
@@ -59,12 +134,15 @@ class Parser {
     }
     return Status::OK();
   }
-  Result<std::string> ExpectIdentifier(std::string_view what) {
+  /// Reads an identifier into `out`, a std::string or std::string_view.
+  template <typename String>
+  Status ExpectIdentifier(std::string_view what, String* out) {
     if (Peek().type != TokenType::kIdentifier) {
       return Status::ParseError("expected " + std::string(what) + ", got " +
                                 Peek().ToString());
     }
-    return Advance().text;
+    *out = Advance().text;
+    return Status::OK();
   }
   Result<int64_t> ExpectInteger(std::string_view what) {
     if (Peek().type != TokenType::kInteger) {
@@ -73,359 +151,304 @@ class Parser {
     }
     return Advance().int_value;
   }
+  /// An integer, double or string literal as a Value, or nullopt.
+  std::optional<Value> AcceptLiteral() {
+    switch (tok_.type) {
+      case TokenType::kInteger:
+        return Value(Advance().int_value);
+      case TokenType::kDouble:
+        return Value(Advance().double_value);
+      case TokenType::kString:
+        return Value(Advance().StringValue());
+      default:
+        return std::nullopt;
+    }
+  }
 
-  Result<Statement> ParseStatementInner() {
-    if (Peek().IsKeyword("SELECT")) {
-      EXPDB_ASSIGN_OR_RETURN(SelectStatement s, ParseSelect());
-      return Statement(std::move(s));
+  /// Parses one statement into `*stmt`.
+  Status ParseStatementInner(Statement* stmt) {
+    if (Peek().Is(Keyword::kSelect)) {
+      return ParseSelect(&stmt->emplace<SelectStatement>());
     }
-    if (AcceptKeyword("CREATE")) return ParseCreate();
-    if (AcceptKeyword("INSERT")) return ParseInsert();
-    if (AcceptKeyword("DROP")) return ParseDrop();
-    if (AcceptKeyword("ADVANCE")) return ParseAdvance();
-    if (AcceptKeyword("SHOW")) return ParseShow();
-    if (AcceptKeyword("DELETE")) return ParseDelete();
-    if (AcceptKeyword("STATS")) return ParseStats(/*explain=*/false);
-    if (AcceptKeyword("EXPLAIN")) {
-      if (AcceptKeyword("STATS")) return ParseStats(/*explain=*/true);
-      return ParseExplain();
+    if (AcceptKeyword(Keyword::kCreate)) return ParseCreate(stmt);
+    if (AcceptKeyword(Keyword::kInsert)) return ParseInsert(stmt);
+    if (AcceptKeyword(Keyword::kDrop)) return ParseDrop(stmt);
+    if (AcceptKeyword(Keyword::kAdvance)) return ParseAdvance(stmt);
+    if (AcceptKeyword(Keyword::kShow)) return ParseShow(stmt);
+    if (AcceptKeyword(Keyword::kDelete)) return ParseDelete(stmt);
+    if (AcceptKeyword(Keyword::kStats)) {
+      return ParseStats(/*explain=*/false, stmt);
     }
-    if (AcceptKeyword("SET")) return ParseSet();
-    if (AcceptKeyword("TRACE")) return ParseTrace();
-    if (AcceptKeyword("PREPARE")) return ParsePrepare();
-    if (AcceptKeyword("EXECUTE")) return ParseExecute();
-    if (AcceptKeyword("CACHE")) return ParseCache();
-    if (AcceptKeyword("MAINTENANCE")) return ParseMaintenance();
-    if (AcceptKeyword("MONITOR")) return ParseMonitor();
+    if (AcceptKeyword(Keyword::kExplain)) {
+      if (AcceptKeyword(Keyword::kStats)) {
+        return ParseStats(/*explain=*/true, stmt);
+      }
+      return ParseExplain(stmt);
+    }
+    if (AcceptKeyword(Keyword::kSet)) return ParseSet(stmt);
+    if (AcceptKeyword(Keyword::kTrace)) return ParseTrace(stmt);
+    if (AcceptKeyword(Keyword::kPrepare)) return ParsePrepare(stmt);
+    if (AcceptKeyword(Keyword::kExecute)) return ParseExecute(stmt);
+    if (AcceptKeyword(Keyword::kCache)) return ParseCache(stmt);
+    if (AcceptKeyword(Keyword::kMaintenance)) return ParseMaintenance(stmt);
+    if (AcceptKeyword(Keyword::kMonitor)) return ParseMonitor(stmt);
     return Status::ParseError("expected a statement, got " +
                               Peek().ToString());
   }
 
   // PREPARE name AS SELECT ... ($n placeholders allowed in WHERE).
-  Result<Statement> ParsePrepare() {
-    PrepareStatement out;
-    EXPDB_ASSIGN_OR_RETURN(out.name, ExpectIdentifier("statement name"));
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("AS"));
-    if (!Peek().IsKeyword("SELECT")) {
+  Status ParsePrepare(Statement* stmt) {
+    PrepareStatement& out = stmt->emplace<PrepareStatement>();
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("statement name", &out.name));
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kAs));
+    if (!Peek().Is(Keyword::kSelect)) {
       return Status::ParseError("expected SELECT after PREPARE ... AS, got " +
                                 Peek().ToString());
     }
-    EXPDB_ASSIGN_OR_RETURN(out.select, ParseSelect());
-    return Statement(std::move(out));
+    EXPDB_RETURN_NOT_OK(ParseSelect(&out.select));
+    return Status::OK();
   }
 
   // EXECUTE name [(literal, ...)].
-  Result<Statement> ParseExecute() {
-    ExecutePreparedStatement out;
-    EXPDB_ASSIGN_OR_RETURN(out.name, ExpectIdentifier("statement name"));
+  Status ParseExecute(Statement* stmt) {
+    ExecutePreparedStatement& out = stmt->emplace<ExecutePreparedStatement>();
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("statement name", &out.name));
     if (AcceptSymbol("(")) {
       if (!AcceptSymbol(")")) {
         do {
-          const Token& t = Peek();
-          if (t.type == TokenType::kInteger) {
-            out.args.emplace_back(t.int_value);
-          } else if (t.type == TokenType::kDouble) {
-            out.args.emplace_back(t.double_value);
-          } else if (t.type == TokenType::kString) {
-            out.args.emplace_back(t.text);
-          } else {
-            return Status::ParseError(
-                "expected a literal argument, got " + t.ToString());
+          std::optional<Value> arg = AcceptLiteral();
+          if (!arg.has_value()) {
+            return Status::ParseError("expected a literal argument, got " +
+                                      Peek().ToString());
           }
-          Advance();
+          out.args.push_back(std::move(*arg));
         } while (AcceptSymbol(","));
         EXPDB_RETURN_NOT_OK(ExpectSymbol(")"));
       }
     }
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
   // CACHE STATS | CLEAR (CLEAR is a bare identifier, kept unreserved).
-  Result<Statement> ParseCache() {
-    CacheStatement out;
-    if (AcceptKeyword("STATS")) {
+  Status ParseCache(Statement* stmt) {
+    CacheStatement& out = stmt->emplace<CacheStatement>();
+    if (AcceptKeyword(Keyword::kStats)) {
       out.what = CacheStatement::What::kStats;
-      return Statement(std::move(out));
-    }
-    if (Peek().type == TokenType::kIdentifier &&
-        AsciiEqualsIgnoreCase(Peek().text, "CLEAR")) {
-      Advance();
+    } else if (AcceptWord("CLEAR")) {
       out.what = CacheStatement::What::kClear;
-      return Statement(std::move(out));
+    } else {
+      return Status::ParseError("expected STATS or CLEAR after CACHE, got " +
+                                Peek().ToString());
     }
-    return Status::ParseError("expected STATS or CLEAR after CACHE, got " +
-                              Peek().ToString());
+    return Status::OK();
   }
 
   // MAINTENANCE STATUS | PAUSE | RESUME | RUN (the subcommands are bare
   // identifiers, kept unreserved like CACHE CLEAR).
-  Result<Statement> ParseMaintenance() {
-    MaintenanceStatement out;
-    if (Peek().type == TokenType::kIdentifier) {
-      if (AsciiEqualsIgnoreCase(Peek().text, "STATUS")) {
-        Advance();
-        out.what = MaintenanceStatement::What::kStatus;
-        return Statement(std::move(out));
-      }
-      if (AsciiEqualsIgnoreCase(Peek().text, "PAUSE")) {
-        Advance();
-        out.what = MaintenanceStatement::What::kPause;
-        return Statement(std::move(out));
-      }
-      if (AsciiEqualsIgnoreCase(Peek().text, "RESUME")) {
-        Advance();
-        out.what = MaintenanceStatement::What::kResume;
-        return Statement(std::move(out));
-      }
-      if (AsciiEqualsIgnoreCase(Peek().text, "RUN")) {
-        Advance();
-        out.what = MaintenanceStatement::What::kRun;
-        return Statement(std::move(out));
-      }
+  Status ParseMaintenance(Statement* stmt) {
+    MaintenanceStatement& out = stmt->emplace<MaintenanceStatement>();
+    if (AcceptWord("STATUS")) {
+      out.what = MaintenanceStatement::What::kStatus;
+    } else if (AcceptWord("PAUSE")) {
+      out.what = MaintenanceStatement::What::kPause;
+    } else if (AcceptWord("RESUME")) {
+      out.what = MaintenanceStatement::What::kResume;
+    } else if (AcceptWord("RUN")) {
+      out.what = MaintenanceStatement::What::kRun;
+    } else {
+      return Status::ParseError(
+          "expected STATUS, PAUSE, RESUME, or RUN after MAINTENANCE, got " +
+          Peek().ToString());
     }
-    return Status::ParseError(
-        "expected STATUS, PAUSE, RESUME, or RUN after MAINTENANCE, got " +
-        Peek().ToString());
+    return Status::OK();
   }
 
   // MONITOR STATUS | HISTORY <metric> | THRESHOLDS (subcommands are
   // bare identifiers, kept unreserved like the MAINTENANCE ones).
-  Result<Statement> ParseMonitor() {
-    MonitorStatement out;
-    if (Peek().type == TokenType::kIdentifier) {
-      if (AsciiEqualsIgnoreCase(Peek().text, "STATUS")) {
-        Advance();
-        out.what = MonitorStatement::What::kStatus;
-        return Statement(std::move(out));
-      }
-      if (AsciiEqualsIgnoreCase(Peek().text, "HISTORY")) {
-        Advance();
-        out.what = MonitorStatement::What::kHistory;
-        EXPDB_ASSIGN_OR_RETURN(out.metric, ExpectIdentifier("metric name"));
-        return Statement(std::move(out));
-      }
-      if (AsciiEqualsIgnoreCase(Peek().text, "THRESHOLDS")) {
-        Advance();
-        out.what = MonitorStatement::What::kThresholds;
-        return Statement(std::move(out));
-      }
+  Status ParseMonitor(Statement* stmt) {
+    MonitorStatement& out = stmt->emplace<MonitorStatement>();
+    if (AcceptWord("STATUS")) {
+      out.what = MonitorStatement::What::kStatus;
+    } else if (AcceptWord("HISTORY")) {
+      out.what = MonitorStatement::What::kHistory;
+      EXPDB_RETURN_NOT_OK(ExpectIdentifier("metric name", &out.metric));
+    } else if (AcceptWord("THRESHOLDS")) {
+      out.what = MonitorStatement::What::kThresholds;
+    } else {
+      return Status::ParseError(
+          "expected STATUS, HISTORY <metric>, or THRESHOLDS after MONITOR, "
+          "got " +
+          Peek().ToString());
     }
-    return Status::ParseError(
-        "expected STATUS, HISTORY <metric>, or THRESHOLDS after MONITOR, "
-        "got " +
-        Peek().ToString());
+    return Status::OK();
   }
 
   // SET name = value (value: integer, double, string, or bare word).
-  Result<Statement> ParseSet() {
-    SetStatement out;
-    EXPDB_ASSIGN_OR_RETURN(out.name, ExpectIdentifier("setting name"));
-    out.name = AsciiToLower(out.name);
+  Status ParseSet(Statement* stmt) {
+    SetStatement& out = stmt->emplace<SetStatement>();
+    std::string_view name;
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("setting name", &name));
+    out.name = AsciiToLower(name);
     EXPDB_RETURN_NOT_OK(ExpectSymbol("="));
-    const Token& t = Peek();
-    switch (t.type) {
-      case TokenType::kInteger:
-        out.value = Value(t.int_value);
-        break;
-      case TokenType::kDouble:
-        out.value = Value(t.double_value);
-        break;
-      case TokenType::kString:
-        out.value = Value(t.text);
-        break;
-      case TokenType::kIdentifier:
-      case TokenType::kKeyword:
-        // Bare words (on, off, ...) become strings; keywords too, so
-        // e.g. SET event_log = RESET does not confuse the lexer.
-        out.value = Value(AsciiToLower(t.text));
-        break;
-      default:
-        return Status::ParseError("expected a setting value, got " +
-                                  t.ToString());
+    if (std::optional<Value> literal = AcceptLiteral()) {
+      out.value = std::move(*literal);
+    } else if (Peek().type == TokenType::kIdentifier ||
+               Peek().type == TokenType::kKeyword) {
+      // Bare words (on, off, ...) become strings; keywords too, so
+      // e.g. SET event_log = RESET does not confuse the lexer.
+      out.value = Value(AsciiToLower(Advance().text));
+    } else {
+      return Status::ParseError("expected a setting value, got " +
+                                Peek().ToString());
     }
-    Advance();
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
   // TRACE ON | OFF | SHOW | EXPORT '<file>'. ON/OFF/EXPORT are bare
   // identifiers (kept unreserved); SHOW is already a keyword.
-  Result<Statement> ParseTrace() {
-    TraceStatement out;
-    if (AcceptKeyword("SHOW")) {
+  Status ParseTrace(Statement* stmt) {
+    TraceStatement& out = stmt->emplace<TraceStatement>();
+    if (AcceptKeyword(Keyword::kShow)) {
       out.what = TraceStatement::What::kShow;
-      return Statement(std::move(out));
+    } else if (AcceptWord("ON")) {
+      out.what = TraceStatement::What::kOn;
+    } else if (AcceptWord("OFF")) {
+      out.what = TraceStatement::What::kOff;
+    } else if (AcceptWord("EXPORT")) {
+      out.what = TraceStatement::What::kExport;
+      if (Peek().type != TokenType::kString) {
+        return Status::ParseError(
+            "expected a quoted file path after TRACE EXPORT, got " +
+            Peek().ToString());
+      }
+      out.path = Advance().StringValue();
+    } else {
+      return Status::ParseError(
+          "expected ON, OFF, SHOW, or EXPORT after TRACE, got " +
+          Peek().ToString());
     }
-    if (Peek().type == TokenType::kIdentifier) {
-      if (AsciiEqualsIgnoreCase(Peek().text, "ON")) {
-        Advance();
-        out.what = TraceStatement::What::kOn;
-        return Statement(std::move(out));
-      }
-      if (AsciiEqualsIgnoreCase(Peek().text, "OFF")) {
-        Advance();
-        out.what = TraceStatement::What::kOff;
-        return Statement(std::move(out));
-      }
-      if (AsciiEqualsIgnoreCase(Peek().text, "EXPORT")) {
-        Advance();
-        out.what = TraceStatement::What::kExport;
-        if (Peek().type != TokenType::kString) {
-          return Status::ParseError(
-              "expected a quoted file path after TRACE EXPORT, got " +
-              Peek().ToString());
-        }
-        out.path = Advance().text;
-        return Statement(std::move(out));
-      }
-    }
-    return Status::ParseError(
-        "expected ON, OFF, SHOW, or EXPORT after TRACE, got " +
-        Peek().ToString());
+    return Status::OK();
   }
 
   // EXPLAIN [PLAN | ANALYZE] SELECT ... (bare EXPLAIN means PLAN).
-  Result<Statement> ParseExplain() {
-    ExplainStatement out;
-    if (Peek().type == TokenType::kIdentifier) {
-      if (AsciiEqualsIgnoreCase(Peek().text, "PLAN")) {
-        Advance();
-        out.what = ExplainStatement::What::kPlan;
-      } else if (AsciiEqualsIgnoreCase(Peek().text, "ANALYZE")) {
-        Advance();
-        out.what = ExplainStatement::What::kAnalyze;
-      }
+  Status ParseExplain(Statement* stmt) {
+    ExplainStatement& out = stmt->emplace<ExplainStatement>();
+    if (AcceptWord("PLAN")) {
+      out.what = ExplainStatement::What::kPlan;
+    } else if (AcceptWord("ANALYZE")) {
+      out.what = ExplainStatement::What::kAnalyze;
     }
-    if (!Peek().IsKeyword("SELECT")) {
+    if (!Peek().Is(Keyword::kSelect)) {
       return Status::ParseError(
           "expected PLAN, ANALYZE, STATS, or SELECT after EXPLAIN, got " +
           Peek().ToString());
     }
-    EXPDB_ASSIGN_OR_RETURN(out.select, ParseSelect());
-    return Statement(std::move(out));
+    EXPDB_RETURN_NOT_OK(ParseSelect(&out.select));
+    return Status::OK();
   }
 
   // STATS [PROMETHEUS | JSON | RESET]; EXPLAIN STATS takes no modifier.
-  Result<Statement> ParseStats(bool explain) {
-    StatsStatement out;
+  Status ParseStats(bool explain, Statement* stmt) {
+    StatsStatement& out = stmt->emplace<StatsStatement>();
     out.explain = explain;
-    if (!explain && AcceptKeyword("RESET")) {
+    if (explain) return Status::OK();
+    if (AcceptKeyword(Keyword::kReset)) {
       out.reset = true;
-      return Statement(std::move(out));
+    } else if (AcceptWord("PROMETHEUS")) {
+      out.format = StatsStatement::Format::kPrometheus;
+    } else if (AcceptWord("JSON")) {
+      out.format = StatsStatement::Format::kJson;
+    } else if (Peek().type == TokenType::kIdentifier) {
+      return Status::ParseError(
+          "expected PROMETHEUS, JSON, or RESET after STATS, got " +
+          Peek().ToString());
     }
-    if (!explain && Peek().type == TokenType::kIdentifier) {
-      if (AsciiEqualsIgnoreCase(Peek().text, "PROMETHEUS")) {
-        Advance();
-        out.format = StatsStatement::Format::kPrometheus;
-      } else if (AsciiEqualsIgnoreCase(Peek().text, "JSON")) {
-        Advance();
-        out.format = StatsStatement::Format::kJson;
-      } else {
-        return Status::ParseError(
-            "expected PROMETHEUS, JSON, or RESET after STATS, got " +
-            Peek().ToString());
-      }
-    }
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
   // SELECT ... [UNION|INTERSECT|EXCEPT SELECT ...]
-  Result<SelectStatement> ParseSelect() {
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("SELECT"));
-    SelectStatement out;
-    out.distinct = AcceptKeyword("DISTINCT");
+  Status ParseSelect(SelectStatement* out) {
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kSelect));
+    out->distinct = AcceptKeyword(Keyword::kDistinct);
 
     // Select list.
+    out->items.reserve(4);
     do {
-      EXPDB_ASSIGN_OR_RETURN(SelectItem item, ParseSelectItem());
-      out.items.push_back(std::move(item));
+      EXPDB_RETURN_NOT_OK(ParseSelectItem(&out->items.emplace_back()));
     } while (AcceptSymbol(","));
 
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("FROM"));
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kFrom));
     do {
-      TableRef ref;
-      EXPDB_ASSIGN_OR_RETURN(ref.name, ExpectIdentifier("table name"));
-      if (AcceptKeyword("AS")) {
-        EXPDB_ASSIGN_OR_RETURN(ref.alias, ExpectIdentifier("alias"));
+      TableRef& ref = out->from.emplace_back();
+      EXPDB_RETURN_NOT_OK(ExpectIdentifier("table name", &ref.name));
+      if (AcceptKeyword(Keyword::kAs)) {
+        EXPDB_RETURN_NOT_OK(ExpectIdentifier("alias", &ref.alias));
       } else if (Peek().type == TokenType::kIdentifier) {
         ref.alias = Advance().text;
       }
-      out.from.push_back(std::move(ref));
     } while (AcceptSymbol(","));
 
-    if (AcceptKeyword("WHERE")) {
-      EXPDB_ASSIGN_OR_RETURN(out.where, ParseBoolExpr());
+    if (AcceptKeyword(Keyword::kWhere)) {
+      EXPDB_ASSIGN_OR_RETURN(out->where, ParseBoolExpr());
     }
-    if (AcceptKeyword("GROUP")) {
-      EXPDB_RETURN_NOT_OK(ExpectKeyword("BY"));
+    if (AcceptKeyword(Keyword::kGroup)) {
+      EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
       do {
-        EXPDB_ASSIGN_OR_RETURN(ColumnRef col, ParseColumnRef());
-        out.group_by.push_back(std::move(col));
+        EXPDB_RETURN_NOT_OK(ParseColumnRef(&out->group_by.emplace_back()));
       } while (AcceptSymbol(","));
     }
 
-    if (AcceptKeyword("UNION")) {
-      out.set_op = SelectStatement::SetOp::kUnion;
-    } else if (AcceptKeyword("INTERSECT")) {
-      out.set_op = SelectStatement::SetOp::kIntersect;
-    } else if (AcceptKeyword("EXCEPT")) {
-      out.set_op = SelectStatement::SetOp::kExcept;
+    if (AcceptKeyword(Keyword::kUnion)) {
+      out->set_op = SelectStatement::SetOp::kUnion;
+    } else if (AcceptKeyword(Keyword::kIntersect)) {
+      out->set_op = SelectStatement::SetOp::kIntersect;
+    } else if (AcceptKeyword(Keyword::kExcept)) {
+      out->set_op = SelectStatement::SetOp::kExcept;
     }
-    if (out.set_op != SelectStatement::SetOp::kNone) {
-      EXPDB_ASSIGN_OR_RETURN(SelectStatement rhs, ParseSelect());
-      out.set_rhs = std::make_shared<SelectStatement>(std::move(rhs));
+    if (out->set_op != SelectStatement::SetOp::kNone) {
+      out->set_rhs = std::make_shared<SelectStatement>();
+      return ParseSelect(out->set_rhs.get());
     }
-    return out;
+    return Status::OK();
   }
 
-  Result<SelectItem> ParseSelectItem() {
-    SelectItem item;
+  Status ParseSelectItem(SelectItem* item) {
     if (AcceptSymbol("*")) {
-      item.kind = SelectItem::Kind::kStar;
-      return item;
+      item->kind = SelectItem::Kind::kStar;
+      return Status::OK();
     }
-    // Aggregate?
-    for (auto [kw, kind] :
-         {std::pair{"MIN", AggregateKind::kMin},
-          std::pair{"MAX", AggregateKind::kMax},
-          std::pair{"SUM", AggregateKind::kSum},
-          std::pair{"COUNT", AggregateKind::kCount},
-          std::pair{"AVG", AggregateKind::kAvg}}) {
-      if (Peek().IsKeyword(kw) && Peek(1).IsSymbol("(")) {
-        Advance();  // keyword
-        Advance();  // (
-        item.kind = SelectItem::Kind::kAggregate;
-        item.aggregate = kind;
-        if (AcceptSymbol("*")) {
-          if (kind != AggregateKind::kCount) {
-            return Status::ParseError("only COUNT may take *");
-          }
-          item.aggregate_star = true;
-        } else {
-          EXPDB_ASSIGN_OR_RETURN(item.column, ParseColumnRef());
+    const std::optional<AggregateKind> aggregate = AggregateOf(Peek().keyword);
+    if (aggregate.has_value() && PeekSecond().IsSymbol("(")) {
+      Advance();  // keyword
+      Advance();  // (
+      item->kind = SelectItem::Kind::kAggregate;
+      item->aggregate = *aggregate;
+      if (AcceptSymbol("*")) {
+        if (*aggregate != AggregateKind::kCount) {
+          return Status::ParseError("only COUNT may take *");
         }
-        EXPDB_RETURN_NOT_OK(ExpectSymbol(")"));
-        if (AcceptKeyword("AS")) {
-          EXPDB_ASSIGN_OR_RETURN(item.alias, ExpectIdentifier("alias"));
-        }
-        return item;
+        item->aggregate_star = true;
+      } else {
+        EXPDB_RETURN_NOT_OK(ParseColumnRef(&item->column));
       }
+      EXPDB_RETURN_NOT_OK(ExpectSymbol(")"));
+    } else {
+      item->kind = SelectItem::Kind::kColumn;
+      EXPDB_RETURN_NOT_OK(ParseColumnRef(&item->column));
     }
-    item.kind = SelectItem::Kind::kColumn;
-    EXPDB_ASSIGN_OR_RETURN(item.column, ParseColumnRef());
-    if (AcceptKeyword("AS")) {
-      EXPDB_ASSIGN_OR_RETURN(item.alias, ExpectIdentifier("alias"));
+    if (AcceptKeyword(Keyword::kAs)) {
+      EXPDB_RETURN_NOT_OK(ExpectIdentifier("alias", &item->alias));
     }
-    return item;
+    return Status::OK();
   }
 
-  Result<ColumnRef> ParseColumnRef() {
-    ColumnRef col;
-    EXPDB_ASSIGN_OR_RETURN(col.column, ExpectIdentifier("column name"));
+  Status ParseColumnRef(ColumnRef* col) {
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("column name", &col->column));
     if (AcceptSymbol(".")) {
-      col.table = std::move(col.column);
-      EXPDB_ASSIGN_OR_RETURN(col.column, ExpectIdentifier("column name"));
+      col->table = std::move(col->column);
+      EXPDB_RETURN_NOT_OK(ExpectIdentifier("column name", &col->column));
     }
-    return col;
+    return Status::OK();
   }
 
   // Boolean expressions: OR < AND < NOT < comparison.
@@ -433,7 +456,7 @@ class Parser {
 
   Result<BoolExprPtr> ParseOr() {
     EXPDB_ASSIGN_OR_RETURN(BoolExprPtr lhs, ParseAnd());
-    while (AcceptKeyword("OR")) {
+    while (AcceptKeyword(Keyword::kOr)) {
       EXPDB_ASSIGN_OR_RETURN(BoolExprPtr rhs, ParseAnd());
       auto node = std::make_shared<BoolExpr>();
       node->kind = BoolExpr::Kind::kOr;
@@ -446,7 +469,7 @@ class Parser {
 
   Result<BoolExprPtr> ParseAnd() {
     EXPDB_ASSIGN_OR_RETURN(BoolExprPtr lhs, ParseNot());
-    while (AcceptKeyword("AND")) {
+    while (AcceptKeyword(Keyword::kAnd)) {
       EXPDB_ASSIGN_OR_RETURN(BoolExprPtr rhs, ParseNot());
       auto node = std::make_shared<BoolExpr>();
       node->kind = BoolExpr::Kind::kAnd;
@@ -458,7 +481,7 @@ class Parser {
   }
 
   Result<BoolExprPtr> ParseNot() {
-    if (AcceptKeyword("NOT")) {
+    if (AcceptKeyword(Keyword::kNot)) {
       EXPDB_ASSIGN_OR_RETURN(BoolExprPtr inner, ParseNot());
       auto node = std::make_shared<BoolExpr>();
       node->kind = BoolExpr::Kind::kNot;
@@ -476,7 +499,7 @@ class Parser {
   Result<BoolExprPtr> ParseComparison() {
     auto node = std::make_shared<BoolExpr>();
     node->kind = BoolExpr::Kind::kCompare;
-    EXPDB_ASSIGN_OR_RETURN(node->lhs, ParseScalarOperand());
+    EXPDB_RETURN_NOT_OK(ParseScalarOperand(&node->lhs));
     const Token& op = Peek();
     if (op.IsSymbol("=")) {
       node->op = ComparisonOp::kEq;
@@ -495,73 +518,53 @@ class Parser {
                                 op.ToString());
     }
     Advance();
-    EXPDB_ASSIGN_OR_RETURN(node->rhs, ParseScalarOperand());
+    EXPDB_RETURN_NOT_OK(ParseScalarOperand(&node->rhs));
     return node;
   }
 
-  Result<ScalarOperand> ParseScalarOperand() {
-    ScalarOperand out;
-    const Token& t = Peek();
-    switch (t.type) {
-      case TokenType::kInteger:
-        out.constant = Value(t.int_value);
-        Advance();
-        return out;
-      case TokenType::kDouble:
-        out.constant = Value(t.double_value);
-        Advance();
-        return out;
-      case TokenType::kString:
-        out.constant = Value(t.text);
-        Advance();
-        return out;
-      case TokenType::kIdentifier: {
-        out.is_column = true;
-        EXPDB_ASSIGN_OR_RETURN(out.column, ParseColumnRef());
-        return out;
+  Status ParseScalarOperand(ScalarOperand* out) {
+    if (std::optional<Value> literal = AcceptLiteral()) {
+      out->constant = std::move(*literal);
+    } else if (Peek().type == TokenType::kIdentifier) {
+      out->is_column = true;
+      EXPDB_RETURN_NOT_OK(ParseColumnRef(&out->column));
+    } else if (AcceptSymbol("$")) {
+      EXPDB_ASSIGN_OR_RETURN(int64_t idx, ExpectInteger("parameter number"));
+      if (idx < 1) {
+        return Status::ParseError("parameter numbers start at $1");
       }
-      case TokenType::kSymbol:
-        if (t.text == "$") {
-          Advance();
-          EXPDB_ASSIGN_OR_RETURN(int64_t idx,
-                                 ExpectInteger("parameter number"));
-          if (idx < 1) {
-            return Status::ParseError("parameter numbers start at $1");
-          }
-          out.is_parameter = true;
-          out.parameter_index = static_cast<size_t>(idx - 1);
-          return out;
-        }
-        return Status::ParseError(
-            "expected a column, literal, or $n parameter, got " +
-            t.ToString());
-      default:
-        return Status::ParseError(
-            "expected a column, literal, or $n parameter, got " +
-            t.ToString());
+      out->is_parameter = true;
+      out->parameter_index = static_cast<size_t>(idx - 1);
+    } else {
+      return Status::ParseError(
+          "expected a column, literal, or $n parameter, got " +
+          Peek().ToString());
     }
+    return Status::OK();
   }
 
-  Result<Statement> ParseCreate() {
-    if (AcceptKeyword("TABLE")) return ParseCreateTable();
-    bool materialized = AcceptKeyword("MATERIALIZED");
-    if (AcceptKeyword("VIEW")) return ParseCreateView(materialized);
+  Status ParseCreate(Statement* stmt) {
+    if (AcceptKeyword(Keyword::kTable)) return ParseCreateTable(stmt);
+    bool materialized = AcceptKeyword(Keyword::kMaterialized);
+    if (AcceptKeyword(Keyword::kView)) {
+      return ParseCreateView(materialized, stmt);
+    }
     return Status::ParseError("expected TABLE or VIEW after CREATE, got " +
                               Peek().ToString());
   }
 
-  Result<Statement> ParseCreateTable() {
-    CreateTableStatement out;
-    EXPDB_ASSIGN_OR_RETURN(out.name, ExpectIdentifier("table name"));
+  Status ParseCreateTable(Statement* stmt) {
+    CreateTableStatement& out = stmt->emplace<CreateTableStatement>();
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("table name", &out.name));
     EXPDB_RETURN_NOT_OK(ExpectSymbol("("));
     do {
       Attribute attr;
-      EXPDB_ASSIGN_OR_RETURN(attr.name, ExpectIdentifier("column name"));
-      if (AcceptKeyword("INT")) {
+      EXPDB_RETURN_NOT_OK(ExpectIdentifier("column name", &attr.name));
+      if (AcceptKeyword(Keyword::kInt)) {
         attr.type = ValueType::kInt64;
-      } else if (AcceptKeyword("DOUBLE")) {
+      } else if (AcceptKeyword(Keyword::kDouble)) {
         attr.type = ValueType::kDouble;
-      } else if (AcceptKeyword("STRING")) {
+      } else if (AcceptKeyword(Keyword::kString)) {
         attr.type = ValueType::kString;
       } else {
         return Status::ParseError(
@@ -571,24 +574,25 @@ class Parser {
       out.columns.push_back(std::move(attr));
     } while (AcceptSymbol(","));
     EXPDB_RETURN_NOT_OK(ExpectSymbol(")"));
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
-  Result<Statement> ParseCreateView(bool materialized) {
-    CreateViewStatement out;
+  Status ParseCreateView(bool materialized, Statement* stmt) {
+    CreateViewStatement& out = stmt->emplace<CreateViewStatement>();
     out.materialized = materialized;
-    EXPDB_ASSIGN_OR_RETURN(out.name, ExpectIdentifier("view name"));
-    if (AcceptKeyword("WITH")) {
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("view name", &out.name));
+    if (AcceptKeyword(Keyword::kWith)) {
       EXPDB_RETURN_NOT_OK(ExpectSymbol("("));
       do {
-        EXPDB_ASSIGN_OR_RETURN(std::string key,
-                               ExpectIdentifier("option name"));
+        std::string_view key;
+        EXPDB_RETURN_NOT_OK(ExpectIdentifier("option name", &key));
         EXPDB_RETURN_NOT_OK(ExpectSymbol("="));
         std::string value;
-        if (Peek().type == TokenType::kIdentifier ||
-            Peek().type == TokenType::kString ||
-            Peek().type == TokenType::kInteger ||
-            Peek().type == TokenType::kDouble) {
+        if (Peek().type == TokenType::kString) {
+          value = Advance().StringValue();
+        } else if (Peek().type == TokenType::kIdentifier ||
+                   Peek().type == TokenType::kInteger ||
+                   Peek().type == TokenType::kDouble) {
           value = Advance().text;
         } else {
           return Status::ParseError("expected option value, got " +
@@ -598,150 +602,117 @@ class Parser {
       } while (AcceptSymbol(","));
       EXPDB_RETURN_NOT_OK(ExpectSymbol(")"));
     }
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("AS"));
-    EXPDB_ASSIGN_OR_RETURN(out.select, ParseSelect());
-    return Statement(std::move(out));
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kAs));
+    EXPDB_RETURN_NOT_OK(ParseSelect(&out.select));
+    return Status::OK();
   }
 
-  Result<Statement> ParseInsert() {
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("INTO"));
-    InsertStatement out;
-    EXPDB_ASSIGN_OR_RETURN(out.table, ExpectIdentifier("table name"));
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("VALUES"));
+  Status ParseInsert(Statement* stmt) {
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kInto));
+    InsertStatement& out = stmt->emplace<InsertStatement>();
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("table name", &out.table));
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kValues));
     do {
       EXPDB_RETURN_NOT_OK(ExpectSymbol("("));
       std::vector<Value> row;
+      if (!out.rows.empty()) row.reserve(out.rows.front().size());
       do {
-        const Token& t = Peek();
-        if (t.type == TokenType::kInteger) {
-          row.emplace_back(t.int_value);
-        } else if (t.type == TokenType::kDouble) {
-          row.emplace_back(t.double_value);
-        } else if (t.type == TokenType::kString) {
-          row.emplace_back(t.text);
-        } else {
+        std::optional<Value> literal = AcceptLiteral();
+        if (!literal.has_value()) {
           return Status::ParseError("expected a literal, got " +
-                                    t.ToString());
+                                    Peek().ToString());
         }
-        Advance();
+        row.push_back(std::move(*literal));
       } while (AcceptSymbol(","));
       EXPDB_RETURN_NOT_OK(ExpectSymbol(")"));
       out.rows.push_back(std::move(row));
     } while (AcceptSymbol(","));
 
-    if (AcceptKeyword("EXPIRE")) {
-      if (AcceptKeyword("NEVER")) {
+    if (AcceptKeyword(Keyword::kExpire)) {
+      if (AcceptKeyword(Keyword::kNever)) {
         out.expire_at = Timestamp::Infinity();
       } else {
-        EXPDB_RETURN_NOT_OK(ExpectKeyword("AT"));
+        EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kAt));
         EXPDB_ASSIGN_OR_RETURN(int64_t at, ExpectInteger("expiration time"));
         if (at < 0) return Status::ParseError("EXPIRE AT must be >= 0");
         out.expire_at = Timestamp(at);
       }
-    } else if (AcceptKeyword("TTL")) {
+    } else if (AcceptKeyword(Keyword::kTtl)) {
       EXPDB_ASSIGN_OR_RETURN(int64_t ttl, ExpectInteger("ttl"));
       if (ttl <= 0) return Status::ParseError("TTL must be positive");
       out.ttl = ttl;
     }
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
-  Result<Statement> ParseDrop() {
-    DropStatement out;
-    if (AcceptKeyword("TABLE")) {
+  Status ParseDrop(Statement* stmt) {
+    DropStatement& out = stmt->emplace<DropStatement>();
+    if (AcceptKeyword(Keyword::kTable)) {
       out.is_view = false;
-    } else if (AcceptKeyword("VIEW")) {
+    } else if (AcceptKeyword(Keyword::kView)) {
       out.is_view = true;
     } else {
       return Status::ParseError("expected TABLE or VIEW after DROP, got " +
                                 Peek().ToString());
     }
-    EXPDB_ASSIGN_OR_RETURN(out.name, ExpectIdentifier("name"));
-    return Statement(std::move(out));
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("name", &out.name));
+    return Status::OK();
   }
 
-  Result<Statement> ParseAdvance() {
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("TIME"));
-    AdvanceStatement out;
-    if (Peek().type == TokenType::kIdentifier &&
-        AsciiEqualsIgnoreCase(Peek().text, "TO")) {
-      Advance();
-      out.absolute = true;
-    }
+  Status ParseAdvance(Statement* stmt) {
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kTime));
+    AdvanceStatement& out = stmt->emplace<AdvanceStatement>();
+    out.absolute = AcceptWord("TO");
     EXPDB_ASSIGN_OR_RETURN(out.amount, ExpectInteger("time amount"));
     if (out.amount < 0) {
       return Status::ParseError("time amount must be >= 0");
     }
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
-  Result<Statement> ParseShow() {
-    ShowStatement out;
-    if (AcceptKeyword("TABLES")) {
+  Status ParseShow(Statement* stmt) {
+    ShowStatement& out = stmt->emplace<ShowStatement>();
+    if (AcceptKeyword(Keyword::kTables)) {
       out.what = ShowStatement::What::kTables;
-    } else if (AcceptKeyword("VIEWS")) {
+    } else if (AcceptKeyword(Keyword::kViews)) {
       out.what = ShowStatement::What::kViews;
-    } else if (AcceptKeyword("TIME")) {
+    } else if (AcceptKeyword(Keyword::kTime)) {
       out.what = ShowStatement::What::kTime;
-    } else if (Peek().type == TokenType::kIdentifier &&
-               AsciiEqualsIgnoreCase(Peek().text, "HEALTH")) {
+    } else if (AcceptWord("HEALTH")) {
       // HEALTH stays a bare identifier (unreserved, like CACHE CLEAR).
-      Advance();
       out.what = ShowStatement::What::kHealth;
     } else {
       return Status::ParseError(
           "expected TABLES, VIEWS, TIME, or HEALTH after SHOW, got " +
           Peek().ToString());
     }
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
-  Result<Statement> ParseDelete() {
-    EXPDB_RETURN_NOT_OK(ExpectKeyword("FROM"));
-    DeleteStatement out;
-    EXPDB_ASSIGN_OR_RETURN(out.table, ExpectIdentifier("table name"));
-    if (AcceptKeyword("WHERE")) {
+  Status ParseDelete(Statement* stmt) {
+    EXPDB_RETURN_NOT_OK(ExpectKeyword(Keyword::kFrom));
+    DeleteStatement& out = stmt->emplace<DeleteStatement>();
+    EXPDB_RETURN_NOT_OK(ExpectIdentifier("table name", &out.table));
+    if (AcceptKeyword(Keyword::kWhere)) {
       EXPDB_ASSIGN_OR_RETURN(out.where, ParseBoolExpr());
     }
-    return Statement(std::move(out));
+    return Status::OK();
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token tok_;
+  Token second_;
+  bool has_second_ = false;
 };
 
 }  // namespace
 
 Result<Statement> ParseStatement(const std::string& input) {
-  EXPDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
-  return Parser(std::move(tokens)).ParseOne();
+  return Parser(input).ParseOne();
 }
 
 Result<std::vector<Statement>> ParseScript(const std::string& input) {
-  // Split on ';' outside string literals, then parse each piece.
-  std::vector<Statement> out;
-  std::string current;
-  bool in_string = false;
-  for (size_t i = 0; i < input.size(); ++i) {
-    const char c = input[i];
-    if (c == '\'') in_string = !in_string;
-    if (c == ';' && !in_string) {
-      bool blank = current.find_first_not_of(" \t\r\n") == std::string::npos;
-      if (!blank) {
-        EXPDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(current));
-        out.push_back(std::move(stmt));
-      }
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  bool blank = current.find_first_not_of(" \t\r\n") == std::string::npos;
-  if (!blank) {
-    EXPDB_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(current));
-    out.push_back(std::move(stmt));
-  }
-  return out;
+  return Parser(input).ParseAll();
 }
 
 }  // namespace sql

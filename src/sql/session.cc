@@ -675,15 +675,19 @@ Result<ExecResult> Session::ExecuteInsert(const InsertStatement& stmt) {
   } else if (stmt.ttl.has_value()) {
     texp = now + *stmt.ttl;
   }
-  size_t inserted = 0;
+  // One change for the whole statement: every row is checked before any
+  // is inserted, and a tracked table records one delta batch.
+  std::vector<Tuple> tuples;
+  tuples.reserve(stmt.rows.size());
   for (const std::vector<Value>& row : stmt.rows) {
     Tuple tuple(row);
     EXPDB_RETURN_NOT_OK(
         engine_->constraints().CheckInsert(stmt.table, tuple));
-    EXPDB_RETURN_NOT_OK(
-        engine_->expiration().Insert(stmt.table, std::move(tuple), texp));
-    ++inserted;
+    tuples.push_back(std::move(tuple));
   }
+  const size_t inserted = tuples.size();
+  EXPDB_RETURN_NOT_OK(
+      engine_->expiration().InsertAll(stmt.table, std::move(tuples), texp));
   // Explicit inserts break views' expiration-only maintenance contract;
   // mark dependents stale (they rebuild at their next read). Thread-safe
   // under the engine's shared lock.

@@ -6,8 +6,11 @@
 
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +142,52 @@ TEST(EngineTest, ContendedWritersCountWriteWaits) {
   EXPECT_GT(eng->write_waits(), waits_before);
   snap.reset();  // release the readers; the writer proceeds
   writer.join();
+}
+
+// Once an exclusive acquirer has waited Engine::kExclusiveGrace, a
+// Snapshot requested after that queues behind it, so a stream of
+// overlapping readers cannot starve ADVANCE TIME, view reads or DDL.
+TEST(EngineTest, WaitingExclusiveLockGoesBeforeNewSnapshots) {
+  auto eng = std::make_shared<Engine>();
+  sql::Session s(eng);
+  MustExec(s, "CREATE TABLE t (x INT)");
+
+  std::optional<Engine::Snapshot> held = eng->OpenSnapshot({"t"});
+  std::mutex order_mu;
+  std::vector<std::string> order;
+  auto note = [&](const char* who) {
+    std::lock_guard<std::mutex> guard(order_mu);
+    order.push_back(who);
+  };
+  std::thread exclusive([&] {
+    Engine::ExclusiveGuard guard = eng->LockExclusive();
+    note("exclusive");
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!eng->exclusive_waiting() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(eng->exclusive_waiting());
+  // Past the grace, new shared acquirers queue.
+  std::this_thread::sleep_for(10 * Engine::kExclusiveGrace);
+  std::thread reader([&] {
+    Engine::Snapshot snap = eng->OpenSnapshot({"t"});
+    note("snapshot");
+  });
+  // With reader preference the new snapshot would join the held one at
+  // once; here it waits for the exclusive acquirer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> guard(order_mu);
+    EXPECT_TRUE(order.empty());
+  }
+  held.reset();
+  exclusive.join();
+  reader.join();
+  EXPECT_EQ(order, (std::vector<std::string>{"exclusive", "snapshot"}));
+  EXPECT_FALSE(eng->exclusive_waiting());
 }
 
 TEST(SessionManagerTest, TracksLiveSessionsWeakly) {

@@ -3,7 +3,8 @@
 // the relation's own log: after every mutation the model diffs the
 // relation's contents before and after, and records what changed as one
 // batch (deleted old entries, inserted new ones, each ordered by
-// (texp, tuple)), trims to the capacity, or breaks its history on Clear
+// (texp, tuple)), trims its oldest batches while it holds more entries
+// than the capacity (never the newest batch), or breaks its history on Clear
 // and attribute renames. The reference for each cursor is the old linear
 // filter over the model ring — every batch with epoch > since — or
 // nullopt when the cursor is older than the retained window or newer
@@ -52,7 +53,8 @@ std::map<Tuple, Timestamp> Contents(const Relation& r) {
 struct ModelRing {
   explicit ModelRing(size_t cap) : capacity(cap) {}
 
-  size_t capacity;
+  size_t capacity;  // in entries
+  size_t entries = 0;
   size_t trims = 0;
   uint64_t epoch = 0;
   uint64_t floor = 0;
@@ -79,9 +81,12 @@ struct ModelRing {
     std::sort(b.deleted.begin(), b.deleted.end(), ByTexpThenTuple);
     std::sort(b.inserted.begin(), b.inserted.end(), ByTexpThenTuple);
     b.epoch = ++epoch;
+    entries += b.deleted.size() + b.inserted.size();
     batches.push_back(std::move(b));
-    while (batches.size() > capacity) {
-      floor = batches.front().epoch;
+    while (batches.size() > 1 && entries > capacity) {
+      const Relation::DeltaBatch& oldest = batches.front();
+      entries -= oldest.deleted.size() + oldest.inserted.size();
+      floor = oldest.epoch;
       batches.pop_front();
       ++trims;
     }
@@ -89,6 +94,7 @@ struct ModelRing {
 
   void Break() {
     batches.clear();
+    entries = 0;
     floor = ++epoch;
   }
 
@@ -142,7 +148,7 @@ void ExpectEveryCursorMatches(const Relation& r, const ModelRing& model,
 }
 
 /// Runs one seeded stream of `steps` mutations against a relation with a
-/// ring of `capacity` batches; returns how many batches the ring trimmed.
+/// ring of `capacity` entries; returns how many batches the ring trimmed.
 size_t RunStream(uint64_t seed, size_t capacity, bool segmented, int steps) {
   Rng rng(seed);
   Relation r(TwoCols());
@@ -162,7 +168,7 @@ size_t RunStream(uint64_t seed, size_t capacity, bool segmented, int steps) {
 
   for (int step = 0; step < steps; ++step) {
     const auto before = Contents(r);
-    // History breaks are rare, so the 64-batch ring overflows too.
+    // History breaks are rare, so the 64-entry ring overflows too.
     const int64_t roll = rng.Bernoulli(0.01) ? rng.UniformInt(90, 99)
                                              : rng.UniformInt(0, 89);
     std::string op;

@@ -225,6 +225,51 @@ TEST(ParserTest, ParseScriptRespectsSemicolonsInStrings) {
   EXPECT_EQ(insert.rows[0][0], Value("a;b"));
 }
 
+// A script is one token stream split on ';' tokens, so a quote or a
+// semicolon inside a -- comment neither opens a string nor ends a
+// statement.
+std::vector<std::string> ScriptTables(const std::string& script) {
+  auto r = ParseScript(script);
+  EXPECT_TRUE(r.ok()) << script << " -> " << r.status().ToString();
+  std::vector<std::string> tables;
+  if (!r.ok()) return tables;
+  for (const Statement& stmt : *r) {
+    tables.push_back(std::get<SelectStatement>(stmt).from.at(0).name);
+  }
+  return tables;
+}
+
+TEST(ParserTest, ParseScriptQuoteInComment) {
+  EXPECT_EQ(ScriptTables("SELECT * FROM t; -- don't\n"
+                         "SELECT * FROM u; SELECT * FROM v"),
+            (std::vector<std::string>{"t", "u", "v"}));
+}
+
+TEST(ParserTest, ParseScriptSemicolonInComment) {
+  EXPECT_EQ(ScriptTables("SELECT * FROM t; -- a; b\nSELECT * FROM u"),
+            (std::vector<std::string>{"t", "u"}));
+}
+
+TEST(ParserTest, ParseScriptSemicolonInTrailingComment) {
+  EXPECT_EQ(ScriptTables("SELECT * FROM t -- trailing; comment\n"),
+            (std::vector<std::string>{"t"}));
+}
+
+TEST(ParserTest, ParseScriptErrors) {
+  EXPECT_EQ(ParseScript("SELECT * FROM t; DROP TABLE u v; SELECT * FROM w")
+                .status()
+                .message(),
+            "trailing input after statement: identifier 'v'");
+  EXPECT_EQ(ParseScript("SELECT * FROM t; SELECT FROM u").status().message(),
+            "expected column name, got keyword 'FROM'");
+  // A lexical error outranks a parse error before it.
+  EXPECT_EQ(ParseScript("SELECT FROM t; SELECT * FROM @").status().message(),
+            "unexpected character '@' at offset 29");
+  auto empty = ParseScript(" ;; -- nothing\n ;");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->empty());
+}
+
 TEST(ParserTest, EmptyStatementsRejected) {
   EXPECT_FALSE(ParseStatement("").ok());
   EXPECT_FALSE(ParseStatement("   ;").ok());

@@ -145,14 +145,14 @@ TEST(ResultCacheSessionTest, InsertAndDeletePatchTheCachedResult) {
   EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 2u);
 }
 
-// A DELETE is one delta batch however many rows it removes, so one wider
-// than the delta ring (kDefaultDeltaRingCapacity batches) still patches a
-// cached COUNT(*) and is delta-applied to a view. Recorded row by row, it
-// would trim the cursors' history: a history_trimmed miss and a view
-// recompute.
+// A DELETE is one delta batch however many rows it removes, and the ring
+// always keeps its newest batch, so one wider than the delta ring
+// (kDefaultDeltaRingCapacity entries) still patches a cached COUNT(*) and
+// is delta-applied to a view. Recorded row by row, it would trim the
+// cursors' history: a history_trimmed miss and a view recompute.
 TEST(ResultCacheSessionTest, DeleteWiderThanTheDeltaRingStillPatches) {
   Session s;
-  // Removes more rows than the ring holds batches, from a table twice as
+  // Removes more rows than the ring holds entries, from a table twice as
   // large.
   const int wide = static_cast<int>(Relation::kDefaultDeltaRingCapacity) + 500;
   const int n = 2 * wide;
@@ -197,6 +197,82 @@ TEST(ResultCacheSessionTest, DeleteWiderThanTheDeltaRingStillPatches) {
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), left);
   EXPECT_EQ(Metric("expdb_view_delta_applies_total") - applies0, 1u);
   EXPECT_EQ(Metric("expdb_view_delta_fallbacks_total"), fallbacks0);
+}
+
+// Likewise an INSERT is one delta batch however many rows it adds. Recorded
+// row by row, one wider than the ring would be a history_trimmed miss and
+// a view recompute.
+TEST(ResultCacheSessionTest, InsertWiderThanTheDeltaRingStillPatches) {
+  Session s;
+  MustExec(s, "CREATE TABLE t (x INT)");
+  MustExec(s, "INSERT INTO t VALUES (-2)");
+  MustExec(s, "CREATE VIEW v AS SELECT x FROM t WHERE x >= -5");
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 1u);
+  MustExec(s, "INSERT INTO t VALUES (-1)");
+  // Seeds the view's propagator.
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 2u);
+  const std::string count = "SELECT COUNT(*) FROM t";
+  MustExec(s, count);  // first sighting
+  MustExec(s, count);  // fill
+
+  const uint64_t patches0 = Metric("expdb_result_cache_patches_total");
+  const uint64_t trimmed0 =
+      Metric("expdb_result_cache_misses_history_trimmed_total");
+  const uint64_t applies0 = Metric("expdb_view_delta_applies_total");
+  const uint64_t fallbacks0 = Metric("expdb_view_delta_fallbacks_total");
+  const int wide = static_cast<int>(Relation::kDefaultDeltaRingCapacity) + 500;
+  std::string values;
+  for (int x = 0; x < wide; ++x) {
+    values += std::string(x == 0 ? "" : ", ") + "(" + std::to_string(x) + ")";
+  }
+  auto ins = MustExec(s, "INSERT INTO t VALUES " + values + " TTL 50");
+  EXPECT_NE(ins.message.find(std::to_string(wide) + " rows"),
+            std::string::npos)
+      << ins.message;
+
+  const size_t total = static_cast<size_t>(wide) + 2;
+  auto c = MustExec(s, count);
+  EXPECT_EQ(c.message, "ok (cached)");
+  ASSERT_TRUE(c.relation.has_value());
+  EXPECT_EQ(c.relation->SortedEntries().at(0).first.at(0),
+            Value(static_cast<int64_t>(total)));
+  EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 1u);
+  EXPECT_EQ(Metric("expdb_result_cache_misses_history_trimmed_total"),
+            trimmed0);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), total);
+  EXPECT_EQ(Metric("expdb_view_delta_applies_total") - applies0, 1u);
+  EXPECT_EQ(Metric("expdb_view_delta_fallbacks_total"), fallbacks0);
+}
+
+// A statement's rows share one texp, so a row repeated within it is a
+// no-op and a row already present with a lower texp is raised: the one
+// batch's deletes-then-inserts order patches both exactly.
+TEST(ResultCacheSessionTest, InsertWithDuplicatesAndRaisesPatchesExactly) {
+  Session s;
+  MustExec(s, "CREATE TABLE t (x INT)");
+  MustExec(s, "INSERT INTO t VALUES (1), (2) TTL 5");
+  MustExec(s, "INSERT INTO t VALUES (3) TTL 100");
+  const std::string sql = "SELECT x FROM t WHERE x >= 0";
+  MustExec(s, sql);  // first sighting
+  MustExec(s, sql);  // fill
+  const uint64_t patches0 = Metric("expdb_result_cache_patches_total");
+  // 1 is raised from 5 to 20, 4 arrives twice, 3 keeps its later texp.
+  MustExec(s, "INSERT INTO t VALUES (1), (4), (4), (3) TTL 20");
+  auto r = MustExec(s, sql);
+  EXPECT_EQ(r.message, "ok (cached)");
+  EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 1u);
+  ASSERT_TRUE(r.relation.has_value());
+  const auto entries = r.relation->SortedEntries();
+  ASSERT_EQ(entries.size(), 4u);
+  const Timestamp texps[] = {Timestamp(20), Timestamp(5), Timestamp(100),
+                             Timestamp(20)};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(entries[i].first, Tuple{static_cast<int64_t>(i + 1)});
+    EXPECT_EQ(entries[i].second, texps[i]) << i;
+  }
+  // The same answer as an uncached run.
+  MustExec(s, "SET result_cache_bytes = 0");
+  EXPECT_EQ(MustExec(s, sql).relation->SortedEntries(), entries);
 }
 
 // Only a recompute re-plans a view. A DELETE of most of a table is a 2x
