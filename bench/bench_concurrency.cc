@@ -10,6 +10,8 @@
 //   * WarmCacheReadScaling — the same with the shared result cache
 //     warm: reads collapse to cache lookups, so this axis measures the
 //     locking overhead itself rather than scan work.
+//   * WarmCacheReadScalingPerThreadKey — warm hits again, but each
+//     thread on its own key: no entry is shared between threads.
 //   * ReadScalingWithMaintenance — SnapshotReadScaling while the
 //     MaintenanceService takes the engine exclusively every millisecond;
 //     the delta against SnapshotReadScaling is the cost of background
@@ -99,6 +101,30 @@ void BM_WarmCacheReadScaling(benchmark::State& state) {
   state.SetLabel("warm shared result cache; lock overhead axis");
 }
 BENCHMARK(BM_WarmCacheReadScaling)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
+
+/// Warm hits with one key per thread: each thread reads its own cached
+/// statement, so no two threads share an entry's mutex. What still
+/// serializes is what every hit shares: the cache-wide lock and LRU touch
+/// and the engine and relation locks a Snapshot takes. Against
+/// BM_WarmCacheReadScaling (every thread on one key) this separates
+/// same-entry contention from the shared-path cost.
+void BM_WarmCacheReadScalingPerThreadKey(benchmark::State& state) {
+  sql::Session s(CachedEngine());
+  const std::string query =
+      "SELECT * FROM t WHERE v = " + std::to_string(3 + state.thread_index());
+  for (auto _ : state) {
+    auto r = s.Execute(query);
+    Must(r, state);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("warm shared result cache; one key per thread");
+}
+BENCHMARK(BM_WarmCacheReadScalingPerThreadKey)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -101,6 +101,23 @@ void BM_AntiJoin(benchmark::State& state) {
                                    Predicate::ColumnsEqual(0, 2)));
 }
 
+/// π over ⋈ whose projection produces duplicates (every R0 tuple that
+/// shares a key and meets the same R1 tuple projects onto one row) — the
+/// join shape of perfbench's scan_read: the max-merge kernel's case.
+void BM_ProjectOverJoin(benchmark::State& state) {
+  RunExpr(state, algebra::Project(
+                     algebra::Join(algebra::Base("R0"), algebra::Base("R1"),
+                                   Predicate::ColumnsEqual(0, 2)),
+                     {0, 3}));
+}
+
+/// φ grouped by both columns: about one group per tuple, so the group
+/// table grows with the input.
+void BM_AggregateManyGroups(benchmark::State& state) {
+  RunExpr(state, algebra::Aggregate(algebra::Base("R0"), {0, 1},
+                                    AggregateFunction::Count()));
+}
+
 void Args(benchmark::internal::Benchmark* b) {
   for (int64_t n : {1 << 10, 1 << 13, 1 << 16}) {
     b->Args({n, 0});
@@ -119,6 +136,8 @@ BENCHMARK(BM_AggregateCount)->Apply(Args);
 BENCHMARK(BM_AggregateSum)->Apply(Args);
 BENCHMARK(BM_SemiJoin)->Apply(Args);
 BENCHMARK(BM_AntiJoin)->Apply(Args);
+BENCHMARK(BM_ProjectOverJoin)->Apply(Args);
+BENCHMARK(BM_AggregateManyGroups)->Apply(Args);
 
 }  // namespace
 

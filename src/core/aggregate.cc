@@ -150,9 +150,9 @@ struct SlicedPartition {
   std::vector<std::pair<size_t, size_t>> finite_slices;
 };
 
-SlicedPartition SliceByTexp(const std::vector<PartitionEntry>& partition) {
+SlicedPartition SliceByTexp(std::span<const PartitionEntry> partition) {
   SlicedPartition out;
-  out.sorted = partition;
+  out.sorted.assign(partition.begin(), partition.end());
   std::stable_sort(out.sorted.begin(), out.sorted.end(),
                    [](const PartitionEntry& a, const PartitionEntry& b) {
                      return a.texp < b.texp;
@@ -234,7 +234,7 @@ bool SuffixValueChanges(const SuffixState& s, const AggregateFunction& f,
   return false;
 }
 
-Timestamp PartitionDeath(const std::vector<PartitionEntry>& partition) {
+Timestamp PartitionDeath(std::span<const PartitionEntry> partition) {
   Timestamp death = Timestamp::Zero();
   for (const PartitionEntry& e : partition) {
     death = Timestamp::Max(death, e.texp);
@@ -242,7 +242,7 @@ Timestamp PartitionDeath(const std::vector<PartitionEntry>& partition) {
   return death;
 }
 
-Timestamp PartitionMinTexp(const std::vector<PartitionEntry>& partition) {
+Timestamp PartitionMinTexp(std::span<const PartitionEntry> partition) {
   Timestamp m = Timestamp::Infinity();
   for (const PartitionEntry& e : partition) {
     m = Timestamp::Min(m, e.texp);
@@ -254,7 +254,7 @@ Timestamp PartitionMinTexp(const std::vector<PartitionEntry>& partition) {
 // stays correct until the last-expiring tuple holding the extremum value
 // expires; tuples with non-extremal values are neutral, as are extremum
 // holders that expire before that last one.
-Timestamp ExtremumCap(const std::vector<PartitionEntry>& partition,
+Timestamp ExtremumCap(std::span<const PartitionEntry> partition,
                       const AggregateFunction& f, const Value& value) {
   Timestamp last_holder = Timestamp::Zero();
   for (const PartitionEntry& e : partition) {
@@ -301,7 +301,7 @@ Result<Timestamp> SumAvgCap(const SlicedPartition& sliced,
 }  // namespace
 
 Result<Value> ApplyAggregate(const AggregateFunction& f,
-                             const std::vector<PartitionEntry>& partition) {
+                             std::span<const PartitionEntry> partition) {
   if (partition.empty()) {
     return Status::InvalidArgument("aggregate over empty partition");
   }
@@ -330,7 +330,7 @@ Result<Value> ApplyAggregate(const AggregateFunction& f,
 }
 
 Result<std::vector<Timestamp>> PartitionChangeTimes(
-    const std::vector<PartitionEntry>& partition,
+    std::span<const PartitionEntry> partition,
     const AggregateFunction& f) {
   SlicedPartition sliced = SliceByTexp(partition);
   EXPDB_ASSIGN_OR_RETURN(SuffixState suffixes,
@@ -387,7 +387,7 @@ bool SuffixDeviatesBeyond(const SuffixState& s, const AggregateFunction& f,
 }  // namespace
 
 Result<PartitionAnalysis> AnalyzeApproxPartition(
-    const std::vector<PartitionEntry>& partition, const AggregateFunction& f,
+    std::span<const PartitionEntry> partition, const AggregateFunction& f,
     double tolerance) {
   if (partition.empty()) {
     return Status::InvalidArgument("aggregate over empty partition");
@@ -415,7 +415,7 @@ Result<PartitionAnalysis> AnalyzeApproxPartition(
 }
 
 Result<PartitionAnalysis> AnalyzePartition(
-    const std::vector<PartitionEntry>& partition, const AggregateFunction& f,
+    std::span<const PartitionEntry> partition, const AggregateFunction& f,
     AggregateExpirationMode mode) {
   if (partition.empty()) {
     return Status::InvalidArgument("aggregate over empty partition");

@@ -30,6 +30,7 @@
 #define EXPDB_CORE_AGGREGATE_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,14 +110,14 @@ struct PartitionAnalysis {
 /// \brief Computes f(P). P must be non-empty; sum/avg require numeric
 /// attribute values.
 Result<Value> ApplyAggregate(const AggregateFunction& f,
-                             const std::vector<PartitionEntry>& partition);
+                             std::span<const PartitionEntry> partition);
 
 /// \brief Full lifetime analysis of a partition under `mode`.
 ///
 /// The partition must be non-empty and contain only tuples unexpired at
 /// the materialization time (callers partition expτ(R)).
 Result<PartitionAnalysis> AnalyzePartition(
-    const std::vector<PartitionEntry>& partition, const AggregateFunction& f,
+    std::span<const PartitionEntry> partition, const AggregateFunction& f,
     AggregateExpirationMode mode);
 
 /// \brief All instants at which the aggregate value of this partition
@@ -124,7 +125,7 @@ Result<PartitionAnalysis> AnalyzePartition(
 /// Used for Schrödinger validity intervals and for the paper's Sec. 3.4.1
 /// bound on the number of future aggregate values (at most |P|).
 Result<std::vector<Timestamp>> PartitionChangeTimes(
-    const std::vector<PartitionEntry>& partition, const AggregateFunction& f);
+    std::span<const PartitionEntry> partition, const AggregateFunction& f);
 
 /// \brief Approximate aggregate lifetimes (the paper's future-work item:
 /// "maintaining, e.g., aggregate values with certain error bounds").
@@ -136,7 +137,7 @@ Result<std::vector<Timestamp>> PartitionChangeTimes(
 /// still alive. tolerance = 0 degenerates to the exact analysis. Only
 /// numeric aggregates participate; min/max over strings ignore the bound.
 Result<PartitionAnalysis> AnalyzeApproxPartition(
-    const std::vector<PartitionEntry>& partition, const AggregateFunction& f,
+    std::span<const PartitionEntry> partition, const AggregateFunction& f,
     double tolerance);
 
 }  // namespace expdb

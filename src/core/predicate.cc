@@ -31,22 +31,42 @@ std::string Operand::ToString() const {
 
 namespace {
 
-bool ApplyComparison(const Value& a, ComparisonOp op, const Value& b) {
+/// `op` applied to a three-way result `c` of comparing a with b.
+template <typename Ordering>
+bool OrderSatisfies(Ordering c, ComparisonOp op) {
   switch (op) {
     case ComparisonOp::kEq:
-      return a == b;
+      return c == 0;
     case ComparisonOp::kNe:
-      return a != b;
+      return c != 0;
     case ComparisonOp::kLt:
-      return a < b;
+      return c < 0;
     case ComparisonOp::kLe:
-      return a <= b;
+      return c <= 0;
     case ComparisonOp::kGt:
-      return a > b;
+      return c > 0;
     case ComparisonOp::kGe:
-      return a >= b;
+      return c >= 0;
   }
   return false;
+}
+
+/// a op b under Value's total order. Two values of one numeric type take
+/// an inline path that orders them as Value::Compare does (for doubles:
+/// neither less nor greater is equal); every other pair — mixed numerics,
+/// nulls, strings — goes through Compare itself.
+bool ApplyComparison(const Value& a, ComparisonOp op, const Value& b) {
+  if (a.type() == b.type()) {
+    if (a.is_int64()) {
+      const int64_t x = a.AsInt64(), y = b.AsInt64();
+      return OrderSatisfies(x < y ? -1 : (y < x ? 1 : 0), op);
+    }
+    if (a.is_double()) {
+      const double x = a.AsDouble(), y = b.AsDouble();
+      return OrderSatisfies(x < y ? -1 : (y < x ? 1 : 0), op);
+    }
+  }
+  return OrderSatisfies(a.Compare(b), op);
 }
 
 /// c op x  ⇔  x Mirror(op) c.

@@ -499,11 +499,10 @@ size_t DeltaPropagator::MeasureBytes() const {
   constexpr size_t kNode = 48;
   // A map node holding a tuple borrowed from a child plus one texp.
   constexpr size_t kMember = kNode + sizeof(Tuple) + sizeof(Timestamp);
-  // A tuple that owns its payload (a projected key): handle, shared
-  // control block and value vector, plus the values themselves.
+  // A tuple that owns its payload (a projected key): handle and payload
+  // header, plus the values themselves.
   auto owned = [](const Tuple& t) {
-    return sizeof(Tuple) + 16 + sizeof(std::vector<Value>) +
-           TuplePayloadBytes(t);
+    return sizeof(Tuple) + Tuple::kHeaderBytes + TuplePayloadBytes(t);
   };
   // A child materialization copy: entry slots plus ~50% index headroom.
   auto mat = [](const Relation& r) {

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -136,6 +140,130 @@ bool SeedsFromChildren(PlanOp op) {
       return false;
   }
   return false;
+}
+
+/// Slot count of an open-addressing table that holds `n` keys at a load
+/// factor below 0.7: a power of two, at least 16.
+size_t TableSlots(size_t n) {
+  size_t cap = 16;
+  while (cap * 7 <= n * 10) cap <<= 1;
+  return cap;
+}
+
+/// The partition (of `parts`) a hash routes to. It reads the high half of
+/// the hash, so the tables inside one partition, which probe by its low
+/// bits, still spread their keys over every slot.
+size_t PartitionOf(size_t hash, size_t parts) {
+  return static_cast<size_t>(((hash >> 32) * parts) >> 32);
+}
+
+/// πexp/∪exp's duplicate rule (Eqs. 3–4) in one pass: entries holding
+/// equal tuples merge into the first occurrence with the max of their
+/// texps, and the survivors are compacted in first-occurrence order. The
+/// table of output positions is sized once, for all entries distinct.
+void MergeMaxInPlace(std::vector<Relation::Entry>* entries) {
+  const size_t n = entries->size();
+  if (n < 2) return;
+  assert(n < std::numeric_limits<uint32_t>::max());
+  // Slot -> 1 + output position; 0 is empty.
+  std::vector<uint32_t> slots(TableSlots(n), 0);
+  const size_t mask = slots.size() - 1;
+  Relation::Entry* e = entries->data();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    size_t s = e[i].tuple.Hash() & mask;
+    while (slots[s] != 0 && e[slots[s] - 1].tuple != e[i].tuple) {
+      s = (s + 1) & mask;
+    }
+    if (slots[s] != 0) {
+      Relation::Entry& first = e[slots[s] - 1];
+      first.texp = Timestamp::Max(first.texp, e[i].texp);
+      continue;
+    }
+    slots[s] = static_cast<uint32_t>(kept + 1);
+    if (kept != i) e[kept] = std::move(e[i]);
+    ++kept;
+  }
+  entries->erase(entries->begin() + static_cast<ptrdiff_t>(kept),
+                 entries->end());
+}
+
+/// φexp's partitioning (Eq. 7): rows grouped by equality on the grouping
+/// columns, numbered in order of first appearance. Group g's members, in
+/// input order, are members[begin[g] .. begin[g+1]).
+struct Groups {
+  std::vector<PartitionEntry> members;
+  std::vector<size_t> begin;
+
+  size_t size() const { return begin.size() - 1; }
+  std::span<const PartitionEntry> operator[](size_t g) const {
+    return {members.data() + begin[g], begin[g + 1] - begin[g]};
+  }
+};
+
+const Relation::Entry& Deref(const Relation::Entry& e) { return e; }
+const Relation::Entry& Deref(const Relation::Entry* e) { return *e; }
+
+/// Groups `rows` (entries, or pointers to them) by the columns `cols`,
+/// hashing and comparing the key columns in place (no key tuple is
+/// materialized).
+/// Group ids come from an open-addressing table that grows with the
+/// group count; consecutive rows of one group (all of them, without
+/// GROUP BY) share one lookup. The members are then gathered into one
+/// flat array by a counting pass.
+template <typename Rows>
+Groups GroupRows(const Rows& rows, const std::vector<size_t>& cols) {
+  const GroupKeyHash hash{&cols};
+  const GroupKeyEq eq{&cols};
+  const size_t n = rows.size();
+  std::vector<uint32_t> id(n);
+  // Per group: its first row's tuple, and that tuple's key hash.
+  std::vector<const Tuple*> key;
+  std::vector<size_t> key_hash;
+  // Slot -> 1 + group id; 0 is empty.
+  std::vector<uint32_t> slots(16, 0);
+  auto place = [&](size_t g) {
+    const size_t mask = slots.size() - 1;
+    size_t s = key_hash[g] & mask;
+    while (slots[s] != 0) s = (s + 1) & mask;
+    slots[s] = static_cast<uint32_t>(g + 1);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const Tuple& t = Deref(rows[i]).tuple;
+    if (i > 0 && eq(*key[id[i - 1]], t)) {
+      id[i] = id[i - 1];
+      continue;
+    }
+    const size_t h = hash(t);
+    const size_t mask = slots.size() - 1;
+    size_t s = h & mask;
+    while (slots[s] != 0 && !eq(*key[slots[s] - 1], t)) s = (s + 1) & mask;
+    if (slots[s] != 0) {
+      id[i] = slots[s] - 1;
+      continue;
+    }
+    const size_t g = key.size();
+    id[i] = static_cast<uint32_t>(g);
+    key.push_back(&t);
+    key_hash.push_back(h);
+    if ((g + 1) * 10 >= slots.size() * 7) {
+      slots.assign(slots.size() * 2, 0);
+      for (size_t k = 0; k <= g; ++k) place(k);
+    } else {
+      slots[s] = static_cast<uint32_t>(g + 1);
+    }
+  }
+  Groups out;
+  out.begin.assign(key.size() + 1, 0);
+  for (size_t i = 0; i < n; ++i) ++out.begin[id[i] + 1];
+  for (size_t g = 0; g < key.size(); ++g) out.begin[g + 1] += out.begin[g];
+  out.members.resize(n);
+  std::vector<size_t> next(out.begin.begin(), out.begin.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    const Relation::Entry& en = Deref(rows[i]);
+    out.members[next[id[i]]++] = {&en.tuple, en.texp};
+  }
+  return out;
 }
 
 /// Drives the operator scan loops: serial inline when the executor runs
@@ -281,7 +409,7 @@ class PlanExecutor {
       if (metrics && !n.const_false) {
         EvalMetricSet::Get().pruned_subtrees->Increment();
       }
-      Capture(n, nullptr, /*pruned=*/true, /*reused=*/false);
+      Capture(n, /*pruned=*/true, /*reused=*/false);
       return EmptyResult(n);
     }
 
@@ -295,7 +423,7 @@ class PlanExecutor {
           stats->rows += it->second.relation.size();
         }
         if (metrics) EvalMetricSet::Get().cse_reuses->Increment();
-        Capture(n, &it->second, /*pruned=*/false, /*reused=*/true);
+        Capture(n, /*pruned=*/false, /*reused=*/true);
         return it->second;
       }
     }
@@ -318,7 +446,7 @@ class PlanExecutor {
       if (r.ok()) stats->rows += r.value().relation.size();
     }
     if (r.ok() && n.cse_id >= 0) cse_cache_[n.cse_id] = r.value();
-    if (r.ok()) Capture(n, &r.value(), /*pruned=*/false, /*reused=*/false);
+    if (r.ok()) Capture(n, /*pruned=*/false, /*reused=*/false);
     return r;
   }
 
@@ -347,6 +475,8 @@ class PlanExecutor {
     out.helper = std::move(analysis.critical);
     out.common_count = analysis.common_count;
     out.children_texp = Timestamp::Min(l.texp, r.texp);
+    Keep(*n.left, &l);
+    Keep(*n.right, &r);
     return out;
   }
 
@@ -603,7 +733,7 @@ class PlanExecutor {
       m.per_op[static_cast<size_t>(ExprKind::kBase)]->Increment();
       m.tuples_out->Increment(live);
     }
-    Capture(scan, nullptr, /*pruned=*/false, /*reused=*/false);
+    Capture(scan, /*pruned=*/false, /*reused=*/false);
     return out;
   }
 
@@ -615,18 +745,17 @@ class PlanExecutor {
     if (IsIdentity(attrs, child.relation.arity())) {
       // Eq. (3) on a set: no two tuples project onto one, so every tuple
       // and texp passes through unchanged — only the names may differ.
-      out.relation = std::move(child.relation);
+      // The child moves into the result unless the capture keeps it.
+      if (KeepsOutput(*n.left)) {
+        out.relation = child.relation;
+      } else {
+        out.relation = std::move(child.relation);
+      }
       std::vector<std::string> names;
       for (const Attribute& a : n.schema.attributes()) {
         names.push_back(a.name);
       }
       EXPDB_RETURN_NOT_OK(out.relation.RenameAttributes(names));
-    } else if (!runner_.parallel()) {
-      out.relation = Relation(std::move(schema));
-      for (const Relation::Entry& en : child.relation.entries()) {
-        // Eq. (3): a tuple gets the max expiration time of its duplicates.
-        out.relation.MergeMaxUnchecked(en.tuple.Project(attrs), en.texp);
-      }
     } else {
       const std::vector<Relation::Entry>& in = child.relation.entries();
       std::vector<Relation::Entry> projected = runner_.Collect(
@@ -637,8 +766,11 @@ class PlanExecutor {
               outv->push_back({in[i].tuple.Project(attrs), in[i].texp});
             }
           });
-      out.relation = MergeMaxParallel(std::move(schema), {&projected});
+      // Eq. (3): a tuple gets the max expiration time of its duplicates.
+      out.relation = Relation::FromEntriesUnchecked(
+          std::move(schema), MergeMax(std::move(projected)));
     }
+    Keep(*n.left, &child);
     return Inherit(std::move(out), child);
   }
 
@@ -670,18 +802,18 @@ class PlanExecutor {
   Result<MaterializedResult> ExecUnion(const PlanNode& n) {
     EXPDB_ASSIGN_OR_RETURN(MaterializedResult l, Exec(*n.left));
     EXPDB_ASSIGN_OR_RETURN(MaterializedResult r, Exec(*n.right));
+    const std::vector<Relation::Entry>& lin = l.relation.entries();
+    const std::vector<Relation::Entry>& rin = r.relation.entries();
+    std::vector<Relation::Entry> both;
+    both.reserve(lin.size() + rin.size());
+    both.insert(both.end(), lin.begin(), lin.end());
+    both.insert(both.end(), rin.begin(), rin.end());
     MaterializedResult out;
-    if (!runner_.parallel()) {
-      out.relation = std::move(l.relation);
-      // Eq. (4): tuples in both sides get the max of the two texps.
-      for (const Relation::Entry& en : r.relation.entries()) {
-        out.relation.MergeMaxUnchecked(en.tuple, en.texp);
-      }
-    } else {
-      out.relation = MergeMaxParallel(
-          l.relation.schema(),
-          {&l.relation.entries(), &r.relation.entries()});
-    }
+    // Eq. (4): tuples in both sides get the max of the two texps.
+    out.relation = Relation::FromEntriesUnchecked(l.relation.schema(),
+                                                  MergeMax(std::move(both)));
+    Keep(*n.left, &l);
+    Keep(*n.right, &r);
     return Combine(std::move(out), l, r);
   }
 
@@ -751,6 +883,8 @@ class PlanExecutor {
     }
     MaterializedResult out;
     out.relation = Relation::FromEntriesUnchecked(joined, std::move(entries));
+    Keep(*n.left, &l);
+    Keep(*n.right, &r);
     return Combine(std::move(out), l, r);
   }
 
@@ -774,6 +908,8 @@ class PlanExecutor {
     MaterializedResult out;
     out.relation = Relation::FromEntriesUnchecked(l.relation.schema(),
                                                   std::move(entries));
+    Keep(*n.left, &l);
+    Keep(*n.right, &r);
     return Combine(std::move(out), l, r);
   }
 
@@ -803,6 +939,8 @@ class PlanExecutor {
     MaterializedResult out;
     out.relation = Relation::FromEntriesUnchecked(l.relation.schema(),
                                                   std::move(entries));
+    Keep(*n.left, &l);
+    Keep(*n.right, &r);
     return Combine(std::move(out), l, r);
   }
 
@@ -816,29 +954,6 @@ class PlanExecutor {
     const std::vector<Relation::Entry>& entries = child.relation.entries();
     const std::vector<size_t>& gb = n.expr->group_by();
 
-    // φexp (Eq. 7): partitioning by equality on the grouping attributes
-    // (SQL GROUP BY), hashing/comparing the key columns in place — no key
-    // tuple is materialized.
-    using GroupMap = std::unordered_map<const Tuple*,
-                                        std::vector<PartitionEntry>,
-                                        GroupKeyHash, GroupKeyEq>;
-    // Consecutive members of one group (all of them, without GROUP BY)
-    // share one hash lookup.
-    struct Grouper {
-      explicit Grouper(const std::vector<size_t>* cols)
-          : groups(16, GroupKeyHash{cols}, GroupKeyEq{cols}) {}
-      GroupMap groups;
-      const Tuple* run_key = nullptr;
-      std::vector<PartitionEntry>* run = nullptr;
-      void Add(const Relation::Entry& en) {
-        if (run == nullptr || !groups.key_eq()(run_key, &en.tuple)) {
-          run_key = &en.tuple;
-          run = &groups[run_key];
-        }
-        run->push_back({&en.tuple, en.texp});
-      }
-    };
-
     struct AggLocal {
       std::vector<Relation::Entry> result;
       Timestamp texp_cap = Timestamp::Infinity();
@@ -846,8 +961,11 @@ class PlanExecutor {
       std::vector<std::pair<Timestamp, Timestamp>> invalid;
       Status status = Status::OK();
     };
-    auto replay_groups = [&](const GroupMap& groups, AggLocal* local) {
-      for (const auto& [key, partition] : groups) {
+    // φexp (Eq. 7): partitioning by equality on the grouping attributes
+    // (SQL GROUP BY); see GroupRows.
+    auto replay_groups = [&](const Groups& groups, AggLocal* local) {
+      for (size_t g = 0; g < groups.size(); ++g) {
+        const std::span<const PartitionEntry> partition = groups[g];
         Result<PartitionAnalysis> analyzed =
             options_.aggregate_tolerance > 0
                 ? AnalyzeApproxPartition(partition, f,
@@ -884,42 +1002,23 @@ class PlanExecutor {
     };
 
     AggLocal total;
-    const size_t P = runner_.parallel() &&
-                             entries.size() >= 2 * runner_.min_morsel()
-                         ? runner_.workers()
-                         : 1;
+    const size_t P = Partitions(entries.size());
     if (P == 1) {
-      Grouper g(&gb);
-      for (const Relation::Entry& en : entries) g.Add(en);
-      replay_groups(g.groups, &total);
+      replay_groups(GroupRows(entries, gb), &total);
     } else {
-      // Phase 1 — scatter: P static chunks route entry pointers into
-      // per-chunk, per-partition buckets by group-key hash (chunks are
-      // independent, no synchronization).
-      std::vector<std::vector<std::vector<const Relation::Entry*>>> scat(
-          P, std::vector<std::vector<const Relation::Entry*>>(P));
-      const size_t chunk = (entries.size() + P - 1) / P;
-      runner_.RunTasks(P, [&](size_t cb, size_t ce) {
-        for (size_t c = cb; c < ce; ++c) {
-          const size_t begin = std::min(c * chunk, entries.size());
-          const size_t end = std::min(begin + chunk, entries.size());
-          for (size_t i = begin; i < end; ++i) {
-            scat[c][entries[i].tuple.HashOfColumns(gb) % P].push_back(
-                &entries[i]);
-          }
-        }
-      });
-      // Phase 2 — per-partition replay: every group lands wholly inside
-      // one partition, so partitions replay independently in parallel.
+      // Scatter entry pointers by group-key hash, so every group lands
+      // wholly inside one partition; partitions then group and replay
+      // independently in parallel.
+      auto part = [&](size_t i) {
+        return PartitionOf(entries[i].tuple.HashOfColumns(gb), P);
+      };
+      auto pointer = [&](size_t i) { return &entries[i]; };
+      auto parts = Scatter(entries.size(), part, pointer, P);
       std::mutex mu;
       runner_.RunTasks(P, [&](size_t pb, size_t pe) {
         for (size_t p = pb; p < pe; ++p) {
-          Grouper g(&gb);
-          for (size_t c = 0; c < P; ++c) {
-            for (const Relation::Entry* en : scat[c][p]) g.Add(*en);
-          }
           AggLocal local;
-          replay_groups(g.groups, &local);
+          replay_groups(GroupRows(parts[p], gb), &local);
           std::lock_guard<std::mutex> lock(mu);
           total.result.insert(total.result.end(),
                               std::make_move_iterator(local.result.begin()),
@@ -940,6 +1039,7 @@ class PlanExecutor {
     // tuple.
     out.relation = Relation::FromEntriesUnchecked(std::move(schema),
                                                   std::move(total.result));
+    Keep(*n.left, &child);
     Timestamp texp_e = Timestamp::Min(child.texp, total.texp_cap);
     out.texp = texp_e;
     if (options_.compute_validity) {
@@ -958,77 +1058,68 @@ class PlanExecutor {
     return out;
   }
 
-  /// Hash-partitioned parallel max-merge (πexp/∪exp duplicate rule): the
-  /// concatenated sources are scattered by tuple hash into one partition
-  /// per worker, each partition merges its tuples independently, and the
-  /// disjoint partition results concatenate into the output relation.
-  Relation MergeMaxParallel(
-      Schema schema,
-      std::vector<const std::vector<Relation::Entry>*> sources) const {
-    size_t total = 0;
-    for (const auto* s : sources) total += s->size();
-    const size_t P = runner_.workers();
+  /// How many hash partitions a partitioned operator (π, ∪, φ) splits
+  /// `n` input rows into: one per worker when parallel and the input is
+  /// large enough to share, else one.
+  size_t Partitions(size_t n) const {
+    if (!runner_.parallel() || n < 2 * runner_.min_morsel()) return 1;
+    return runner_.workers();
+  }
 
-    auto at = [&](size_t g) -> const Relation::Entry& {
-      for (const auto* s : sources) {
-        if (g < s->size()) return (*s)[g];
-        g -= s->size();
-      }
-      // Unreachable for g < total.
-      return sources.back()->back();
-    };
-
-    // Phase 1 — scatter by hash % P from P static chunks.
-    std::vector<std::vector<std::vector<const Relation::Entry*>>> scat(
-        P, std::vector<std::vector<const Relation::Entry*>>(P));
-    const size_t chunk = (total + P - 1) / P;
-    runner_.RunTasks(P, [&](size_t cb, size_t ce) {
+  /// Routes rows [0, n) into `parts` partitions: row i goes, as
+  /// `item(i)`, to partition `part(i)`. P static chunks scatter in
+  /// parallel; each partition then keeps its rows in chunk order.
+  template <typename Part, typename Item,
+            typename T = std::invoke_result_t<const Item&, size_t>>
+  std::vector<std::vector<T>> Scatter(size_t n, const Part& part,
+                                      const Item& item, size_t parts) const {
+    std::vector<std::vector<std::vector<T>>> scat(
+        parts, std::vector<std::vector<T>>(parts));
+    const size_t chunk = (n + parts - 1) / parts;
+    runner_.RunTasks(parts, [&](size_t cb, size_t ce) {
       for (size_t c = cb; c < ce; ++c) {
-        const size_t begin = std::min(c * chunk, total);
-        const size_t end = std::min(begin + chunk, total);
-        for (size_t g = begin; g < end; ++g) {
-          const Relation::Entry& en = at(g);
-          scat[c][en.tuple.Hash() % P].push_back(&en);
+        const size_t begin = std::min(c * chunk, n);
+        const size_t end = std::min(begin + chunk, n);
+        for (size_t i = begin; i < end; ++i) {
+          scat[c][part(i)].push_back(item(i));
         }
       }
     });
-
-    // Phase 2 — per-partition merge under the max rule. Equal tuples
-    // always hash to the same partition, so partitions are disjoint.
-    struct PtrHash {
-      size_t operator()(const Tuple* t) const { return t->Hash(); }
-    };
-    struct PtrEq {
-      bool operator()(const Tuple* a, const Tuple* b) const {
-        return *a == *b;
-      }
-    };
-    std::vector<std::vector<Relation::Entry>> parts(P);
-    runner_.RunTasks(P, [&](size_t pb, size_t pe) {
+    std::vector<std::vector<T>> out(parts);
+    runner_.RunTasks(parts, [&](size_t pb, size_t pe) {
       for (size_t p = pb; p < pe; ++p) {
-        std::unordered_map<const Tuple*, Timestamp, PtrHash, PtrEq> merged;
-        for (size_t c = 0; c < P; ++c) {
-          for (const Relation::Entry* en : scat[c][p]) {
-            auto [it, inserted] = merged.try_emplace(&en->tuple, en->texp);
-            if (!inserted) {
-              it->second = Timestamp::Max(it->second, en->texp);
-            }
-          }
-        }
-        parts[p].reserve(merged.size());
-        for (const auto& [tuple, texp] : merged) {
-          parts[p].push_back({*tuple, texp});
+        for (std::vector<std::vector<T>>& from : scat) {
+          out[p].insert(out[p].end(), std::make_move_iterator(from[p].begin()),
+                        std::make_move_iterator(from[p].end()));
         }
       }
     });
+    return out;
+  }
 
+  /// The max-merge of πexp/∪exp (Eqs. 3–4) over `in`: MergeMaxInPlace on
+  /// the whole input, or, with several partitions, on each tuple-hash
+  /// partition in parallel. Equal tuples share a partition, so the
+  /// merged partitions are disjoint and simply concatenate.
+  std::vector<Relation::Entry> MergeMax(std::vector<Relation::Entry> in) const {
+    const size_t P = Partitions(in.size());
+    if (P == 1) {
+      MergeMaxInPlace(&in);
+      return in;
+    }
+    auto part = [&](size_t i) { return PartitionOf(in[i].tuple.Hash(), P); };
+    auto take = [&](size_t i) { return std::move(in[i]); };
+    auto parts = Scatter(in.size(), part, take, P);
+    runner_.RunTasks(P, [&](size_t pb, size_t pe) {
+      for (size_t p = pb; p < pe; ++p) MergeMaxInPlace(&parts[p]);
+    });
     std::vector<Relation::Entry> out;
-    out.reserve(total);
+    out.reserve(in.size());
     for (std::vector<Relation::Entry>& part : parts) {
       out.insert(out.end(), std::make_move_iterator(part.begin()),
                  std::make_move_iterator(part.end()));
     }
-    return Relation::FromEntriesUnchecked(std::move(schema), std::move(out));
+    return out;
   }
 
   // --- texp(e) / validity composition helpers -----------------------------
@@ -1064,15 +1155,27 @@ class PlanExecutor {
     return out;
   }
 
-  /// Records `n` in the capture: always its flags, and its output only
-  /// when a stateful parent seeds from it (see NodeCapture).
-  void Capture(const PlanNode& n, const MaterializedResult* result,
-               bool pruned, bool reused) {
+  /// Records `n`'s flags in the capture. Its output, when a stateful
+  /// parent seeds from it, arrives later through Keep.
+  void Capture(const PlanNode& n, bool pruned, bool reused) {
     if (capture_ == nullptr) return;
     NodeCapture::Entry& e = capture_->nodes[n.id];
     e.pruned = pruned;
     e.reused = reused;
-    if (result != nullptr && seed_inputs_[n.id]) e.relation = result->relation;
+  }
+
+  /// Whether the capture keeps `child`'s output (see NodeCapture).
+  bool KeepsOutput(const PlanNode& child) const {
+    return capture_ != nullptr && seed_inputs_[child.id];
+  }
+
+  /// Called by a stateful parent once it has built its own output from
+  /// `child`'s: moves that output into the capture, which then owns it.
+  /// A pruned child keeps none (its output is empty).
+  void Keep(const PlanNode& child, MaterializedResult* result) {
+    if (!KeepsOutput(child)) return;
+    NodeCapture::Entry& e = capture_->nodes[child.id];
+    if (!e.pruned) e.relation = std::move(result->relation);
   }
 
   void MarkSeedInputs(const PlanNode& n) {

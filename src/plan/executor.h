@@ -66,10 +66,13 @@ bool LivesLonger(const Tuple& a, Timestamp xa, const Tuple& b, Timestamp xb);
 /// project, union, intersect, difference, join, semi-join, aggregate —
 /// keep their output relation, because only those seed propagator state;
 /// every other entry, a scan fused into its filter included, carries the
-/// flags alone. Children of a pruned/const-false node and of a
-/// common-subtree shadow occurrence never execute, so they have no
-/// entries; DeltaPropagator reconstructs them (empty results under a
-/// pruned ancestor, the primary occurrence's state for shadows).
+/// flags alone. A kept output is not a copy: the stateful parent moves its
+/// child's output in once it has built its own from it. Only an identity
+/// projection, whose result is its child's output, copies it. Children of
+/// a pruned/const-false node and of a common-subtree shadow occurrence
+/// never execute, so they have no entries; DeltaPropagator reconstructs
+/// them (empty results under a pruned ancestor, the primary occurrence's
+/// state for shadows).
 struct NodeCapture {
   struct Entry {
     /// The node's output; absent when no stateful parent reads it or the
@@ -87,8 +90,8 @@ struct NodeCapture {
 /// mode, validity) — usually the ones the plan was annotated with, but a
 /// cached plan may be executed under different settings. When `profile`
 /// is non-null it is resized to the plan and filled with per-node stats.
-/// When `capture` is non-null every executed node is recorded in it, with
-/// a copy of the outputs incremental maintenance seeds from (see
+/// When `capture` is non-null every executed node is recorded in it, and
+/// the outputs incremental maintenance seeds from move into it (see
 /// NodeCapture).
 Result<MaterializedResult> ExecutePlan(const PhysicalPlan& plan,
                                        const Database& db, Timestamp tau,

@@ -258,12 +258,12 @@ void Relation::DropSegment(Segment* seg) {
   assert(false && "DropSegment: segment not in directory");
 }
 
-void Relation::WidenColumnBounds(Segment* seg, const std::vector<Value>& lo,
-                                 const std::vector<Value>& hi) {
+void Relation::WidenColumnBounds(Segment* seg, std::span<const Value> lo,
+                                 std::span<const Value> hi) {
   if (!seg->cols_known) return;
   if (seg->col_lo.empty()) {
-    seg->col_lo = lo;
-    seg->col_hi = hi;
+    seg->col_lo.assign(lo.begin(), lo.end());
+    seg->col_hi.assign(hi.begin(), hi.end());
     return;
   }
   if (lo.size() != seg->col_lo.size()) {
@@ -595,7 +595,7 @@ Status Relation::CheckAndCoerce(Tuple* tuple) const {
     if (v.type() == want) continue;
     if (want == ValueType::kDouble && v.is_int64()) {
       if (!needs_rebuild) {
-        coerced = tuple->values();
+        coerced.assign(tuple->values().begin(), tuple->values().end());
         needs_rebuild = true;
       }
       coerced[i] = Value(static_cast<double>(v.AsInt64()));

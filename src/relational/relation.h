@@ -62,6 +62,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -571,8 +572,8 @@ class Relation {
   /// Widens `seg`'s column bounds to cover [lo, hi] column-wise (a tuple's
   /// values for both when one entry arrives); makes them unknown when a
   /// column would mix Int64 and Double values.
-  static void WidenColumnBounds(Segment* seg, const std::vector<Value>& lo,
-                                const std::vector<Value>& hi);
+  static void WidenColumnBounds(Segment* seg, std::span<const Value> lo,
+                                std::span<const Value> hi);
   /// Marks `seg`'s column bounds unknown for the rest of its life.
   static void ForgetColumnBounds(Segment* seg);
   /// Adds (tuple, texp) at the end of `seg`, widening both its bounds;

@@ -1,6 +1,7 @@
 #include "relational/tuple.h"
 
 #include <cassert>
+#include <new>
 
 #include "common/str_util.h"
 
@@ -13,81 +14,95 @@ size_t HashCombine(size_t seed, size_t h) {
   return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-constexpr size_t kHashSeed = 0x5bd1e9955bd1e995ULL;
-
 }  // namespace
 
-Tuple::Tuple() : hash_(kHashSeed) {}
+template <typename Init>
+Tuple Tuple::Build(size_t n, const Init& init) {
+  Tuple out;
+  if (n == 0) return out;
+  void* block = ::operator new(sizeof(Rep) + n * sizeof(Value));
+  Rep* rep = ::new (block) Rep{1, static_cast<uint32_t>(n)};
+  Value* data = rep->data();
+  size_t built = 0;
+  try {
+    for (; built < n; ++built) init(data + built, built);
+  } catch (...) {
+    Free(rep, built);
+    throw;
+  }
+  size_t seed = kEmptyHash;
+  for (size_t i = 0; i < n; ++i) seed = HashCombine(seed, data[i].Hash());
+  out.rep_ = rep;
+  out.hash_ = seed;
+  return out;
+}
+
+void Tuple::Free(Rep* rep, size_t n) {
+  Value* data = rep->data();
+  for (size_t i = 0; i < n; ++i) data[i].~Value();
+  rep->~Rep();
+  ::operator delete(rep);
+}
 
 Tuple::Tuple(std::vector<Value> values)
-    : values_(values.empty()
-                  ? nullptr
-                  : std::make_shared<const std::vector<Value>>(
-                        std::move(values))),
-      hash_(HashValues(this->values())) {}
+    : Tuple(Build(values.size(), [&](Value* slot, size_t i) {
+        ::new (slot) Value(std::move(values[i]));
+      })) {}
 
 Tuple::Tuple(std::initializer_list<Value> values)
-    : Tuple(std::vector<Value>(values)) {}
-
-const std::vector<Value>& Tuple::EmptyValues() {
-  static const std::vector<Value> empty;
-  return empty;
-}
-
-size_t Tuple::HashValues(const std::vector<Value>& values) {
-  size_t seed = kHashSeed;
-  for (const Value& v : values) seed = HashCombine(seed, v.Hash());
-  return seed;
-}
+    : Tuple(Build(values.size(), [&](Value* slot, size_t i) {
+        ::new (slot) Value(values.begin()[i]);
+      })) {}
 
 size_t Tuple::HashOfColumns(const std::vector<size_t>& indices) const {
-  const std::vector<Value>& vals = values();
-  size_t seed = kHashSeed;
+  size_t seed = kEmptyHash;
   for (size_t i : indices) {
-    assert(i < vals.size());
-    seed = HashCombine(seed, vals[i].Hash());
+    assert(i < arity());
+    seed = HashCombine(seed, at(i).Hash());
   }
   return seed;
 }
 
 Tuple Tuple::Concat(const Tuple& other) const {
-  std::vector<Value> vals = values();
-  vals.insert(vals.end(), other.values().begin(), other.values().end());
-  return Tuple(std::move(vals));
+  const size_t n = arity();
+  return Build(n + other.arity(), [&](Value* slot, size_t i) {
+    ::new (slot) Value(i < n ? at(i) : other.at(i - n));
+  });
 }
 
 Tuple Tuple::Project(const std::vector<size_t>& indices) const {
-  const std::vector<Value>& in = values();
-  std::vector<Value> vals;
-  vals.reserve(indices.size());
-  for (size_t i : indices) {
-    assert(i < in.size());
-    vals.push_back(in[i]);
-  }
-  return Tuple(std::move(vals));
+  return Build(indices.size(), [&](Value* slot, size_t i) {
+    assert(indices[i] < arity());
+    ::new (slot) Value(at(indices[i]));
+  });
 }
 
 Tuple Tuple::Prefix(size_t n) const {
-  const std::vector<Value>& in = values();
-  assert(n <= in.size());
-  return Tuple(std::vector<Value>(in.begin(), in.begin() + n));
+  assert(n <= arity());
+  return Build(n, [&](Value* slot, size_t i) { ::new (slot) Value(at(i)); });
 }
 
 Tuple Tuple::Suffix(size_t from) const {
-  const std::vector<Value>& in = values();
-  assert(from <= in.size());
-  return Tuple(std::vector<Value>(in.begin() + from, in.end()));
+  assert(from <= arity());
+  return Build(arity() - from, [&](Value* slot, size_t i) {
+    ::new (slot) Value(at(from + i));
+  });
 }
 
 Tuple Tuple::Append(Value v) const {
-  std::vector<Value> vals = values();
-  vals.push_back(std::move(v));
-  return Tuple(std::move(vals));
+  const size_t n = arity();
+  return Build(n + 1, [&](Value* slot, size_t i) {
+    if (i < n) {
+      ::new (slot) Value(at(i));
+    } else {
+      ::new (slot) Value(std::move(v));
+    }
+  });
 }
 
 bool Tuple::operator<(const Tuple& other) const {
-  const std::vector<Value>& a = values();
-  const std::vector<Value>& b = other.values();
+  const std::span<const Value> a = values();
+  const std::span<const Value> b = other.values();
   const size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
     auto cmp = a[i].Compare(b[i]);

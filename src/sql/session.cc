@@ -357,8 +357,8 @@ Result<ExecResult> Session::ExecutePlannedSelect(
   }
   EXPDB_ASSIGN_OR_RETURN(plan::PhysicalPlanPtr bound,
                          plan::InstantiatePlan(prepared.plan, args));
-  // Capturing copies every node's output; pay for it only when the filled
-  // entry could actually be delta-patched later.
+  // Capturing keeps the outputs that seed delta maintenance; pay for it
+  // only when the filled entry could actually be delta-patched later.
   plan::NodeCapture capture;
   plan::NodeCapture* capture_ptr =
       result_cache.enabled() && plan::PlanSupportsDelta(*bound, eval_options_)

@@ -175,13 +175,98 @@ TEST(DifferentialEvalFixedTest, SegmentFilterScansAndSplitJoins) {
   }
 }
 
+// Fixed inputs for the max-merge (π, ∪: Eqs. 3–4) and group-by (φ:
+// Eq. 7) kernels. R and S draw every column from a domain of 3, so
+// projections and unions collide on most rows; G has 1 200 groups, so
+// the group table grows many times over. Serial and 4-worker execution
+// must both match the reference, rows and per-tuple texps, and agree on
+// texp(e).
+TEST(DifferentialEvalFixedTest, MaxMergeAndGroupKernels) {
+  Database db;
+  const Schema three({{"a", ValueType::kInt64},
+                      {"b", ValueType::kInt64},
+                      {"c", ValueType::kInt64}});
+  for (const char* name : {"R", "S"}) {
+    Relation* rel = db.CreateRelation(name, three).value();
+    const int64_t shift = name[0] == 'R' ? 0 : 1;
+    for (int64_t i = 0; i < 27; ++i) {
+      const Timestamp texp = (i + shift) % 5 == 0
+                                 ? Timestamp::Infinity()
+                                 : Timestamp(1 + (7 * i + shift) % 23);
+      ASSERT_TRUE(
+          rel->Insert(Tuple{(i + shift) % 3, (i / 3) % 3, (i / 9) % 3}, texp)
+              .ok());
+    }
+  }
+  Relation* g = db.CreateRelation("G", Schema({{"g", ValueType::kInt64},
+                                               {"v", ValueType::kInt64}}))
+                    .value();
+  for (int64_t i = 0; i < 1500; ++i) {
+    const Timestamp texp =
+        i % 9 == 0 ? Timestamp::Infinity() : Timestamp(1 + i % 29);
+    ASSERT_TRUE(g->Insert(Tuple{i % 1200, i % 7}, texp).ok());
+  }
+
+  using namespace algebra;  // NOLINT
+  const std::vector<ExpressionPtr> cases = {
+      Project(Base("R"), {0}),
+      Project(Base("R"), {2, 1}),
+      Union(Base("R"), Base("S")),
+      Project(Union(Base("R"), Base("S")), {1}),
+      Union(Project(Base("R"), {0, 1}), Project(Base("S"), {1, 2})),
+      Aggregate(Base("R"), {0, 1}, AggregateFunction::Min(2)),
+      Aggregate(Base("G"), {0}, AggregateFunction::Count()),
+      Aggregate(Base("G"), {0}, AggregateFunction::Sum(1)),
+      Aggregate(Base("G"), {}, AggregateFunction::Count()),
+      // Per-group: one row per group, the longest-lived member's.
+      Project(Aggregate(Base("G"), {0}, AggregateFunction::Max(1)), {0, 2}),
+      Project(Aggregate(Base("G"), {1}, AggregateFunction::Count()), {0, 2}),
+  };
+
+  EvalOptions serial;
+  serial.aggregate_mode = AggregateExpirationMode::kConservative;
+  EvalOptions parallel = serial;
+  parallel.parallelism = 4;
+  parallel.parallel_min_morsel = 4;
+  for (const ExpressionPtr& e : cases) {
+    for (int64_t t : {0, 6, 13, 25}) {
+      const Timestamp tau(t);
+      auto reference = testing::ReferenceEval(e, db, tau);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      auto one = Evaluate(e, db, tau, serial);
+      auto four = Evaluate(e, db, tau, parallel);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      ASSERT_TRUE(four.ok()) << four.status().ToString();
+      for (const MaterializedResult* got : {&*one, &*four}) {
+        EXPECT_TRUE(Relation::EqualAt(got->relation, *reference, tau))
+            << "t=" << t << " " << e->ToString()
+            << "\n  production: " << got->relation.ToString()
+            << "\n  reference:  " << reference->ToString();
+        EXPECT_EQ(got->relation.CountUnexpiredAt(tau),
+                  reference->CountUnexpiredAt(tau))
+            << e->ToString();
+      }
+      EXPECT_EQ(one->relation.size(), four->relation.size()) << e->ToString();
+      EXPECT_TRUE(Relation::EqualAt(one->relation, four->relation, tau))
+          << "t=" << t << " " << e->ToString();
+      EXPECT_EQ(one->texp, four->texp) << "t=" << t << " " << e->ToString();
+    }
+  }
+  // The collisions the kernels exist for did happen.
+  auto projected = Evaluate(Project(Base("R"), {0}), db, Timestamp(0), serial);
+  ASSERT_TRUE(projected.ok());
+  EXPECT_EQ(projected->relation.size(), 3u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DifferentialEvalTest,
     ::testing::Values(Config{901, 25, 3, 4}, Config{902, 25, 4, 4},
                       Config{903, 40, 4, 6}, Config{904, 40, 5, 3},
                       Config{905, 15, 5, 2}, Config{906, 60, 3, 8},
                       Config{907, 30, 4, 5}, Config{908, 50, 4, 10},
-                      Config{909, 20, 6, 3}, Config{910, 35, 5, 5}),
+                      Config{909, 20, 6, 3}, Config{910, 35, 5, 5},
+                      // A domain of 3: π and ∪ collide on most rows.
+                      Config{911, 60, 4, 3}, Config{912, 90, 3, 3}),
     [](const ::testing::TestParamInfo<Config>& info) {
       return "seed" + std::to_string(info.param.seed);
     });

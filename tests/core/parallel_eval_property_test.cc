@@ -185,7 +185,11 @@ INSTANTIATE_TEST_SUITE_P(
         Config{108, 250, 3, 12, AggregateExpirationMode::kConservative,
                true},
         Config{109, 500, 2, 25, AggregateExpirationMode::kExact, false},
-        Config{110, 90, 4, 5, AggregateExpirationMode::kExact, true}),
+        Config{110, 90, 4, 5, AggregateExpirationMode::kExact, true},
+        // A domain of 3: π and ∪ collide on most rows.
+        Config{111, 300, 3, 3, AggregateExpirationMode::kExact, false},
+        Config{112, 300, 4, 3, AggregateExpirationMode::kConservative,
+               true}),
     [](const ::testing::TestParamInfo<Config>& info) {
       return "seed" + std::to_string(info.param.seed) + "_" +
              std::string(AggregateExpirationModeToString(info.param.mode)

@@ -1,7 +1,9 @@
 #include "core/predicate.h"
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -363,6 +365,55 @@ TEST(PredicateMayMatchTest, NestedPredicatesAreSound) {
         << lo[1] << ", " << hi[1] << "]";
   }
   EXPECT_GT(skipped, 200u);
+}
+
+
+TEST(PredicateTest, EveryComparisonFollowsValueCompare) {
+  // Same-type numbers are compared inline; every other pair goes through
+  // Value::Compare. Both routes must agree with Compare for every
+  // operator: nulls, mixed int/double (beyond 2^53 too), signed zeros and
+  // strings included.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const std::vector<Value> values = {
+      Value(),        Value(int64_t{-3}), Value(int64_t{0}),
+      Value(int64_t{7}), Value(big),      Value(INT64_MIN),
+      Value(INT64_MAX), Value(-3.0),      Value(-0.0),
+      Value(0.0),     Value(6.5),         Value(7.0),
+      Value(static_cast<double>(big)),    Value(""),
+      Value("7"),     Value("abc")};
+  const ComparisonOp ops[] = {ComparisonOp::kEq, ComparisonOp::kNe,
+                              ComparisonOp::kLt, ComparisonOp::kLe,
+                              ComparisonOp::kGt, ComparisonOp::kGe};
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      const std::strong_ordering c = a.Compare(b);
+      const Tuple row{a, b};
+      for (ComparisonOp op : ops) {
+        bool want = false;
+        switch (op) {
+          case ComparisonOp::kEq: want = c == 0; break;
+          case ComparisonOp::kNe: want = c != 0; break;
+          case ComparisonOp::kLt: want = c < 0; break;
+          case ComparisonOp::kLe: want = c <= 0; break;
+          case ComparisonOp::kGt: want = c > 0; break;
+          case ComparisonOp::kGe: want = c >= 0; break;
+        }
+        const std::string context = a.ToString() + " " +
+                                    std::string(ComparisonOpToString(op)) +
+                                    " " + b.ToString();
+        EXPECT_EQ(Predicate::Compare(Operand::Column(0), op,
+                                     Operand::Column(1))
+                      .Evaluate(row),
+                  want)
+            << context;
+        EXPECT_EQ(Predicate::Compare(Operand::Column(0), op,
+                                     Operand::Constant(b))
+                      .Evaluate(row),
+                  want)
+            << context;
+      }
+    }
+  }
 }
 
 }  // namespace
