@@ -110,14 +110,18 @@ DifferenceAnalysis AnalyzeDifference(const Relation& left,
 size_t ApplyDifferencePatches(const std::vector<DifferencePatchEntry>& helper,
                               size_t* cursor, Timestamp now,
                               Relation* result) {
-  size_t applied = 0;
+  std::vector<Relation::Entry> replaced;
+  std::vector<Relation::Entry> inserted;
   while (*cursor < helper.size() && helper[*cursor].appears_at <= now) {
     const DifferencePatchEntry& entry = helper[(*cursor)++];
-    if (entry.expires_at > now) {
-      result->InsertUnchecked(entry.tuple, entry.expires_at);
-      ++applied;
+    if (entry.expires_at <= now) continue;
+    if (auto old = result->GetTexp(entry.tuple)) {
+      replaced.push_back({entry.tuple, *old});
     }
+    inserted.push_back({entry.tuple, entry.expires_at});
   }
+  const size_t applied = inserted.size();
+  result->ApplyChange(std::move(replaced), std::move(inserted));
   return applied;
 }
 

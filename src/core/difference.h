@@ -85,7 +85,8 @@ DifferenceAnalysis AnalyzeDifference(const Relation& left,
 /// each one still alive at `now` into `result`, expiring at texp_R(t).
 /// At texp_S(t) the helper tuple expires from S and belongs in the
 /// difference; one already past texp_R(t) would be invisible, so it is
-/// skipped. \return the number of tuples inserted.
+/// skipped. The insertions are one change (Relation::ApplyChange).
+/// \return the number of tuples inserted.
 size_t ApplyDifferencePatches(const std::vector<DifferencePatchEntry>& helper,
                               size_t* cursor, Timestamp now, Relation* result);
 

@@ -75,14 +75,27 @@ int Engine::http_port() const {
 Engine::Snapshot Engine::OpenSnapshot(const std::set<std::string>& relations) {
   Snapshot snap;
   snap.engine_lock_ = LockShared();
-  // std::set iterates in sorted order — every snapshot acquires relation
-  // locks in the same global order, so snapshots can never deadlock each
-  // other or a writer (writers take exactly one relation lock).
-  snap.relation_locks_.reserve(relations.size());
+  // A view is read through its bases: their locks join the named tables'.
+  std::set<std::string> tables;
   for (const std::string& name : relations) {
+    if (const Database::View* view = db().FindView(name)) {
+      if (snap.views_.empty()) tables = relations;
+      tables.insert(view->bases.begin(), view->bases.end());
+      snap.views_.push_back(name);
+    }
+  }
+  const std::set<std::string>& locked =
+      snap.views_.empty() ? relations : tables;
+  // std::set iterates in sorted order: every snapshot takes table locks,
+  // then view locks, in one global order (docs/CONCURRENCY.md).
+  snap.relation_locks_.reserve(locked.size());
+  for (const std::string& name : locked) {
     if (std::shared_mutex* mu = db().relation_lock(name)) {
       snap.relation_locks_.emplace_back(*mu);
     }
+  }
+  for (const std::string& name : snap.views_) {
+    snap.view_locks_.emplace_back(db().FindView(name)->lock);
   }
   snapshots_.Increment();
   return snap;

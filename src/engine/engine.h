@@ -8,14 +8,14 @@
 //
 // Concurrency scheme (reader/writer locking):
 //
-//   readers   Snapshot        engine shared + per-relation shared locks
-//                             (sorted)
-//   DML       WriteGuard      engine shared + one relation exclusive lock
+//   readers   Snapshot        engine shared + per-table shared locks
+//                             (sorted) + per-view locks (sorted)
+//   DML       WriteGuard      engine shared + one table exclusive lock
 //   DDL etc.  ExclusiveGuard  engine exclusive (CREATE/DROP, ADVANCE
-//                             TIME, view reads, maintenance passes)
+//                             TIME, maintenance passes)
 //
-// Each relation's lock lives in its Database catalog entry. CREATE and
-// DROP run under the engine's exclusive lock, so no relation guard is
+// Each table's and each view's lock lives in its Database catalog entry.
+// CREATE and DROP run under the engine's exclusive lock, so no guard is
 // alive across them.
 //
 // The engine lock bounds how long shared holders can starve its
@@ -25,10 +25,11 @@
 // overlapping shared holders starve it indefinitely). No thread may take
 // the engine's shared lock twice.
 //
-// Lock order: engine lock -> relation locks (sorted by name) ->
-// component-internal leaf mutexes (ViewManager, caches, expiration
-// triggers, prepared registry). Writers hold at most one relation lock,
-// so the scheme is deadlock-free by construction.
+// Lock order: engine lock -> table locks (sorted by name) -> view locks
+// (sorted by name) -> component-internal leaf mutexes (ViewManager,
+// caches, expiration triggers, prepared registry). Writers hold at most
+// one table lock and no view lock, so the scheme is deadlock-free by
+// construction.
 
 #ifndef EXPDB_ENGINE_ENGINE_H_
 #define EXPDB_ENGINE_ENGINE_H_
@@ -120,20 +121,26 @@ class Engine {
   // --- locking primitives ---------------------------------------------
 
   /// \brief A consistent read view: the engine's shared lock plus the
-  /// shared locks of every named relation (acquired in sorted order).
-  /// While a Snapshot is held no writer can mutate the covered relations
-  /// and no exclusive operation (DDL, ADVANCE TIME, maintenance) can run
-  /// at all.
+  /// shared locks of every named table and of every table a named view
+  /// reads (acquired in sorted order), then each named view's lock
+  /// (sorted). While a Snapshot is held no writer can mutate the covered
+  /// tables, no other reader can refresh the covered views, and no
+  /// exclusive operation (DDL, ADVANCE TIME, maintenance) can run at all.
   class Snapshot {
    public:
     Snapshot() = default;
     Snapshot(Snapshot&&) = default;
     Snapshot& operator=(Snapshot&&) = default;
 
+    /// The named views it locked, sorted.
+    const std::vector<std::string>& views() const { return views_; }
+
    private:
     friend class Engine;
     std::shared_lock<std::shared_mutex> engine_lock_;
     std::vector<std::shared_lock<std::shared_mutex>> relation_locks_;
+    std::vector<std::string> views_;
+    std::vector<std::unique_lock<std::mutex>> view_locks_;
   };
 
   /// \brief A DML write ticket: the engine's shared lock plus one
@@ -151,7 +158,7 @@ class Engine {
   };
 
   /// \brief The engine's exclusive lock: total isolation. DDL, ADVANCE
-  /// TIME, view reads/maintenance, and background passes run under it.
+  /// TIME and background passes run under it.
   class ExclusiveGuard {
    public:
     ExclusiveGuard() = default;
@@ -163,12 +170,12 @@ class Engine {
     std::unique_lock<std::shared_mutex> engine_lock_;
   };
 
-  /// \brief Opens a read snapshot over `relations`. Names not in the
-  /// catalog are skipped: the engine's shared lock already keeps a
-  /// CREATE of that name out while the snapshot reads.
+  /// \brief Opens a read snapshot over `relations`, tables and views.
+  /// Names not in the catalog are skipped: the engine's shared lock
+  /// already keeps a CREATE of that name out while the snapshot reads.
   Snapshot OpenSnapshot(const std::set<std::string>& relations);
 
-  /// \brief Snapshot over every relation currently in the catalog.
+  /// \brief Snapshot over every table currently in the catalog.
   Snapshot OpenSnapshotAll();
 
   /// \brief Takes the write locks for one relation (only the engine's
@@ -197,8 +204,8 @@ class Engine {
   size_t prepared_count() const;
 
   /// \brief The named view's SQL output column names, or nullopt for
-  /// an unknown view or one created without them. Caller holds the
-  /// engine's exclusive lock (view bodies are read under it).
+  /// an unknown view or one created without them. The names are fixed
+  /// at CREATE VIEW; the caller holds any engine lock to keep DROP out.
   std::optional<std::vector<std::string>> GetViewColumns(
       const std::string& view) const;
 

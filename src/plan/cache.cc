@@ -222,30 +222,30 @@ size_t EstimateResultBytes(const Relation& relation) {
 
 ResultCache::ResultCache() {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  hits_total_ = reg.GetCounter(
+  hits_.SetParent(reg.GetCounter(
       "expdb_result_cache_hits_total",
-      "Statements served from the expiration-stamped result cache");
-  misses_total_ = reg.GetCounter("expdb_result_cache_misses_total",
-                                 "Result-cache lookups that fell through to "
-                                 "execution");
+      "Statements served from the expiration-stamped result cache"));
+  misses_.SetParent(reg.GetCounter("expdb_result_cache_misses_total",
+                                   "Result-cache lookups that fell through "
+                                   "to execution"));
   for (size_t r = 0; r < kMissReasons; ++r) {
     const std::string name = MissReasonName(static_cast<MissReason>(r));
     const std::string metric = "expdb_result_cache_misses_" + name + "_total";
     const std::string help = "Result-cache misses for reason " + name;
-    miss_reason_totals_[r] = reg.GetCounter(metric, help);
+    miss_reasons_[r].SetParent(reg.GetCounter(metric, help));
   }
-  patches_total_ = reg.GetCounter(
+  patches_.SetParent(reg.GetCounter(
       "expdb_result_cache_patches_total",
-      "Result-cache hits served after delta patching the entry");
-  evictions_total_ = reg.GetCounter("expdb_result_cache_evictions_total",
-                                    "Result-cache entries evicted by the "
-                                    "LRU byte budget");
-  admissions_total_ = reg.GetCounter(
+      "Result-cache hits served after delta patching the entry"));
+  evictions_.SetParent(reg.GetCounter("expdb_result_cache_evictions_total",
+                                      "Result-cache entries evicted by the "
+                                      "LRU byte budget"));
+  admissions_.SetParent(reg.GetCounter(
       "expdb_result_cache_admissions_total",
-      "Result-cache fills admitted on their key's second sighting");
-  rejections_total_ = reg.GetCounter(
+      "Result-cache fills admitted on their key's second sighting"));
+  rejections_.SetParent(reg.GetCounter(
       "expdb_result_cache_rejections_total",
-      "Result-cache fills skipped on their key's first sighting");
+      "Result-cache fills skipped on their key's first sighting"));
   bytes_gauge_.SetParent(reg.GetGauge(
       "expdb_result_cache_bytes", "Estimated bytes held by result caches"));
   lookup_latency_ = reg.GetHistogram("expdb_result_cache_lookup_latency_ns",
@@ -302,8 +302,7 @@ void ResultCache::DropEntry(EntryMap::iterator it,
 
 void ResultCache::Evict(EntryMap::iterator it,
                         std::vector<EntryPtr>* dropped) {
-  ++evictions_;
-  evictions_total_->Increment();
+  evictions_.Increment();
   LogCacheEvent("cache_evict",
                 {{"entry_bytes", std::to_string(it->second->bytes)},
                  {"cache_bytes", std::to_string(bytes_)},
@@ -331,16 +330,14 @@ void ResultCache::Touch(Entry* entry) {
 }
 
 std::optional<MaterializedResult> ResultCache::Miss(MissReason reason) {
-  const size_t r = static_cast<size_t>(reason);
-  misses_[r].fetch_add(1, std::memory_order_relaxed);
-  misses_total_->Increment();
-  miss_reason_totals_[r]->Increment();
+  misses_.Increment();
+  miss_reasons_[static_cast<size_t>(reason)].Increment();
   LogCacheEvent("cache_miss", {{"reason", MissReasonName(reason)}});
   return std::nullopt;
 }
 
-std::optional<ResultCache::MissReason> ResultCache::Refresh(
-    Entry* e, const Database& db, Timestamp now, bool* patched) {
+std::optional<MissReason> ResultCache::Refresh(Entry* e, const Database& db,
+                                               Timestamp now, bool* patched) {
   Materialization& m = e->materialization;
   Materialization::Drift drift;
   if (auto reason = m.Collect(db, now, &drift)) return reason;
@@ -421,12 +418,8 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
     }
   }
   if (missed.has_value()) return Miss(*missed);
-  if (patched) {
-    patches_.fetch_add(1, std::memory_order_relaxed);
-    patches_total_->Increment();
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  hits_total_->Increment();
+  if (patched) patches_.Increment();
+  hits_.Increment();
   return served;
 }
 
@@ -440,12 +433,10 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
   const uint64_t hash = KeyHash(key);
   if (SlotFor(hash).load(std::memory_order_relaxed) !=
       (SightingTag(hash) | kSeenTwice)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    rejections_total_->Increment();
+    rejections_.Increment();
     return;
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  admissions_total_->Increment();
+  admissions_.Increment();
   // The whole entry is built before mu_ is taken: the cursors stay put
   // under the caller's reader locks, and the byte estimate and propagator
   // seeding read only this execution's state.
@@ -503,17 +494,17 @@ void ResultCache::Clear() {
 
 ResultCache::Stats ResultCache::stats() const {
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.patches = patches_.load(std::memory_order_relaxed);
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.patches = patches_.value();
+  s.evictions = evictions_.value();
+  s.admitted = admissions_.value();
+  s.rejected = rejections_.value();
   for (size_t r = 0; r < kMissReasons; ++r) {
-    s.misses_by_reason[r] = misses_[r].load(std::memory_order_relaxed);
-    s.misses += s.misses_by_reason[r];
+    s.misses_by_reason[r] = miss_reasons_[r].value();
   }
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
   s.max_bytes = max_bytes();
   std::lock_guard<std::mutex> guard(mu_);
-  s.evictions = evictions_;
   s.entries = entries_.size();
   s.bytes = bytes_;
   return s;

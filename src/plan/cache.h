@@ -179,7 +179,7 @@ std::string ResultCacheKey(const std::string& fingerprint,
 ///    run in parallel. It retakes the cache mutex only when the outcome
 ///    changes cache-wide state: a miss drops the entry (if the map still
 ///    holds that same entry) and a patch re-charges its bytes. A plain
-///    hit never does; the hit, miss and patch counters are atomics.
+///    hit never does; the counters are lock-free obs::Counters.
 ///  * Lock order: cache mutex, then entry mutex — never the reverse.
 ///  * An entry that Insert replaced, or that eviction, InvalidateBase or
 ///    Clear() unlinked, stays alive for the lookups that pinned it; they
@@ -196,14 +196,6 @@ class ResultCache {
 
   ResultCache();
 
-  /// Why a Lookup fell through to execution. Each reason has its own
-  /// expdb_result_cache_misses_<name>_total counter.
-  using MissReason = plan::MissReason;
-  static constexpr size_t kMissReasons = plan::kMissReasons;
-  static const char* MissReasonName(MissReason reason) {
-    return plan::MissReasonName(reason);
-  }
-
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;  ///< sum of misses_by_reason
@@ -214,7 +206,8 @@ class ResultCache {
     size_t entries = 0;
     size_t bytes = 0;
     size_t max_bytes = 0;
-    /// Indexed by MissReason.
+    /// Indexed by MissReason; each reason has its own
+    /// expdb_result_cache_misses_<name>_total counter.
     std::array<uint64_t, kMissReasons> misses_by_reason{};
   };
 
@@ -333,28 +326,22 @@ class ResultCache {
   std::atomic<size_t> max_bytes_{kDefaultMaxBytes};
   /// See "Admission" above.
   std::array<std::atomic<uint64_t>, kSightingSlots> sightings_{};
-  /// Guards bytes_, entries_, lru_ and evictions_. Taken before an entry
-  /// mutex, never after one (obs metric updates under it are lock-free or
+  /// Guards bytes_, entries_ and lru_. Taken before an entry mutex, never
+  /// after one (obs metric updates under it are lock-free or
   /// leaf-locked).
   mutable std::mutex mu_;
   size_t bytes_ = 0;
   EntryMap entries_;
   std::list<std::string> lru_;  // front = most recently used
-  uint64_t evictions_ = 0;
-  // Session-local stats (CACHE STATS), counted outside mu_ ...
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> patches_{0};
-  std::array<std::atomic<uint64_t>, kMissReasons> misses_{};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  // ... parented into the process-wide expdb_result_cache_* metrics.
-  obs::Counter* hits_total_;
-  obs::Counter* misses_total_;
-  std::array<obs::Counter*, kMissReasons> miss_reason_totals_;
-  obs::Counter* patches_total_;
-  obs::Counter* evictions_total_;
-  obs::Counter* admissions_total_;
-  obs::Counter* rejections_total_;
+  // This cache's counts (CACHE STATS), parented into the process-wide
+  // expdb_result_cache_* metrics.
+  obs::Counter hits_;
+  obs::Counter misses_;
+  std::array<obs::Counter, kMissReasons> miss_reasons_;
+  obs::Counter patches_;
+  obs::Counter evictions_;
+  obs::Counter admissions_;
+  obs::Counter rejections_;
   obs::Gauge bytes_gauge_;
   obs::Histogram* lookup_latency_;
 };

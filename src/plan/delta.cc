@@ -906,18 +906,28 @@ Result<DeltaPropagator::ApplyResult> DeltaPropagator::Apply(
 }
 
 int64_t DeltaPropagator::ApplyOps(const DeltaOps& ops, Relation* mat) {
-  int64_t bytes = 0;
-  for (const auto& op : ops) {
-    const int64_t row = static_cast<int64_t>(ResultEntryBytes(op.entry.tuple));
+  // The net change per touched tuple (nullopt = deleted): the last op on
+  // a tuple wins, as if the ops were applied one by one.
+  std::unordered_map<Tuple, std::optional<Timestamp>> net;
+  for (const DeltaOp& op : ops) {
     if (op.is_delete) {
-      if (mat->Erase(op.entry.tuple)) bytes -= row;
+      net[op.entry.tuple].reset();
     } else {
-      // A present tuple only has its texp overwritten.
-      const size_t before = mat->size();
-      mat->InsertUnchecked(op.entry.tuple, op.entry.texp);
-      if (mat->size() > before) bytes += row;
+      net[op.entry.tuple] = op.entry.texp;
     }
   }
+  std::vector<Relation::Entry> deleted;
+  std::vector<Relation::Entry> inserted;
+  int64_t bytes = 0;
+  for (auto& [tuple, texp] : net) {
+    const std::optional<Timestamp> old = mat->GetTexp(tuple);
+    if (old == texp) continue;
+    const int64_t row = static_cast<int64_t>(ResultEntryBytes(tuple));
+    bytes += (texp.has_value() ? row : 0) - (old.has_value() ? row : 0);
+    if (old.has_value()) deleted.push_back({tuple, *old});
+    if (texp.has_value()) inserted.push_back({tuple, *texp});
+  }
+  mat->ApplyChange(std::move(deleted), std::move(inserted));
   return bytes;
 }
 

@@ -137,9 +137,10 @@ class DeltaPropagator {
   Result<ApplyResult> Apply(const std::vector<BaseDelta>& deltas,
                             Timestamp now);
 
-  /// \brief Applies an op stream to a materialization in place and
-  /// returns the net change of the rows' ResultEntryBytes: O(|ops|), so a
-  /// byte budget follows a patch without re-walking the materialization.
+  /// \brief Applies an op stream to a materialization in place, as one
+  /// change (Relation::ApplyChange), and returns the net change of the
+  /// rows' ResultEntryBytes: O(|ops|), so a byte budget follows a patch
+  /// without re-walking the materialization.
   static int64_t ApplyOps(const DeltaOps& ops, Relation* mat);
 
   /// \brief Advisory byte footprint of the auxiliary state: join

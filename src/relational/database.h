@@ -1,4 +1,5 @@
-// Database: a catalog of named base relations.
+// Database: a catalog of named base relations, and of the materialized
+// relations of the views over them.
 //
 // The paper's loosely-coupled setting assumes base relations are only
 // modified by inserts and by expiration; Database additionally supports
@@ -11,6 +12,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -20,7 +23,9 @@
 
 namespace expdb {
 
-/// \brief A named collection of base relations.
+/// \brief A named collection of base relations (tables) plus, per view,
+/// its borrowed materialized relation, read like a table. A table and a
+/// view never share a name.
 class Database {
  public:
   Database() = default;
@@ -34,16 +39,16 @@ class Database {
   Database& operator=(Database&&) = default;
 
   /// \brief Creates an empty relation under `name`.
-  /// \return the new relation, or AlreadyExists.
+  /// \return the new relation, or AlreadyExists (a table or a view).
   Result<Relation*> CreateRelation(const std::string& name, Schema schema);
 
   /// \brief Registers an already-populated relation under `name`.
   Status PutRelation(const std::string& name, Relation relation);
 
-  /// \brief Looks up a relation (mutable).
+  /// \brief Looks up a table (mutable): views are not writable.
   Result<Relation*> GetRelation(const std::string& name);
 
-  /// \brief Looks up a relation (read-only).
+  /// \brief Looks up a table or a view's relation (read-only).
   Result<const Relation*> GetRelation(const std::string& name) const;
 
   bool HasRelation(const std::string& name) const {
@@ -70,7 +75,7 @@ class Database {
   /// \brief Drops the named relation.
   Status DropRelation(const std::string& name);
 
-  /// \brief Relation names in sorted order.
+  /// \brief Table names in sorted order (views are not listed).
   std::vector<std::string> RelationNames() const;
 
   size_t relation_count() const { return relations_.size(); }
@@ -85,7 +90,30 @@ class Database {
     return it != relations_.end() ? &it->second->lock : nullptr;
   }
 
+  /// A view's entry: its relation (owned by the view, at a stable address),
+  /// the tables it reads, and the lock guarding its in-place refreshes.
+  struct View {
+    const Relation* relation = nullptr;
+    std::set<std::string> bases;
+    mutable std::mutex lock;
+  };
+
+  /// \brief Makes `relation` readable as `name` until DetachView.
+  /// \return AlreadyExists when a table or a view has the name.
+  Status AttachView(const std::string& name, const Relation* relation,
+                    std::set<std::string> bases);
+  void DetachView(const std::string& name) { views_.erase(name); }
+
+  /// \brief The named view's entry, or nullptr.
+  const View* FindView(const std::string& name) const {
+    auto it = views_.find(name);
+    return it != views_.end() ? it->second.get() : nullptr;
+  }
+
  private:
+  /// Registers `relation` as table `name`: CreateRelation and PutRelation.
+  Result<Relation*> AddTable(const std::string& name, Relation relation);
+
   /// One catalog entry: a relation and the lock guarding it, created and
   /// dropped together.
   struct Entry {
@@ -96,6 +124,7 @@ class Database {
   // std::map keeps iteration deterministic; unique_ptr keeps Relation*
   // handles and lock addresses stable across catalog growth.
   std::map<std::string, std::unique_ptr<Entry>> relations_;
+  std::map<std::string, std::unique_ptr<View>> views_;
 };
 
 }  // namespace expdb

@@ -683,17 +683,26 @@ void Relation::MergeMaxEntry(Tuple tuple, Timestamp texp,
   }
 }
 
-bool Relation::Erase(const Tuple& tuple) {
+bool Relation::EraseEntry(const Tuple& tuple, bool record) {
   const size_t slot = FindSlot(tuple);
   if (slot == kNotFound) return false;
   Segment* seg = nullptr;
   size_t off = 0;
   Entry* e = ResolveHandle(slots_[slot], &seg, &off);
   assert(e != nullptr);
-  if (delta_tracking()) RecordDelta(One(*e), {});
+  if (record && delta_tracking()) RecordDelta(One(*e), {});
   EraseWithinSegment(seg, off, slot);
   ShrinkAfterErase(seg);
   return true;
+}
+
+void Relation::ApplyChange(std::vector<Entry> deleted,
+                           std::vector<Entry> inserted) {
+  if (deleted.empty() && inserted.empty()) return;
+  for (const Entry& e : deleted) EraseEntry(e.tuple, false);
+  for (const Entry& e : inserted) InsertEntry(e.tuple, e.texp);
+  MaybeRebucket();
+  RecordDelta(std::move(deleted), std::move(inserted));
 }
 
 // --- removal by rule ------------------------------------------------------

@@ -250,7 +250,12 @@ class Relation {
 
   /// \brief Removes `tuple` regardless of its expiration state.
   /// \return true iff the tuple was present.
-  bool Erase(const Tuple& tuple);
+  bool Erase(const Tuple& tuple) { return EraseEntry(tuple, true); }
+
+  /// \brief Erases `deleted` (each stored as given), then inserts
+  /// `inserted` (each absent by then) unchecked, as one change: a tracked
+  /// relation records them as one delta batch.
+  void ApplyChange(std::vector<Entry> deleted, std::vector<Entry> inserted);
 
   /// \brief Removes every tuple of expτ(R) that satisfies `pred` (every
   /// unexpired tuple when null) — the SQL DELETE. One walk over the
@@ -601,6 +606,8 @@ class Relation {
   /// bucket segment when the new texp moves it; returns the entry at its
   /// final location.
   Entry* SetTexpAt(const InsertPos& pos, Timestamp texp);
+  /// Erase, recording the removed entry only when `record` is set.
+  bool EraseEntry(const Tuple& tuple, bool record);
   /// Inserts under the max-texp duplicate rule, without rebucketing. On
   /// a tracked relation, appends the prior version of a raised entry to
   /// `deleted` and the new or raised entry to `inserted`.

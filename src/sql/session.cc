@@ -240,90 +240,50 @@ void CollectFromNames(const SelectStatement& stmt,
 }  // namespace
 
 Result<ExecResult> Session::ExecuteSelect(const SelectStatement& stmt) {
-  // View-or-base classification runs before any lock is taken; a DDL
-  // statement racing in between can at worst turn the execution below
-  // into a clean NotFound/bind error (never a torn read — the locks are
-  // held across all data access).
-  ViewManager& views = engine_->views();
+  // Open a read snapshot over the FROM relations: their tables (and the
+  // tables the views among them read) shared, the views' own locks held.
+  // Concurrent writers to them block; everything else proceeds.
+  std::set<std::string> from_names;
+  CollectFromNames(stmt, &from_names);
+  engine::Engine::Snapshot snap = engine_->OpenSnapshot(from_names);
+  const Timestamp now = Now();
 
-  // Fast path for the canonical view read, preserving Schrödinger
-  // served-at semantics: SELECT * FROM v. View reads run under the
-  // engine's exclusive lock: maintenance may rewrite the materialization
-  // in place.
-  if (stmt.from.size() == 1 && views.HasView(stmt.from[0].name) &&
+  // The canonical view read, SELECT * FROM v, keeps ViewManager::Read's
+  // semantics: a Schrödinger view may serve a nearby valid time.
+  if (!snap.views().empty() && stmt.from.size() == 1 &&
       stmt.items.size() == 1 &&
       stmt.items[0].kind == SelectItem::Kind::kStar &&
       stmt.where == nullptr && stmt.group_by.empty() &&
       stmt.set_op == SelectStatement::SetOp::kNone) {
-    engine::Engine::ExclusiveGuard guard = engine_->LockExclusive();
-    const Timestamp now = Now();
     ExecResult out;
     out.served_at = now;
     EXPDB_ASSIGN_OR_RETURN(
-        Relation rel, views.Read(stmt.from[0].name, now, &out.served_at));
-    auto names = engine_->GetViewColumns(stmt.from[0].name);
-    if (names.has_value()) {
-      EXPDB_RETURN_NOT_OK(rel.RenameAttributes(UniquifyNames(*names)));
-    }
-    out.relation = std::move(rel);
+        out.relation,
+        engine_->views().Read(stmt.from[0].name, now, &out.served_at));
     out.message = "view " + stmt.from[0].name;
     return out;
   }
 
-  std::set<std::string> from_names;
-  CollectFromNames(stmt, &from_names);
-  bool any_view = false;
-  for (const std::string& name : from_names) {
-    if (views.HasView(name)) any_view = true;
+  // Cached pipeline: bring the views read to a state exact at `now`, then
+  // normalize the literals away, reuse (or plan once) the skeleton, and
+  // try the result cache. A view is one more relation to it.
+  EXPDB_RETURN_NOT_OK(engine_->views().Refresh(snap.views(), now));
+  EXPDB_ASSIGN_OR_RETURN(NormalizedSelect norm, NormalizeSelect(stmt));
+  std::optional<plan::PreparedPlan> skeleton =
+      engine_->stmt_cache().Lookup(norm.fingerprint);
+  if (!skeleton.has_value()) {
+    plan::PreparedPlan fresh;
+    EXPDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(norm.select, db()));
+    EXPDB_ASSIGN_OR_RETURN(
+        fresh.plan,
+        plan::Planner::Plan(bound.expr, db(), MakePlannerOptions()));
+    fresh.param_count = norm.args.size();
+    fresh.fingerprint = norm.fingerprint;
+    fresh.column_names = std::move(bound.column_names);
+    engine_->stmt_cache().Insert(norm.fingerprint, fresh);
+    skeleton = std::move(fresh);
   }
-
-  // Cached pipeline for base-table-only statements: open a read snapshot
-  // over the FROM relations (concurrent writers to them block; writers to
-  // other relations and other readers proceed), then normalize the
-  // literals away, reuse (or plan once) the skeleton, and try the result
-  // cache. Views bind against a point-in-time scratch catalog whose
-  // contents a delta cursor cannot track, so they take the uncached path
-  // below.
-  if (!any_view) {
-    engine::Engine::Snapshot snap = engine_->OpenSnapshot(from_names);
-    const Timestamp now = Now();
-    EXPDB_ASSIGN_OR_RETURN(NormalizedSelect norm, NormalizeSelect(stmt));
-    std::optional<plan::PreparedPlan> skeleton =
-        engine_->stmt_cache().Lookup(norm.fingerprint);
-    if (!skeleton.has_value()) {
-      plan::PreparedPlan fresh;
-      EXPDB_ASSIGN_OR_RETURN(BoundSelect bound,
-                             BindSelect(norm.select, db()));
-      EXPDB_ASSIGN_OR_RETURN(
-          fresh.plan,
-          plan::Planner::Plan(bound.expr, db(), MakePlannerOptions()));
-      fresh.param_count = norm.args.size();
-      fresh.fingerprint = norm.fingerprint;
-      fresh.column_names = std::move(bound.column_names);
-      engine_->stmt_cache().Insert(norm.fingerprint, fresh);
-      skeleton = std::move(fresh);
-    }
-    return ExecutePlannedSelect(*skeleton, norm.args, now);
-  }
-
-  // Uncached path: bind against a scratch catalog holding the referenced
-  // views' current contents. Exclusive — view reads can rewrite
-  // materializations.
-  engine::Engine::ExclusiveGuard guard = engine_->LockExclusive();
-  const Timestamp now = Now();
-  Database scratch;
-  EXPDB_ASSIGN_OR_RETURN(const Database* bind_db,
-                         ResolveCatalog(stmt, now, &scratch));
-  EXPDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(stmt, *bind_db));
-  EXPDB_ASSIGN_OR_RETURN(MaterializedResult result,
-                         Evaluate(bound.expr, *bind_db, now, eval_options_));
-  EXPDB_RETURN_NOT_OK(result.relation.RenameAttributes(
-      UniquifyNames(bound.column_names)));
-  ExecResult out;
-  out.relation = std::move(result.relation);
-  out.served_at = now;
-  out.message = "ok";
-  return out;
+  return ExecutePlannedSelect(*skeleton, norm.args, now);
 }
 
 plan::PlannerOptions Session::MakePlannerOptions() const {
@@ -381,20 +341,19 @@ Result<ExecResult> Session::ExecutePlannedSelect(
 }
 
 Result<ExecResult> Session::ExecutePrepare(const PrepareStatement& stmt) {
-  // A prepared plan outlives any point-in-time scratch catalog, so views
-  // cannot appear in its FROM clause.
-  std::set<std::string> from_names;
-  CollectFromNames(stmt.select, &from_names);
-  for (const std::string& name : from_names) {
-    if (engine_->views().HasView(name)) {
-      return Status::InvalidArgument("PREPARE cannot reference view '" +
-                                     name + "'; prepared plans bind to base "
-                                     "tables only");
-    }
-  }
   // Binding and planning read schemas and statistics: snapshot the FROM
   // relations for a consistent read.
+  std::set<std::string> from_names;
+  CollectFromNames(stmt.select, &from_names);
   engine::Engine::Snapshot snap = engine_->OpenSnapshot(from_names);
+  // EXECUTE snapshots the plan's bases and refreshes no view, so views
+  // cannot appear in a prepared FROM clause.
+  if (!snap.views().empty()) {
+    return Status::InvalidArgument("PREPARE cannot reference view '" +
+                                   snap.views().front() +
+                                   "'; prepared plans bind to base "
+                                   "tables only");
+  }
   EXPDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(stmt.select, db()));
   plan::PreparedPlan prepared;
   EXPDB_ASSIGN_OR_RETURN(
@@ -437,11 +396,10 @@ namespace {
 /// " (absent 3, lapsed 1)": the non-zero miss reasons, or "" when none.
 std::string MissReasonsText(const plan::ResultCache::Stats& rs) {
   std::string text;
-  for (size_t r = 0; r < plan::ResultCache::kMissReasons; ++r) {
+  for (size_t r = 0; r < plan::kMissReasons; ++r) {
     if (rs.misses_by_reason[r] == 0) continue;
     text += text.empty() ? " (" : ", ";
-    text += plan::ResultCache::MissReasonName(
-        static_cast<plan::ResultCache::MissReason>(r));
+    text += plan::MissReasonName(static_cast<plan::MissReason>(r));
     text += " " + std::to_string(rs.misses_by_reason[r]);
   }
   return text.empty() ? text : text + ")";
@@ -561,47 +519,18 @@ Result<ExecResult> Session::ExecuteMonitor(const MonitorStatement& stmt) {
   return Status::Internal("unknown MONITOR statement");
 }
 
-Result<const Database*> Session::ResolveCatalog(const SelectStatement& stmt,
-                                                Timestamp now,
-                                                Database* scratch) {
-  ViewManager& views = engine_->views();
-  std::set<std::string> from_names;
-  CollectFromNames(stmt, &from_names);
-  bool any_view = false;
-  for (const std::string& name : from_names) {
-    if (views.HasView(name)) any_view = true;
-  }
-  if (!any_view) return &db();
-  for (const std::string& name : from_names) {
-    if (views.HasView(name)) {
-      EXPDB_ASSIGN_OR_RETURN(Relation rel, views.Read(name, now));
-      auto rename = engine_->GetViewColumns(name);
-      if (rename.has_value()) {
-        EXPDB_RETURN_NOT_OK(
-            rel.RenameAttributes(UniquifyNames(*rename)));
-      }
-      EXPDB_RETURN_NOT_OK(scratch->PutRelation(name, std::move(rel)));
-    } else {
-      EXPDB_ASSIGN_OR_RETURN(const Relation* base, db().GetRelation(name));
-      EXPDB_RETURN_NOT_OK(scratch->PutRelation(name, *base));
-    }
-  }
-  return scratch;
-}
-
 Result<ExecResult> Session::ExecuteExplain(const ExplainStatement& stmt) {
-  // Exclusive: EXPLAIN may resolve views (rewriting materializations) and
-  // ANALYZE executes the plan against the live catalog.
-  engine::Engine::ExclusiveGuard lock = engine_->LockExclusive();
+  // The same snapshot and view refresh as SELECT, so the plan rendered
+  // (and, for ANALYZE, run) reads what a SELECT would.
+  std::set<std::string> from_names;
+  CollectFromNames(stmt.select, &from_names);
+  engine::Engine::Snapshot snap = engine_->OpenSnapshot(from_names);
   const Timestamp now = Now();
-  Database scratch;
-  EXPDB_ASSIGN_OR_RETURN(const Database* bind_db,
-                         ResolveCatalog(stmt.select, now, &scratch));
-  EXPDB_ASSIGN_OR_RETURN(BoundSelect bound,
-                         BindSelect(stmt.select, *bind_db));
+  EXPDB_RETURN_NOT_OK(engine_->views().Refresh(snap.views(), now));
+  EXPDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(stmt.select, db()));
   EXPDB_ASSIGN_OR_RETURN(
       plan::PhysicalPlanPtr plan,
-      plan::Planner::Plan(bound.expr, *bind_db, MakePlannerOptions()));
+      plan::Planner::Plan(bound.expr, db(), MakePlannerOptions()));
   ExecResult out;
   out.served_at = now;
   if (stmt.what == ExplainStatement::What::kPlan) {
@@ -610,7 +539,7 @@ Result<ExecResult> Session::ExecuteExplain(const ExplainStatement& stmt) {
   }
   plan::PlanProfile profile;
   EXPDB_RETURN_NOT_OK(
-      plan::ExecutePlan(*plan, *bind_db, now, eval_options_, &profile)
+      plan::ExecutePlan(*plan, db(), now, eval_options_, &profile)
           .status());
   out.message = plan->ToString(&profile);
   // When tracing is on, the operator spans the execution just recorded
@@ -713,8 +642,11 @@ Result<ExecResult> Session::ExecuteCreateView(
                          ViewOptionsFrom(stmt.options, eval_options_));
   EXPDB_ASSIGN_OR_RETURN(
       MaterializedView * view,
-      engine_->views().CreateView(stmt.name, bound.expr, options, Now()));
-  view->set_column_names(bound.column_names);
+      engine_->views().CreateView(stmt.name, bound.expr, options, Now(),
+                                  UniquifyNames(bound.column_names)));
+  // A plan cached before this CREATE bound a different (since-dropped)
+  // relation under the same name.
+  engine_->InvalidateCachesFor(stmt.name);
   std::string monotonic =
       bound.expr->IsMonotonic()
           ? "monotonic: maintenance-free"
@@ -730,6 +662,7 @@ Result<ExecResult> Session::ExecuteDrop(const DropStatement& stmt) {
   ViewManager& views = engine_->views();
   if (stmt.is_view) {
     EXPDB_RETURN_NOT_OK(views.DropView(stmt.name));
+    engine_->InvalidateCachesFor(stmt.name);
     return ExecResult{"view " + stmt.name + " dropped", std::nullopt, Now()};
   }
   // A table with dependent views cannot be dropped out from under them.
@@ -773,14 +706,14 @@ Result<ExecResult> Session::ExecuteShow(const ShowStatement& stmt) {
     }
     case ShowStatement::What::kViews: {
       // View metadata only (no base-table access): the engine's shared
-      // lock keeps DDL and maintenance out while the list renders.
+      // lock keeps DDL and maintenance out while the list renders, and
+      // each view's lock keeps a refresh out while its texp is read.
       engine::Engine::Snapshot snap = engine_->OpenSnapshot({});
       ViewManager& views = engine_->views();
       std::string msg = "views:";
       for (const std::string& name : views.ViewNames()) {
-        auto view = views.GetView(name);
-        if (!view.ok()) continue;  // dropped between list and lookup
-        MaterializedView* v = view.value();
+        MaterializedView* v = views.GetView(name).value();
+        std::lock_guard<std::mutex> lock(db().FindView(name)->lock);
         msg += "\n  " + name + " [" +
                std::string(RefreshModeToString(v->mode())) +
                ", texp = " + v->texp().ToString() + "] " +

@@ -45,11 +45,11 @@ std::string FormatExecResult(const ExecResult& result);
 ///
 /// Concurrency (docs/CONCURRENCY.md): sessions sharing one
 /// engine::Engine may Execute concurrently from different threads. Each
-/// statement acquires the engine locks it needs — SELECTs over base
-/// tables open a read Snapshot, INSERT/DELETE take the target relation's
-/// writer lock, DDL / ADVANCE TIME / view reads take the engine
-/// exclusively. A single Session object itself is not a synchronization
-/// domain: use one Session per thread (settings like SET parallelism are
+/// statement acquires the engine locks it needs — SELECTs over tables
+/// and views open a read Snapshot, INSERT/DELETE take the target table's
+/// writer lock, DDL and ADVANCE TIME take the engine exclusively. A
+/// single Session object itself is not a synchronization domain: use one
+/// Session per thread (settings like SET parallelism are
 /// session-local and unsynchronized). Constraint registration via
 /// constraints() is a setup-time operation — do it before going
 /// concurrent.
@@ -126,14 +126,6 @@ class Session {
   Result<ExecResult> ExecutePlannedSelect(const plan::PreparedPlan& prepared,
                                           const std::vector<Value>& args,
                                           Timestamp now);
-
-  /// When `stmt` references views, fills `scratch` with the referenced
-  /// views' current contents (renamed to their declared columns) plus
-  /// copies of the referenced base tables, and returns `scratch`;
-  /// otherwise returns the live database. Shared by SELECT and EXPLAIN,
-  /// both under the engine's exclusive lock.
-  Result<const Database*> ResolveCatalog(const SelectStatement& stmt,
-                                         Timestamp now, Database* scratch);
 
   /// The engine this session executes against. Private to this session
   /// for the Options ctor; shared between sessions for the engine ctor.

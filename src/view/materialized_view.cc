@@ -172,7 +172,12 @@ Status MaterializedView::Recompute(const Database& db, Timestamp now,
         fresh, plan::ExecutePlan(*plan_, db, now, options_.eval,
                                  /*profile=*/nullptr, capture_ptr));
   }
-  // A fresh materialization: the old one's cursors and propagator go.
+  if (!column_names_.empty()) {
+    EXPDB_RETURN_NOT_OK(fresh.relation.RenameAttributes(column_names_));
+  }
+  // A fresh materialization: the old one's cursors and propagator go, and
+  // so does the relation's delta history, so the result-cache entries
+  // that read it miss as instance churn.
   materialization_ = plan::Materialization(std::move(fresh));
   if (want_delta) materialization_.Seed(plan_, &capture, db);
   if (count_as_maintenance) {
@@ -277,68 +282,40 @@ Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
   return Status::Internal("unknown refresh mode");
 }
 
+Status MaterializedView::Refresh(const Database& db, Timestamp now) {
+  EXPDB_RETURN_NOT_OK(AdvanceTo(db, now));
+  const bool exact = options_.mode == RefreshMode::kSchrodinger
+                         ? validity().Contains(now)
+                         : now < texp();
+  return exact ? Status::OK() : Recompute(db, now);
+}
+
 Result<Relation> MaterializedView::Read(const Database& db, Timestamp now,
                                         Timestamp* served_at) {
-  if (!initialized_) return Status::Internal("view not initialized");
   const uint64_t recomputes_before = metrics_.recomputations.value();
   EXPDB_RETURN_NOT_OK(AdvanceTo(db, now));
   metrics_.reads.Increment();
-  if (served_at != nullptr) *served_at = now;
-
-  switch (options_.mode) {
-    case RefreshMode::kEagerRecompute:
-    case RefreshMode::kPatchDifference:
-      // AdvanceTo already restored validity; count the read as served
-      // from the materialization only if it did not have to recompute.
-      if (metrics_.recomputations.value() == recomputes_before) {
-        metrics_.reads_from_materialization.Increment();
-      }
-      return result().relation.UnexpiredAt(now);
-
-    case RefreshMode::kLazyRecompute:
-      if (texp() <= now) {
-        EXPDB_RETURN_NOT_OK(Recompute(db, now));
-      } else {
-        metrics_.reads_from_materialization.Increment();
-      }
-      return result().relation.UnexpiredAt(now);
-
-    case RefreshMode::kSchrodinger: {
-      if (validity().Contains(now)) {
-        metrics_.reads_from_materialization.Increment();
-        return result().relation.UnexpiredAt(now);
-      }
-      switch (options_.move_policy) {
-        case MovePolicy::kRecompute:
-          EXPDB_RETURN_NOT_OK(Recompute(db, now));
-          return result().relation.UnexpiredAt(now);
-        case MovePolicy::kMoveBackward: {
-          auto t = validity().LastValidBefore(now);
-          if (!t.has_value()) {
-            EXPDB_RETURN_NOT_OK(Recompute(db, now));
-            return result().relation.UnexpiredAt(now);
-          }
-          metrics_.reads_moved_backward.Increment();
-          metrics_.reads_from_materialization.Increment();
-          if (served_at != nullptr) *served_at = *t;
-          return result().relation.UnexpiredAt(*t);
-        }
-        case MovePolicy::kMoveForward: {
-          auto t = validity().FirstValidAtOrAfter(now);
-          if (!t.has_value() || t->IsInfinite()) {
-            EXPDB_RETURN_NOT_OK(Recompute(db, now));
-            return result().relation.UnexpiredAt(now);
-          }
-          metrics_.reads_moved_forward.Increment();
-          metrics_.reads_from_materialization.Increment();
-          if (served_at != nullptr) *served_at = *t;
-          return result().relation.UnexpiredAt(*t);
-        }
-      }
-      return Status::Internal("unknown move policy");
+  // Sec. 3.3: a Schrödinger read in a validity gap may move to a nearby
+  // valid time instead of recomputing.
+  Timestamp at = now;
+  if (options_.mode == RefreshMode::kSchrodinger && !validity().Contains(now)) {
+    std::optional<Timestamp> t;
+    if (options_.move_policy == MovePolicy::kMoveBackward) {
+      t = validity().LastValidBefore(now);
+      if (t.has_value()) metrics_.reads_moved_backward.Increment();
+    } else if (options_.move_policy == MovePolicy::kMoveForward) {
+      t = validity().FirstValidAtOrAfter(now);
+      if (t.has_value() && t->IsInfinite()) t.reset();
+      if (t.has_value()) metrics_.reads_moved_forward.Increment();
     }
+    if (t.has_value()) at = *t;
   }
-  return Status::Internal("unknown refresh mode");
+  if (at == now) EXPDB_RETURN_NOT_OK(Refresh(db, now));
+  if (metrics_.recomputations.value() == recomputes_before) {
+    metrics_.reads_from_materialization.Increment();
+  }
+  if (served_at != nullptr) *served_at = at;
+  return result().relation.UnexpiredAt(at);
 }
 
 }  // namespace expdb

@@ -128,8 +128,8 @@ class MaterializedView {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// \brief The SQL output column names the view presents (empty when it
-  /// was created without a SELECT list to name them).
+  /// \brief The SQL output column names every materialization carries
+  /// (empty when created without a SELECT list). Set before Initialize.
   const std::vector<std::string>& column_names() const {
     return column_names_;
   }
@@ -161,10 +161,15 @@ class MaterializedView {
   /// must not move backwards.
   Status AdvanceTo(const Database& db, Timestamp now);
 
-  /// \brief The view contents at `now` (performs due maintenance first).
-  /// Under kSchrodinger + kMoveBackward/kMoveForward, the returned
-  /// relation may reflect a nearby valid time instead; `served_at`, when
-  /// non-null, receives the time actually served.
+  /// \brief Brings the materialization to a state exact at `now`: due
+  /// maintenance (AdvanceTo), then a recompute if texp(e) <= now or, under
+  /// kSchrodinger, if `now` falls in a validity gap. Never moves in time.
+  Status Refresh(const Database& db, Timestamp now);
+
+  /// \brief The view contents at `now`: Refresh, except that under
+  /// kSchrodinger + kMoveBackward/kMoveForward a read in a validity gap
+  /// serves a nearby valid time instead; `served_at`, when non-null,
+  /// receives the time actually served.
   Result<Relation> Read(const Database& db, Timestamp now,
                         Timestamp* served_at = nullptr);
 

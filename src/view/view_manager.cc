@@ -2,19 +2,23 @@
 
 namespace expdb {
 
-ViewManager::ViewManager(const Database* db) : db_(db) {
+ViewManager::ViewManager(Database* db) : db_(db) {
   obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
   notifications_.SetParent(r.GetCounter("expdb_view_notifications_total"));
   view_count_gauge_.SetParent(r.GetGauge("expdb_view_count"));
 }
 
 // Out-of-line so ~Gauge retracts this manager's view-count contribution
-// from the global sum exactly once, here.
-ViewManager::~ViewManager() = default;
+// from the global sum exactly once, here. The database outlives the
+// views whose relations it borrows.
+ViewManager::~ViewManager() {
+  for (const auto& [name, view] : views_) db_->DetachView(name);
+}
 
 Result<MaterializedView*> ViewManager::CreateView(
     const std::string& name, ExpressionPtr expr,
-    MaterializedView::Options options, Timestamp now) {
+    MaterializedView::Options options, Timestamp now,
+    std::vector<std::string> column_names) {
   if (name.empty()) {
     return Status::InvalidArgument("view name must not be empty");
   }
@@ -26,23 +30,24 @@ Result<MaterializedView*> ViewManager::CreateView(
   // Name the view before the first materialization so its maintenance
   // events carry the catalog name from the start.
   view->set_name(name);
+  view->set_column_names(std::move(column_names));
   EXPDB_RETURN_NOT_OK(view->Initialize(*db_, now));
-  auto [it, inserted] = views_.emplace(name, std::move(view));
-  for (const std::string& base :
-       it->second->expression()->BaseRelationNames()) {
-    views_by_relation_[base].insert(name);
+  std::set<std::string> bases = view->expression()->BaseRelationNames();
+  for (const std::string& base : bases) {
+    if (db_->FindView(base) != nullptr) {
+      return Status::InvalidArgument("view '" + name + "' reads view '" +
+                                     base + "'; views read tables only");
+    }
   }
+  EXPDB_RETURN_NOT_OK(db_->AttachView(name, &view->result().relation, bases));
+  for (const std::string& base : bases) views_by_relation_[base].insert(name);
+  auto [it, inserted] = views_.emplace(name, std::move(view));
   view_count_gauge_.Set(static_cast<int64_t>(views_.size()));
   return it->second.get();
 }
 
 Result<MaterializedView*> ViewManager::GetView(const std::string& name) const {
   std::lock_guard<std::mutex> guard(mu_);
-  return GetViewLocked(name);
-}
-
-Result<MaterializedView*> ViewManager::GetViewLocked(
-    const std::string& name) const {
   auto it = views_.find(name);
   if (it == views_.end()) {
     return Status::NotFound("no view named '" + name + "'");
@@ -64,6 +69,7 @@ Status ViewManager::DropView(const std::string& name) {
       if (rit->second.empty()) views_by_relation_.erase(rit);
     }
   }
+  db_->DetachView(name);
   views_.erase(it);
   view_count_gauge_.Set(static_cast<int64_t>(views_.size()));
   return Status::OK();
@@ -93,7 +99,8 @@ std::vector<std::string> ViewManager::DependentViews(
 }
 
 Status ViewManager::AdvanceAllTo(Timestamp now) {
-  std::lock_guard<std::mutex> guard(mu_);
+  // Not under mu_: the caller's exclusive engine lock keeps every catalog
+  // change (CreateView, DropView, NotifyBaseChanged) out.
   for (auto& [name, view] : views_) {
     EXPDB_RETURN_NOT_OK(view->AdvanceTo(*db_, now));
   }
@@ -102,9 +109,17 @@ Status ViewManager::AdvanceAllTo(Timestamp now) {
 
 Result<Relation> ViewManager::Read(const std::string& name, Timestamp now,
                                    Timestamp* served_at) {
-  std::lock_guard<std::mutex> guard(mu_);
-  EXPDB_ASSIGN_OR_RETURN(MaterializedView * view, GetViewLocked(name));
+  EXPDB_ASSIGN_OR_RETURN(MaterializedView * view, GetView(name));
   return view->Read(*db_, now, served_at);
+}
+
+Status ViewManager::Refresh(const std::vector<std::string>& names,
+                            Timestamp now) {
+  for (const std::string& name : names) {
+    EXPDB_ASSIGN_OR_RETURN(MaterializedView * view, GetView(name));
+    EXPDB_RETURN_NOT_OK(view->Refresh(*db_, now));
+  }
+  return Status::OK();
 }
 
 std::vector<std::string> ViewManager::ViewNames() const {

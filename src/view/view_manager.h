@@ -17,32 +17,32 @@ namespace expdb {
 
 /// \brief Owns and maintains a set of named views over one database.
 ///
-/// The database is borrowed; it must outlive the manager. Time flows only
+/// The database is borrowed and must outlive the manager; each view's
+/// relation is attached to it under the view's name. Time flows only
 /// forward and is shared by all views via AdvanceAllTo.
 ///
-/// Thread-safety (engine protocol, docs/CONCURRENCY.md): the catalog maps
-/// and each view's stale flag are guarded by an internal mutex, so
-/// NotifyBaseChanged may be called by concurrent DML writers (which hold
-/// only the engine's shared lock) while other sessions consult
-/// HasView/ViewNames. Operations that read or rewrite view *bodies*
-/// against the database — CreateView, DropView, AdvanceAllTo, Read — must
-/// run under the engine's exclusive lock; the internal mutex alone does
-/// not protect the underlying base relations. Returned MaterializedView
-/// pointers stay valid only while the caller's engine lock keeps DropView
-/// out.
+/// Thread-safety (engine protocol, docs/CONCURRENCY.md): an internal
+/// mutex, held for lookups only, guards the catalog maps and each view's
+/// stale flag, so DML writers may call NotifyBaseChanged concurrently.
+/// CreateView, DropView and AdvanceAllTo run under the engine's exclusive
+/// lock; Read and Refresh under the view's lock and its bases' shared
+/// locks (a Snapshot naming the view), or the exclusive lock. Returned
+/// MaterializedView pointers stay valid only while the caller's engine
+/// lock keeps DropView out.
 class ViewManager {
  public:
-  explicit ViewManager(const Database* db);
+  explicit ViewManager(Database* db);
   ~ViewManager();
 
   ViewManager(const ViewManager&) = delete;
   ViewManager& operator=(const ViewManager&) = delete;
 
-  /// \brief Creates and materializes a view at time `now`.
-  Result<MaterializedView*> CreateView(const std::string& name,
-                                       ExpressionPtr expr,
-                                       MaterializedView::Options options,
-                                       Timestamp now);
+  /// \brief Creates, materializes at `now` and attaches a view (attributes
+  /// named `column_names` when given); AlreadyExists on any name clash.
+  Result<MaterializedView*> CreateView(
+      const std::string& name, ExpressionPtr expr,
+      MaterializedView::Options options, Timestamp now,
+      std::vector<std::string> column_names = {});
 
   Result<MaterializedView*> GetView(const std::string& name) const;
 
@@ -75,9 +75,13 @@ class ViewManager {
   /// (a lookup in the inverted dependency index).
   std::vector<std::string> DependentViews(const std::string& relation) const;
 
-  /// \brief Reads the named view at `now`.
+  /// \brief Reads the named view at `now` (MaterializedView::Read).
   Result<Relation> Read(const std::string& name, Timestamp now,
                         Timestamp* served_at = nullptr);
+
+  /// \brief Brings the named views' relations to a state exact at `now`
+  /// (MaterializedView::Refresh), for a query that reads them.
+  Status Refresh(const std::vector<std::string>& names, Timestamp now);
 
   std::vector<std::string> ViewNames() const;
   size_t view_count() const {
@@ -89,10 +93,7 @@ class ViewManager {
   ViewStats TotalStats() const;
 
  private:
-  /// Unlocked body of GetView, for internal use while mu_ is held.
-  Result<MaterializedView*> GetViewLocked(const std::string& name) const;
-
-  const Database* db_;
+  Database* db_;
   /// Guards views_, views_by_relation_, and stale-marking. A leaf in the
   /// lock order: acquired after the engine and relation locks, and no
   /// further lock is taken while held (docs/CONCURRENCY.md).

@@ -203,6 +203,7 @@ TEST(ConcurrencyStressTest, DropAndRecreateUnderLoad) {
   {
     auto setup = manager.OpenSession();
     MustExec(*setup, "CREATE TABLE c (x INT)");
+    MustExec(*setup, "CREATE VIEW vc AS SELECT x FROM c");
   }
 
   std::atomic<bool> stop{false};
@@ -231,13 +232,18 @@ TEST(ConcurrencyStressTest, DropAndRecreateUnderLoad) {
   }
   for (int r = 0; r < 2; ++r) threads.emplace_back(run, "SELECT * FROM c");
   threads.emplace_back(run, "SELECT * FROM never_created");
+  // Both view read paths: the canonical read and a view in a query.
+  threads.emplace_back(run, "SELECT * FROM vc");
+  threads.emplace_back(run, "SELECT x FROM vc WHERE x >= 1");
 
   {
     auto churn = manager.OpenSession();
     for (int i = 0; i < kCycles || statements.load() < kStatements; ++i) {
+      MustExec(*churn, "DROP VIEW vc");
       MustExec(*churn, "DROP TABLE c");
       std::this_thread::sleep_for(std::chrono::microseconds(20));
       MustExec(*churn, "CREATE TABLE c (x INT)");
+      MustExec(*churn, "CREATE VIEW vc AS SELECT x FROM c");
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
@@ -250,6 +256,9 @@ TEST(ConcurrencyStressTest, DropAndRecreateUnderLoad) {
   const sql::ExecResult last = MustExec(*check, "SELECT * FROM c");
   ASSERT_TRUE(last.relation.has_value());
   EXPECT_LE(last.relation->size(), 2u);
+  const sql::ExecResult view = MustExec(*check, "SELECT x FROM vc WHERE x >= 0");
+  ASSERT_TRUE(view.relation.has_value());
+  EXPECT_TRUE(Relation::EqualAt(*view.relation, *last.relation, view.served_at));
 }
 
 }  // namespace

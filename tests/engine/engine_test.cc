@@ -5,11 +5,13 @@
 #include "engine/engine.h"
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,6 +76,38 @@ TEST(EngineTest, ViewColumnsLiveOnTheView) {
   MustExec(s, "DROP VIEW v");
   Engine::ExclusiveGuard lock = eng->LockExclusive();
   EXPECT_FALSE(eng->GetViewColumns("v").has_value());
+}
+
+// A view read locks the view and the tables it reads, not the engine:
+// a snapshot held on an unrelated table does not hold it up.
+TEST(EngineTest, ViewReadsDoNotWaitForOtherSnapshots) {
+  auto eng = std::make_shared<Engine>();
+  sql::Session s(eng);
+  MustExec(s, "CREATE TABLE t (x INT)");
+  MustExec(s, "CREATE TABLE other (y INT)");
+  MustExec(s, "INSERT INTO t VALUES (1), (2), (3)");
+  MustExec(s, "CREATE VIEW v AS SELECT x FROM t WHERE x >= 2");
+
+  std::promise<void> held;
+  std::promise<void> release;
+  std::thread holder([&] {
+    Engine::Snapshot snap = eng->OpenSnapshot({"other"});
+    held.set_value();
+    release.get_future().wait();
+  });
+  held.get_future().wait();
+  auto reads = std::async(std::launch::async, [&] {
+    sql::Session reader(eng);
+    return std::make_pair(RowsAt(MustExec(reader, "SELECT * FROM v")),
+                          RowsAt(MustExec(reader, "SELECT x FROM v "
+                                                  "WHERE x >= 3")));
+  });
+  const bool finished =
+      reads.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  holder.join();
+  EXPECT_TRUE(finished) << "a view read waited for an unrelated snapshot";
+  EXPECT_EQ(reads.get(), std::make_pair(size_t{2}, size_t{1}));
 }
 
 TEST(EngineTest, SessionsShareOneDatabase) {
@@ -146,7 +180,7 @@ TEST(EngineTest, ContendedWritersCountWriteWaits) {
 
 // Once an exclusive acquirer has waited Engine::kExclusiveGrace, a
 // Snapshot requested after that queues behind it, so a stream of
-// overlapping readers cannot starve ADVANCE TIME, view reads or DDL.
+// overlapping readers cannot starve ADVANCE TIME or DDL.
 TEST(EngineTest, WaitingExclusiveLockGoesBeforeNewSnapshots) {
   auto eng = std::make_shared<Engine>();
   sql::Session s(eng);

@@ -39,8 +39,8 @@ Timestamp WTexp(int64_t i) {
 }
 
 /// The process counter of one miss reason.
-uint64_t MissCounter(ResultCache::MissReason reason) {
-  const std::string name = ResultCache::MissReasonName(reason);
+uint64_t MissCounter(MissReason reason) {
+  const std::string name = MissReasonName(reason);
   const std::string metric = "expdb_result_cache_misses_" + name + "_total";
   return obs::MetricsRegistry::Global().GetCounter(metric)->value();
 }
@@ -89,9 +89,8 @@ class ResultCacheTest : public ::testing::Test {
   /// Expects the next lookup of "k" at `now` to miss for `reason` and drop
   /// the entry: counted once in the stats, once in the reason's counter,
   /// and the reasons still sum to the total.
-  void ExpectMiss(ResultCache* cache, ResultCache::MissReason reason,
-                  Timestamp now) {
-    SCOPED_TRACE(ResultCache::MissReasonName(reason));
+  void ExpectMiss(ResultCache* cache, MissReason reason, Timestamp now) {
+    SCOPED_TRACE(MissReasonName(reason));
     ASSERT_EQ(cache->stats().entries, 1u);
     const size_t r = static_cast<size_t>(reason);
     const ResultCache::Stats before = cache->stats();
@@ -580,7 +579,7 @@ TEST_F(ResultCacheTest, HitCopiesOnlyTheRowsLiveAtNow) {
 // Every miss exit counts its own reason once, the reasons sum to the
 // total, and the reason's process counter moves.
 TEST_F(ResultCacheTest, EachMissReasonIsCounted) {
-  using Reason = ResultCache::MissReason;
+  using Reason = MissReason;
   {
     ResultCache cache;
     const uint64_t counted = MissCounter(Reason::kAbsent);
@@ -669,8 +668,7 @@ TEST_F(ResultCacheTest, EachMissReasonIsCounted) {
   // kLapsedAfterPatch guards the propagator's contract rather than a
   // known input: the propagator prunes members and criticals dead at
   // `now`, so a patch entered under `now < texp(e)` returns a later texp.
-  EXPECT_STREQ(ResultCache::MissReasonName(Reason::kLapsedAfterPatch),
-               "lapsed_after_patch");
+  EXPECT_STREQ(MissReasonName(Reason::kLapsedAfterPatch), "lapsed_after_patch");
 }
 
 // A patch charges its byte delta from the ops it applied, not a walk of

@@ -1,5 +1,9 @@
 #include "relational/database.h"
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace expdb {
@@ -23,6 +27,37 @@ TEST(DatabaseTest, CreateRejectsDuplicatesAndEmptyNames) {
             StatusCode::kAlreadyExists);
   EXPECT_EQ(db.CreateRelation("", OneInt()).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// A view's relation is readable under its name through the const
+// lookup only; the table-side catalog does not see it, and a table and a
+// view never share a name.
+TEST(DatabaseTest, AttachedViewsAreReadOnlyEntries) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation("t", OneInt()).ok());
+  Relation materialized(OneInt());
+  ASSERT_TRUE(db.AttachView("v", &materialized, {"t"}).ok());
+  const Database& cdb = db;
+  EXPECT_EQ(cdb.GetRelation("v").value(), &materialized);
+  EXPECT_EQ(db.GetRelation("v").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.RelationNames(), (std::vector<std::string>{"t"}));
+  EXPECT_EQ(db.relation_lock("v"), nullptr);
+  ASSERT_NE(db.FindView("v"), nullptr);
+  EXPECT_EQ(db.FindView("v")->bases, (std::set<std::string>{"t"}));
+  EXPECT_EQ(db.FindView("t"), nullptr);
+
+  EXPECT_EQ(db.CreateRelation("v", OneInt()).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.PutRelation("v", Relation(OneInt())).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.AttachView("t", &materialized, {}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.AttachView("v", &materialized, {}).code(),
+            StatusCode::kAlreadyExists);
+
+  db.DetachView("v");
+  EXPECT_EQ(cdb.GetRelation("v").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(db.CreateRelation("v", OneInt()).ok());
 }
 
 TEST(DatabaseTest, GetMissingIsNotFound) {

@@ -262,5 +262,26 @@ TEST(DeltaRangeTest, RangeIsBorrowedNotCopied) {
   EXPECT_FALSE(r.DeltasSince(6).has_value());
 }
 
+// ApplyChange is one change however many rows it touches: one epoch whose
+// batch holds exactly the given entries.
+TEST(DeltaRangeTest, ApplyChangeRecordsOneBatch) {
+  Relation r(TwoCols());
+  ASSERT_TRUE(r.Insert(Tuple{1, 0}, Timestamp(5)).ok());
+  ASSERT_TRUE(r.Insert(Tuple{2, 0}, Timestamp(6)).ok());
+  r.EnableDeltaTracking();
+  r.ApplyChange({{Tuple{1, 0}, Timestamp(5)}, {Tuple{2, 0}, Timestamp(6)}},
+                {{Tuple{2, 0}, Timestamp(9)}, {Tuple{3, 0}, Timestamp(7)}});
+  EXPECT_EQ(Contents(r), (std::map<Tuple, Timestamp>{
+                             {Tuple{2, 0}, Timestamp(9)},
+                             {Tuple{3, 0}, Timestamp(7)}}));
+  const auto batches = r.DeltasSince(0);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_EQ(batches->size(), 1u);
+  EXPECT_EQ(batches->front().deleted.size(), 2u);
+  EXPECT_EQ(batches->front().inserted.size(), 2u);
+  r.ApplyChange({}, {});  // nothing changed: no epoch
+  EXPECT_EQ(r.delta_epoch(), 1u);
+}
+
 }  // namespace
 }  // namespace expdb

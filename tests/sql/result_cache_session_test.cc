@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,18 +117,68 @@ TEST(ResultCacheSessionTest, PrepareRejectsViews) {
   EXPECT_FALSE(s.Execute("PREPARE q AS SELECT * FROM v").ok());
 }
 
-TEST(ResultCacheSessionTest, ViewReadsBypassTheResultCache) {
+// The canonical view read serves the view's own materialization and
+// never touches the result cache. A query that reads a view is cached
+// like one over a table: it hits on its third sighting.
+TEST(ResultCacheSessionTest, OnlyTheCanonicalViewReadBypassesTheResultCache) {
   Session s;
   MakeTable(s);
   MustExec(s, "CREATE VIEW v AS SELECT x FROM t WHERE x >= 2");
   const uint64_t hits0 = Metric("expdb_result_cache_hits_total");
-  // Both the canonical view read and a view-in-FROM query take the
-  // uncached paths; results stay correct and nothing is served from the
-  // result cache.
-  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM v")), 2u);
-  EXPECT_EQ(RowsAt(MustExec(s, "SELECT x FROM v WHERE x = 3")), 1u);
-  EXPECT_EQ(RowsAt(MustExec(s, "SELECT x FROM v WHERE x = 3")), 1u);
+  for (int i = 0; i < 3; ++i) {
+    auto canonical = MustExec(s, "SELECT * FROM v");
+    EXPECT_EQ(RowsAt(canonical), 2u);
+    EXPECT_EQ(canonical.message, "view v");
+  }
   EXPECT_EQ(Metric("expdb_result_cache_hits_total"), hits0);
+  EXPECT_EQ(MustExec(s, "SELECT x FROM v WHERE x = 3").message, "ok");
+  EXPECT_EQ(MustExec(s, "SELECT x FROM v WHERE x = 3").message, "ok");
+  auto third = MustExec(s, "SELECT x FROM v WHERE x = 3");
+  EXPECT_EQ(RowsAt(third), 1u);
+  EXPECT_EQ(third.message, "ok (cached)");
+  EXPECT_EQ(Metric("expdb_result_cache_hits_total") - hits0, 1u);
+}
+
+// A cached query over a view follows the view through the view's own
+// delta history: a view patched in place records one delta batch, from
+// which the cached entry patches; a view recompute installs a fresh
+// relation, and the entry misses as instance churn.
+TEST(ResultCacheSessionTest, QueriesOverAViewPatchOrMissWithTheView) {
+  Session s;
+  MakeTable(s);
+  MustExec(s, "CREATE VIEW v AS SELECT x FROM t WHERE x >= 2");
+  // The first explicit update seeds the view's propagator (a recompute);
+  // later ones patch it.
+  MustExec(s, "INSERT INTO t VALUES (4, 'd')");
+  const std::string q = "SELECT x FROM v WHERE x >= 3";
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(RowsAt(MustExec(s, q)), 2u);
+  MaterializedView* view = s.views().GetView("v").value();
+  const Relation* rel = std::as_const(s).db().GetRelation("v").value();
+  const uint64_t recomputes = view->stats().recomputations;
+  const uint64_t epoch = rel->delta_epoch();
+  const uint64_t patches0 = Metric("expdb_result_cache_patches_total");
+  MustExec(s, "INSERT INTO t VALUES (5, 'e'), (6, 'f')");
+  auto patched = MustExec(s, q);
+  EXPECT_EQ(RowsAt(patched), 4u);
+  EXPECT_EQ(patched.message, "ok (cached)");
+  EXPECT_EQ(view->stats().recomputations, recomputes);
+  EXPECT_EQ(rel->delta_epoch(), epoch + 1);  // one batch for the two rows
+  EXPECT_EQ(Metric("expdb_result_cache_patches_total") - patches0, 1u);
+
+  // <2> is critical in w until u's copy expires at 5: an eager recompute.
+  MustExec(s, "CREATE TABLE u (x INT)");
+  MustExec(s, "INSERT INTO u VALUES (2) EXPIRE AT 5");
+  MustExec(s, "CREATE VIEW w AS SELECT x FROM t EXCEPT SELECT x FROM u");
+  const std::string qw = "SELECT x FROM w WHERE x >= 1";
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(RowsAt(MustExec(s, qw)), 5u);
+  const uint64_t churn0 =
+      Metric("expdb_result_cache_misses_instance_churn_total");
+  MustExec(s, "ADVANCE TIME 6");
+  auto after = MustExec(s, qw);
+  EXPECT_EQ(RowsAt(after), 6u);
+  EXPECT_EQ(after.message, "ok");
+  EXPECT_EQ(Metric("expdb_result_cache_misses_instance_churn_total") - churn0,
+            1u);
 }
 
 TEST(ResultCacheSessionTest, InsertAndDeletePatchTheCachedResult) {
@@ -442,8 +493,8 @@ TEST(ResultCacheSessionTest, DdlInvalidatesCachedPlansAndResults) {
 }
 
 // Cached-vs-fresh set identity. A cached session and a cache-disabled
-// session replay the same script; every SELECT, and a view over each one
-// in the cached session, must agree exactly — tuples and texps
+// session replay the same script; every SELECT, a view over each one, and
+// queries over those views must agree exactly — tuples and texps
 // (Relation::EqualAt) — across operators, mutations, time advancing past
 // computed expiries, and a final phase under a tiny byte budget that
 // forces LRU eviction mid-sweep.
@@ -454,6 +505,19 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
   auto both = [&](const std::string& stmt) {
     MustExec(cached, stmt);
     MustExec(fresh, stmt);
+  };
+  // Runs `q` in both sessions, expects the same rows and texps, and
+  // returns the fresh session's result.
+  auto same = [&](const std::string& where, const std::string& q) {
+    auto c = MustExec(cached, q);
+    auto f = MustExec(fresh, q);
+    EXPECT_TRUE(c.relation.has_value() && f.relation.has_value()) << q;
+    if (!c.relation.has_value() || !f.relation.has_value()) return f;
+    EXPECT_EQ(c.served_at, f.served_at) << where << ": " << q;
+    EXPECT_TRUE(Relation::EqualAt(*c.relation, *f.relation, c.served_at))
+        << where << ": " << q << "\n  cached: " << c.relation->ToString()
+        << "\n  fresh:  " << f.relation->ToString();
+    return f;
   };
   const std::vector<std::string> queries = {
       "SELECT * FROM r",
@@ -474,16 +538,24 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
       "SELECT a, COUNT(*) FROM r WHERE a >= 2 GROUP BY a",
       "SELECT * FROM r WHERE 1 = 2",
   };
+  // Queries that filter, join and aggregate over the views qv<i> below:
+  // both sessions read the views as relations, and only the cached one
+  // keeps and patches the results.
+  const std::vector<std::string> view_queries = {
+      "SELECT b FROM qv0 WHERE a >= 2",
+      "SELECT qv0.b, s.a FROM qv0, s WHERE qv0.a = s.a",
+      "SELECT a, COUNT(*) FROM qv0 GROUP BY a",
+      "SELECT * FROM qv4 WHERE a >= 2",
+      "SELECT a FROM qv8 WHERE a >= 2",
+      "SELECT COUNT(*) FROM qv9",
+      "SELECT a FROM qv7 UNION SELECT a FROM qv8",
+  };
   auto sweep = [&](const std::string& where) {
+    for (const std::string& q : view_queries) same(where, q);
     for (size_t i = 0; i < queries.size(); ++i) {
       const std::string& q = queries[i];
-      auto c = MustExec(cached, q);
-      auto f = MustExec(fresh, q);
-      ASSERT_TRUE(c.relation.has_value() && f.relation.has_value());
-      EXPECT_EQ(c.served_at, f.served_at) << where << ": " << q;
-      EXPECT_TRUE(
-          Relation::EqualAt(*c.relation, *f.relation, c.served_at))
-          << where << ": " << q;
+      auto f = same(where, q);
+      ASSERT_TRUE(f.relation.has_value());
       auto v = MustExec(cached, "SELECT * FROM qv" + std::to_string(i));
       ASSERT_TRUE(v.relation.has_value());
       EXPECT_EQ(v.served_at, f.served_at) << where << ": view " << q;
@@ -499,18 +571,18 @@ TEST(ResultCacheSessionTest, CachedMatchesFreshAcrossOperatorsAndTime) {
   both("INSERT INTO r VALUES (2, 'z'), (3, 'w') EXPIRE NEVER");
   both("INSERT INTO s VALUES (1) TTL 6");
   both("INSERT INTO s VALUES (3), (5) EXPIRE NEVER");
-  // Every query is also a view qv<i> of the cached session, read next to
-  // it by the sweep: both consumers of a materialization, cache entries
-  // and views, are held to the fresh session.
+  // Every query is also a view qv<i>, read next to it by the sweep: both
+  // consumers of a materialization, cache entries and views, are held to
+  // the fresh session.
   for (size_t i = 0; i < queries.size(); ++i) {
-    MustExec(cached,
-             "CREATE VIEW qv" + std::to_string(i) + " AS " + queries[i]);
+    both("CREATE VIEW qv" + std::to_string(i) + " AS " + queries[i]);
   }
   sweep("initial");
   sweep("admit");  // second sighting: the cached side stores its results
   const uint64_t hits0 = Metric("expdb_result_cache_hits_total");
   sweep("warm");  // third pass: cached side serves hits
-  EXPECT_GE(Metric("expdb_result_cache_hits_total") - hits0, queries.size());
+  EXPECT_GE(Metric("expdb_result_cache_hits_total") - hits0,
+            queries.size() + view_queries.size());
 
   both("ADVANCE TIME 3");
   sweep("t=3");

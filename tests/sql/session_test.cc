@@ -256,6 +256,77 @@ TEST(SessionTest, SetOpMixingViewAndTable) {
   EXPECT_EQ(RowsAt(r), 3u);
 }
 
+// A table and a view never share a name: otherwise the view would shadow
+// the table in every query.
+TEST(SessionTest, TableAndViewNamesNeverCollide) {
+  Session s;
+  MustExec(s, "CREATE TABLE t (x INT)");
+  MustExec(s, "INSERT INTO t VALUES (1), (2)");
+  auto view_over_table = s.Execute("CREATE VIEW t AS SELECT x FROM t");
+  ASSERT_FALSE(view_over_table.ok());
+  EXPECT_EQ(view_over_table.status().code(), StatusCode::kAlreadyExists);
+  MustExec(s, "CREATE VIEW vw AS SELECT x FROM t WHERE x >= 2");
+  auto table_over_view = s.Execute("CREATE TABLE vw (y INT)");
+  ASSERT_FALSE(table_over_view.ok());
+  EXPECT_EQ(table_over_view.status().code(), StatusCode::kAlreadyExists);
+  // Views read tables only.
+  EXPECT_FALSE(s.Execute("CREATE VIEW vv AS SELECT x FROM vw").ok());
+
+  auto table = MustExec(s, "SELECT * FROM t");
+  EXPECT_EQ(table.message, "ok");
+  EXPECT_EQ(RowsAt(table), 2u);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT x FROM t WHERE x >= 1")), 2u);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM vw")), 1u);
+  // Neither name is writable through the other.
+  EXPECT_EQ(s.Execute("INSERT INTO vw VALUES (3)").status().code(),
+            StatusCode::kNotFound);
+}
+
+// A view's relation carries its SQL column names, made unique, so queries
+// bind against them.
+TEST(SessionTest, QueriesBindAViewsColumnNames) {
+  Session s;
+  MustExec(s, "CREATE TABLE t (x INT, y INT)");
+  MustExec(s, "INSERT INTO t VALUES (1, 10), (2, 20)");
+  MustExec(s, "CREATE VIEW v AS SELECT x AS a, y, x FROM t");
+  auto r = MustExec(s, "SELECT a, x FROM v WHERE a >= 2");
+  EXPECT_EQ(RowsAt(r), 1u);
+  EXPECT_TRUE(r.relation->Contains(Tuple{2, 2}));
+  MustExec(s, "CREATE VIEW d AS SELECT x, x FROM t");
+  auto star = MustExec(s, "SELECT * FROM d");
+  EXPECT_EQ(star.relation->schema().attribute(0).name, "x");
+  EXPECT_EQ(star.relation->schema().attribute(1).name, "x.2");
+}
+
+// Sec. 3.3: the canonical read of a Schrödinger view in a validity gap
+// may move back to the last valid time, and says so in served_at. A
+// query that reads the view inside a larger statement is answered at
+// `now`: the gap recomputes the view, exactly like the base query.
+TEST(SessionTest, SchrodingerViewInsideAQueryIsExactAtNow) {
+  Session s;
+  MustExec(s, "CREATE TABLE r (k INT)");
+  MustExec(s, "CREATE TABLE q (k INT)");
+  MustExec(s, "INSERT INTO r VALUES (1) EXPIRE AT 30");
+  MustExec(s, "INSERT INTO r VALUES (2) EXPIRE AT 40");
+  MustExec(s, "INSERT INTO q VALUES (1) EXPIRE AT 10");
+  MustExec(s,
+           "CREATE VIEW v WITH (mode = schrodinger, move = backward) AS "
+           "SELECT k FROM r EXCEPT SELECT k FROM q");
+  MustExec(s, "ADVANCE TIME 20");  // <1> reappears at 10: a gap to 30
+
+  auto canonical = MustExec(s, "SELECT * FROM v");
+  EXPECT_EQ(canonical.served_at, Timestamp(9));
+  EXPECT_EQ(RowsAt(canonical), 1u);
+
+  auto base = MustExec(s, "SELECT k FROM r EXCEPT SELECT k FROM q");
+  auto in_query = MustExec(s, "SELECT k FROM v WHERE k >= 0");
+  EXPECT_EQ(in_query.served_at, Timestamp(20));
+  EXPECT_EQ(RowsAt(in_query), 2u);
+  EXPECT_TRUE(Relation::EqualAt(*in_query.relation, *base.relation,
+                                Timestamp(20)))
+      << in_query.relation->ToString() << " vs " << base.relation->ToString();
+}
+
 TEST(SessionTest, ViewDefinitionsAreRewrittenForIndependence) {
   // The session runs the Sec. 3.1 rewriter over every view definition.
   // Observable effect here: σq(σp(R)) collapses to a single merged

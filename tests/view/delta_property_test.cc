@@ -342,6 +342,41 @@ class InPlaceScanTest : public ::testing::Test {
   plan::PhysicalPlanPtr plan_;
 };
 
+// ApplyOps applies an op stream as if op by op, but as one change: a
+// tracked materialization records one batch holding the net change, and
+// a tuple inserted and deleted again within the stream is left out.
+TEST(ApplyOpsTest, OneBatchOfTheNetChange) {
+  Relation mat(Schema({{"x", ValueType::kInt64}}));
+  mat.InsertUnchecked(Tuple{1}, Timestamp(5));
+  mat.InsertUnchecked(Tuple{2}, Timestamp(5));
+  mat.EnableDeltaTracking();
+  const plan::DeltaOps ops = {
+      {false, {Tuple{3}, Timestamp(8)}},  // fresh
+      {true, {Tuple{3}, Timestamp(8)}},   // ... and gone again
+      {true, {Tuple{1}, Timestamp(5)}},   // a delete
+      {true, {Tuple{2}, Timestamp(5)}},   // a texp change
+      {false, {Tuple{2}, Timestamp(9)}},
+      {false, {Tuple{4}, Timestamp(7)}},  // an insert
+  };
+  const int64_t bytes = plan::DeltaPropagator::ApplyOps(ops, &mat);
+  EXPECT_EQ(bytes, static_cast<int64_t>(plan::ResultEntryBytes(Tuple{4})) -
+                       static_cast<int64_t>(plan::ResultEntryBytes(Tuple{1})));
+  using Entries = std::map<Tuple, Timestamp>;
+  auto as_map = [](const std::vector<Relation::Entry>& v) {
+    Entries out;
+    for (const Relation::Entry& e : v) out.emplace(e.tuple, e.texp);
+    return out;
+  };
+  const Entries after = {{Tuple{2}, Timestamp(9)}, {Tuple{4}, Timestamp(7)}};
+  EXPECT_EQ(as_map(mat.entries()), after);
+  const auto batches = mat.DeltasSince(0);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_EQ(batches->size(), 1u);
+  EXPECT_EQ(as_map(batches->front().deleted),
+            (Entries{{Tuple{1}, Timestamp(5)}, {Tuple{2}, Timestamp(5)}}));
+  EXPECT_EQ(as_map(batches->front().inserted), after);
+}
+
 TEST_F(InPlaceScanTest, FilterOverScanSeesTexpUpdates) {
   using namespace algebra;  // NOLINT
   size_t both = 0;
